@@ -89,16 +89,11 @@ static void BM_FlowSolverAlltoallLarge(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSolverAlltoallLarge);
 
-// The progressive-filling round loop, serial vs chunked-parallel, on a
-// 64x64 permutation (the instance class whose round passes cross the
-// solver's parallel threshold). Identical rates by construction — the
-// pair measures pure wall-clock: on a 1-vCPU host Parallel tracks Serial
-// plus chunk bookkeeping; with >= 4 cores it pulls ahead.
-static void BM_FlowSolverRoundsSerial(benchmark::State& state) {
+// A converged 64x64 permutation: thousands of filling levels, the instance
+// class the solver's former 400-round cap truncated.
+static void BM_FlowSolverPermutationLarge(benchmark::State& state) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 64, .y = 64});
-  flow::FlowSolverConfig config;
-  config.solve_threads = 1;
-  flow::FlowSolver solver(hx, config);
+  flow::FlowSolver solver(hx);
   Rng rng(3);
   const auto pattern = flow::random_permutation(hx.num_endpoints(), rng);
   for (auto _ : state) {
@@ -108,23 +103,7 @@ static void BM_FlowSolverRoundsSerial(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * pattern.size());
 }
-BENCHMARK(BM_FlowSolverRoundsSerial);
-
-static void BM_FlowSolverRoundsParallel(benchmark::State& state) {
-  topo::HammingMesh hx({.a = 2, .b = 2, .x = 64, .y = 64});
-  flow::FlowSolverConfig config;
-  config.solve_threads = 4;
-  flow::FlowSolver solver(hx, config);
-  Rng rng(3);
-  const auto pattern = flow::random_permutation(hx.num_endpoints(), rng);
-  for (auto _ : state) {
-    auto flows = pattern;
-    solver.solve(flows);
-    benchmark::DoNotOptimize(flows.front().rate);
-  }
-  state.SetItemsProcessed(state.iterations() * pattern.size());
-}
-BENCHMARK(BM_FlowSolverRoundsParallel);
+BENCHMARK(BM_FlowSolverPermutationLarge);
 
 static void BM_PacketForwardHeavy(benchmark::State& state) {
   // try_forward-dominated run: every endpoint keeps four distant messages

@@ -22,7 +22,7 @@
 #include "core/subprocess.hpp"
 #include "engine/harness.hpp"
 #include "engine/shard.hpp"
-#include "flow/flow_sim.hpp"
+#include "flow/patterns.hpp"
 #include "topo/routing_oracle.hpp"
 
 namespace hxmesh::cli {
@@ -334,16 +334,13 @@ void report_routing(std::ostream& out) {
 // Batched-execution observability: how much per-cell setup the topology
 // groups amortized (builds + engine setup reused by co-scheduled cells;
 // the dist-cache hits of the routing line are the amortized fills/route
-// tables) and how the flow solver's filling rounds executed.
+// tables).
 void report_batching(std::ostream& out) {
   const engine::BatchCounters b = engine::batch_counters();
-  const flow::SolverCounters s = flow::solver_counters();
   out << "batch: " << b.topo_groups << " topology groups, "
       << b.topo_builds_saved << " builds saved, " << b.engines_saved
       << " engine setups reused, " << b.cells_executed
-      << " cells executed (this process)\n"
-      << "solver rounds: " << s.rounds_parallel << " parallel, "
-      << s.rounds_serial << " serial (this process)\n";
+      << " cells executed (this process)\n";
 }
 
 void report_cache(const engine::ResultCache& cache, std::ostream& err) {

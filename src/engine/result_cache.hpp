@@ -36,7 +36,9 @@ class ResultCache {
   /// (PR 5), changing every flow-engine result.
   /// v3: entries carry an FNV-1a content checksum; load() verifies it and
   /// quarantines corrupt blobs instead of silently recomputing over them.
-  static constexpr int kSchemaVersion = 3;
+  /// v4: FlowSolver fills to convergence (no 400-round cap), raising the
+  /// flow rates of solves the cap used to truncate.
+  static constexpr int kSchemaVersion = 4;
 
   static constexpr const char* kDefaultDir = ".hxmesh-cache";
 

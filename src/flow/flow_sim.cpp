@@ -1,13 +1,10 @@
 #include "flow/flow_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cmath>
-#include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "core/thread_pool.hpp"
@@ -23,43 +20,61 @@ constexpr std::size_t kSampleChunk = 256;
 // threshold shapes only wall-clock.
 constexpr std::size_t kParallelSamplingMin = 2048;
 
-// Active links per round-pass job. Fixed size — chunk boundaries depend
-// only on the (deterministic) active-link array, never on the worker
-// count, which is what keeps the chunked reduction bit-identical for any
-// solve_threads.
-constexpr std::size_t kRoundChunk = 8192;
-// Below this many active links the per-round pool dispatch costs more
-// than the passes; such rounds run the serial loop. Purely a wall-clock
-// threshold: both paths compute identical bits, so it can differ between
-// rounds of one solve without affecting rates.
-constexpr std::size_t kParallelRoundsMin = 2 * kRoundChunk;
+// Min-queue of (saturation level, link) events: the initial keys sorted
+// once and consumed front to back, plus a binary heap for re-keyed links.
+// Pair order breaks level ties by link id, so the pop order is total.
+class LevelQueue {
+ public:
+  using Event = std::pair<double, std::uint32_t>;
 
-std::atomic<std::uint64_t> g_rounds_parallel{0};
-std::atomic<std::uint64_t> g_rounds_serial{0};
+  explicit LevelQueue(std::vector<Event> initial)
+      : initial_(std::move(initial)) {
+    std::sort(initial_.begin(), initial_.end());
+  }
+
+  bool empty() const { return next_ == initial_.size() && heap_.empty(); }
+  const Event& top() const {
+    return from_initial() ? initial_[next_] : heap_.front();
+  }
+  Event pop() {
+    if (from_initial()) return initial_[next_++];
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const Event e = heap_.back();
+    heap_.pop_back();
+    return e;
+  }
+  void push(Event e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
+ private:
+  bool from_initial() const {
+    return next_ < initial_.size() &&
+           (heap_.empty() || initial_[next_] < heap_.front());
+  }
+
+  std::vector<Event> initial_;
+  std::size_t next_ = 0;
+  std::vector<Event> heap_;
+};
 }  // namespace
-
-SolverCounters solver_counters() {
-  return {g_rounds_parallel.load(), g_rounds_serial.load()};
-}
 
 FlowSolver::FlowSolver(const topo::Topology& topology, FlowSolverConfig config)
     : topology_(topology), config_(config) {}
 
-// Progressive filling, restructured to O(active) per round.
+// Event-driven max-min water-filling.
 //
-// The classic formulation rescans every link and every subflow each round.
-// Here the scan set shrinks as the solve converges: an active-link array
-// carries exactly the links still crossed by unfrozen subflows, and a
-// link -> crossing-subflows index freezes exactly the subflows of a link
-// the moment it saturates. Because every subflow is active from round 0
-// until it freezes, its rate equals the global running sum of deltas at
-// freeze time — the same left-to-right float additions the per-subflow
-// accumulation performed — so the computed rates are bit-identical to the
-// full-rescan formulation, round for round.
-//
-// Large rounds additionally fan both active-link passes over a thread
-// pool in fixed-size chunks reduced in chunk-index order; see the chunked
-// lambdas below for why that is bit-identical to the serial loop.
+// All unfrozen subflows share one rising fill level. Link l saturates when
+// the level reaches residual[l] / active_count[l] — its capacity minus the
+// rates of its frozen crossers, over its unfrozen crossers — and then
+// freezes those crossers at that level. Freezing a crosser below a link's
+// saturation level only raises that level, so the links wait in a queue
+// keyed lazily by it; the solve walks the levels in ascending order and
+// touches each path link once per freeze plus O(log links) per queue
+// operation. It
+// stops exactly when every subflow froze: the rates are the converged
+// max-min fair allocation of the sampled paths.
 void FlowSolver::solve(std::vector<Flow>& flows,
                        topo::RouteMode route) const {
   const topo::Graph& g = topology_.graph();
@@ -104,8 +119,8 @@ void FlowSolver::solve(std::vector<Flow>& flows,
 
   // Flatten in flow order, counting per-link crossings as the links land.
   // The per-subflow state is SoA — flow id / first link / link count here,
-  // rate and the frozen flag below — so the fused round passes and the
-  // final rate accumulation stream through flat arrays.
+  // rate and the frozen flag below — so freezing and the final rate
+  // accumulation stream through flat arrays.
   for (Flow& f : flows) f.rate = 0.0;
   std::vector<int> sub_flow;
   std::vector<std::uint32_t> sub_first;
@@ -138,6 +153,7 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   }
   const std::size_t num_subs = sub_flow.size();
 
+  // Residual = capacity minus the rates of frozen crossers.
   std::vector<double> residual(g.num_links());
   for (std::size_t l = 0; l < g.num_links(); ++l)
     residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
@@ -162,170 +178,90 @@ void FlowSolver::solve(std::vector<Flow>& flows,
             static_cast<std::uint32_t>(si);
   }
 
-  // The compacted active sets: links still carrying unfrozen subflows.
-  std::vector<std::uint32_t> active_links;
-  active_links.reserve(g.num_links());
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    if (active_count[l] > 0)
-      active_links.push_back(static_cast<std::uint32_t>(l));
-
   std::vector<std::uint8_t> active(num_subs, 1);
-  // Uninitialized on purpose: every subflow's slot is written exactly once
-  // — at freeze time, or by the leftover sweep after the filling loop.
+  // Uninitialized on purpose: every subflow crosses at least one link, so
+  // every slot is written exactly once, when that subflow freezes.
   std::unique_ptr<double[]> rate(new double[num_subs]);
-  double cum = 0.0;  // sum of all deltas so far == rate of an active subflow
   const double eps = 1e-6 * kLinkBandwidthBps;
   std::size_t remaining = num_subs;
 
-  auto freeze = [&](std::uint32_t si) {
-    active[si] = 0;
-    rate[si] = cum;
-    --remaining;
-    const std::uint32_t first = sub_first[si];
-    const std::uint32_t count = sub_count[si];
-    for (std::uint32_t i = 0; i < count; ++i)
-      --active_count[path_links[first + i]];
+  // The fill level at which link l saturates.
+  auto key = [&](std::uint32_t l) { return residual[l] / active_count[l]; };
+  // The saturation rule: within eps of full at `level`.
+  auto saturated_at = [&](std::uint32_t l, double level) {
+    return residual[l] - level * active_count[l] <= eps;
+  };
+  // Freezes every still-active crosser of link l at `level`, handing its
+  // rate to the residual of each link on its path. Every subtraction in a
+  // batch removes the same `level`, so the order in which a batch's links
+  // saturate never changes a bit.
+  auto saturate = [&](std::uint32_t l, double level) {
+    for (std::uint32_t i = link_off[l]; i < link_off[l + 1]; ++i) {
+      const std::uint32_t si = link_subs[i];
+      if (!active[si]) continue;
+      active[si] = 0;
+      rate[si] = level;
+      --remaining;
+      const std::uint32_t first = sub_first[si];
+      for (std::uint32_t j = 0; j < sub_count[si]; ++j) {
+        const topo::LinkId m = path_links[first + j];
+        residual[m] -= level;
+        --active_count[m];
+      }
+    }
   };
 
-  // The round pool, created once if any round is big enough to fan out.
-  // Worker count never changes the computed rates, so the decision can be
-  // taken per round without affecting determinism.
-  std::optional<ThreadPool> round_pool;
-  const bool rounds_may_parallelize =
-      config_.solve_threads != 1 && active_links.size() >= kParallelRoundsMin;
-  // Per-chunk partials, reused across rounds: saturated links, surviving
-  // links, and the surviving fair-share minimum of each chunk.
-  std::vector<std::vector<std::uint32_t>> sat_chunks;
-  std::vector<std::vector<std::uint32_t>> keep_chunks;
-  std::vector<double> chunk_min;
-  std::uint64_t rounds_parallel = 0, rounds_serial = 0;
+  // The first level and its batch come from two linear passes: a
+  // collective ring saturates millions of links at that one level, where
+  // scanning beats sorting and popping each of them. Only the links that
+  // survive it are queued.
+  double level = std::numeric_limits<double>::infinity();
+  for (std::uint32_t l = 0; l < g.num_links(); ++l)
+    if (active_count[l] > 0) level = std::min(level, key(l));
+  std::vector<std::uint32_t> batch;
+  for (std::uint32_t l = 0; l < g.num_links(); ++l)
+    if (active_count[l] > 0 && saturated_at(l, level)) batch.push_back(l);
+  for (std::uint32_t l : batch) saturate(l, level);
 
-  // Each round is two passes over the active links: (1) apply the fill
-  // delta and collect the links it saturated, (2) drop the links whose
-  // crossers all froze while computing the next round's fair-share
-  // minimum from the surviving values. Both use exactly the per-link
-  // arithmetic of the one-pass-per-phase formulation, so deltas — and
-  // therefore every rate — are bit-identical to it.
-  //
-  // Parallel rounds split the active-link array into kRoundChunk-sized
-  // chunks (boundaries a pure function of the array length): every link
-  // is updated by exactly one chunk with the identical arithmetic, each
-  // chunk's saturated/survivor partials preserve the array order, and
-  // concatenating (and min-reducing) the partials in chunk-index order
-  // reproduces the serial scan's output exactly.
-  std::vector<std::uint32_t> saturated;
-  double delta = std::numeric_limits<double>::infinity();
-  for (std::uint32_t l : active_links)
-    delta = std::min(delta, residual[l] / active_count[l]);
+  std::vector<LevelQueue::Event> initial;
+  for (std::uint32_t l = 0; l < g.num_links(); ++l)
+    if (active_count[l] > 0) initial.emplace_back(key(l), l);
+  LevelQueue queue(std::move(initial));
 
-  for (int round = 0; round < config_.max_filling_rounds && remaining > 0;
-       ++round) {
-    if (!std::isfinite(delta)) break;
-    cum += delta;
-
-    if (round + 1 == config_.max_filling_rounds) {
-      // Safety cap: freeze whatever is left at the current fill level.
-      for (std::uint32_t si = 0; si < num_subs; ++si)
-        if (active[si]) freeze(si);
-      break;
+  // Each event pops the lowest current key as the next level, batches
+  // every queued link within eps of saturating at it, and freezes the
+  // batch. A popped key that no longer matches its link is stale (a
+  // crosser froze since it was queued): re-key and push it back. Links
+  // near the level that do not saturate go back unchanged after the
+  // batch froze.
+  std::vector<LevelQueue::Event> deferred;
+  while (remaining > 0 && !queue.empty()) {
+    batch.clear();
+    deferred.clear();
+    while (!queue.empty() &&
+           (batch.empty() || queue.top().first <= level + eps)) {
+      const auto [k, l] = queue.pop();
+      if (active_count[l] == 0) continue;
+      const double current = key(l);
+      if (current != k) {
+        queue.push({current, l});
+        continue;
+      }
+      if (batch.empty()) level = k;
+      if (saturated_at(l, level))
+        batch.push_back(l);
+      else
+        deferred.emplace_back(k, l);
     }
-
-    const std::size_t nactive = active_links.size();
-    const bool parallel_round =
-        rounds_may_parallelize && nactive >= kParallelRoundsMin;
-    if (parallel_round && !round_pool) round_pool.emplace(config_.solve_threads);
-
-    // A link is saturated when its residual share is (numerically) gone;
-    // every unfrozen subflow crossing it freezes this round. The frozen
-    // subflows' other links lose active crossers and may drop out of the
-    // compaction below without ever saturating themselves.
-    saturated.clear();
-    if (parallel_round) {
-      ++rounds_parallel;
-      const std::size_t rchunks = (nactive + kRoundChunk - 1) / kRoundChunk;
-      if (sat_chunks.size() < rchunks) {
-        sat_chunks.resize(rchunks);
-        keep_chunks.resize(rchunks);
-        chunk_min.resize(rchunks);
-      }
-      round_pool->parallel_for(rchunks, [&](std::size_t c) {
-        std::vector<std::uint32_t>& sat = sat_chunks[c];
-        sat.clear();
-        const std::size_t lo = c * kRoundChunk;
-        const std::size_t hi = std::min(nactive, lo + kRoundChunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::uint32_t l = active_links[i];
-          const double r = residual[l] - delta * active_count[l];
-          residual[l] = r;
-          if (r <= eps) sat.push_back(l);
-        }
-      });
-      for (std::size_t c = 0; c < rchunks; ++c)
-        saturated.insert(saturated.end(), sat_chunks[c].begin(),
-                         sat_chunks[c].end());
-    } else {
-      ++rounds_serial;
-      for (std::uint32_t l : active_links) {
-        const double r = residual[l] - delta * active_count[l];
-        residual[l] = r;
-        if (r <= eps) saturated.push_back(l);
-      }
-    }
-    // Freezing stays serial: it is O(frozen subflows' path links), which
-    // sums to the total incidence count over the whole solve, and its
-    // active_count decrements feed the very next pass.
-    for (std::uint32_t l : saturated)
-      for (std::uint32_t i = link_off[l]; i < link_off[l + 1]; ++i)
-        if (active[link_subs[i]]) freeze(link_subs[i]);
-
-    double next = std::numeric_limits<double>::infinity();
-    if (parallel_round) {
-      const std::size_t rchunks = (nactive + kRoundChunk - 1) / kRoundChunk;
-      round_pool->parallel_for(rchunks, [&](std::size_t c) {
-        std::vector<std::uint32_t>& keep = keep_chunks[c];
-        keep.clear();
-        double m = std::numeric_limits<double>::infinity();
-        const std::size_t lo = c * kRoundChunk;
-        const std::size_t hi = std::min(nactive, lo + kRoundChunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::uint32_t l = active_links[i];
-          if (active_count[l] == 0) continue;
-          keep.push_back(l);
-          m = std::min(m, residual[l] / active_count[l]);
-        }
-        chunk_min[c] = m;
-      });
-      std::size_t kept = 0;
-      for (std::size_t c = 0; c < rchunks; ++c) {
-        const std::vector<std::uint32_t>& keep = keep_chunks[c];
-        if (!keep.empty())
-          std::memcpy(active_links.data() + kept, keep.data(),
-                      keep.size() * sizeof(std::uint32_t));
-        kept += keep.size();
-        next = std::min(next, chunk_min[c]);
-      }
-      active_links.resize(kept);
-    } else {
-      std::size_t kept = 0;
-      for (std::uint32_t l : active_links) {
-        if (active_count[l] == 0) continue;
-        active_links[kept++] = l;
-        next = std::min(next, residual[l] / active_count[l]);
-      }
-      active_links.resize(kept);
-    }
-    delta = next;
+    for (std::uint32_t l : batch) saturate(l, level);
+    for (const LevelQueue::Event& e : deferred) queue.push(e);
   }
-
-  // Loop cap or non-finite delta: unfrozen subflows keep the current fill.
-  for (std::uint32_t si = 0; si < num_subs; ++si)
-    if (active[si]) rate[si] = cum;
+  // Every link with an active crosser is queued, so the loop only ends
+  // once every subflow froze.
+  assert(remaining == 0);
 
   for (std::size_t si = 0; si < num_subs; ++si)
     flows[sub_flow[si]].rate += rate[si];
-
-  if (rounds_parallel) g_rounds_parallel.fetch_add(rounds_parallel);
-  if (rounds_serial) g_rounds_serial.fetch_add(rounds_serial);
 }
 
 }  // namespace hxmesh::flow

@@ -3,25 +3,20 @@
 // Computes max-min fair bandwidth shares for a set of flows with infinite
 // demand. Each flow is spread over `paths_per_flow` randomly sampled minimal
 // paths (approximating the packet-level adaptive routing the paper assumes);
-// progressive filling then raises all subflow rates together, freezing
-// subflows as links saturate. The filling is incremental — each round
-// touches only the links still crossed by unfrozen subflows, and a
-// saturating link freezes exactly its crossers through a link->subflows
-// index — but produces bit-identical rates to the classic full-rescan
-// formulation (tests/test_determinism.cpp keeps that reference alive).
+// water-filling then raises all subflow rates together, freezing subflows
+// as links saturate. The filling is event-driven: links wait in a queue
+// keyed by the fill level at which they saturate, re-keyed lazily as their
+// crossers freeze, and a saturating link freezes exactly its crossers
+// through a link->subflows index. The solve runs until every subflow froze
+// — there is no round cap — so the rates are the converged max-min fair
+// allocation (tests/test_determinism.cpp cross-checks it against the
+// classic full-rescan filling, tests/test_flow.cpp certifies it).
 //
 // Path sampling draws each flow's paths from its own counter-seeded RNG
 // substream (Rng::substream(seed, flow index)), which makes flows
 // independent: large flow sets sample in parallel over a thread pool with
-// rates that are bit-identical for every worker count, including one.
-//
-// The filling rounds themselves are parallel too: the active-link array is
-// split into fixed-size chunks whose boundaries depend only on the array
-// (never on the worker count), each chunk computes its partial saturated
-// list / survivor list / fair-share minimum, and the partials are reduced
-// in chunk-index order — so the per-round delta, the freeze order, and
-// therefore every rate are bit-identical for any `solve_threads`
-// (tests/test_determinism.cpp pins 1 == 4 == 16).
+// rates that are bit-identical for every worker count, including one. The
+// filling itself is serial, with a deterministic event order.
 //
 // This reproduces the steady-state bandwidth numbers of Table II and
 // Figures 11-13/17 for large messages; the packet-level simulator
@@ -46,37 +41,15 @@ struct Flow {
 struct FlowSolverConfig {
   int paths_per_flow = 8;
   std::uint64_t seed = 0x5eed;
-  int max_filling_rounds = 400;  // progressive-filling safety cap
   // Worker threads for the path-sampling fan-out: 0 uses $HXMESH_THREADS
   // (else the hardware concurrency), 1 forces serial sampling. Never
   // changes the computed rates — only wall-clock.
   int sample_threads = 0;
-  // Worker threads for the progressive-filling rounds (the chunked
-  // active-link passes): 0 uses $HXMESH_THREADS (else the hardware
-  // concurrency), 1 forces the serial round loop. Rounds below the
-  // internal active-set threshold run serially either way. Never changes
-  // the computed rates — only wall-clock.
-  int solve_threads = 0;
   // Path selection mode handed to sample_path_stratified: minimal,
   // Valiant (random-intermediate detours), or UGAL (deterministic 50/50
   // minimal/detour mix over the subflow strata).
   topo::RouteMode route = topo::RouteMode::kMinimal;
 };
-
-/// \brief Process-wide counters of how filling rounds executed.
-///
-/// `rounds_parallel` counts rounds whose active-link passes fanned over
-/// the thread pool, `rounds_serial` counts rounds that ran the serial
-/// loop (small active sets, or solve_threads == 1). They make "the solver
-/// actually parallelized this sweep" observable (`hxmesh cache stats`
-/// and sweep stderr), not assumed.
-struct SolverCounters {
-  std::uint64_t rounds_parallel = 0;
-  std::uint64_t rounds_serial = 0;
-};
-
-/// \brief Snapshot of the process-wide solver round counters.
-SolverCounters solver_counters();
 
 class FlowSolver {
  public:

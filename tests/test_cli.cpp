@@ -399,7 +399,6 @@ TEST(Cli, CacheStatsExposeRoutingOracleCounters) {
   EXPECT_NE(stats.out.find("routing: "), std::string::npos) << stats.out;
   EXPECT_NE(stats.out.find("oracle fills"), std::string::npos) << stats.out;
   EXPECT_NE(stats.out.find("batch: "), std::string::npos) << stats.out;
-  EXPECT_NE(stats.out.find("solver rounds: "), std::string::npos) << stats.out;
 
   // Sweeps report the same counters next to the cache summary.
   auto sweep = run({"sweep", "--topo", "hx2mesh:2x2", "--pattern",
@@ -408,7 +407,6 @@ TEST(Cli, CacheStatsExposeRoutingOracleCounters) {
   EXPECT_EQ(sweep.code, 0);
   EXPECT_NE(sweep.err.find("routing: "), std::string::npos) << sweep.err;
   EXPECT_NE(sweep.err.find("topology groups"), std::string::npos) << sweep.err;
-  EXPECT_NE(sweep.err.find("solver rounds: "), std::string::npos) << sweep.err;
 }
 
 TEST(Cli, RobustnessFlagsAreValidated) {

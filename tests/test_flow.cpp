@@ -2,7 +2,7 @@
 // properties, and Table II-shaped results on the paper's small networks.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
@@ -115,80 +115,79 @@ TEST(FlowSolver, RingOnTorusGetsFullLinkBothDirections) {
         << f.src << "->" << f.dst;
 }
 
-// --------------------------------------- solve_threads invariance --------
-// The chunked parallel filling rounds must produce byte-identical rates to
-// the serial loop for every worker count. Two scales: 16x16 stays below
-// the internal parallel threshold (rounds run serially either way), 64x64
-// crosses it so the chunked reduction really executes.
-std::vector<double> rates_with_threads(const topo::Topology& topo,
-                                       const std::vector<Flow>& pattern,
-                                       int solve_threads) {
+// ---------------------------------------------- max-min certificate -----
+// An independent check that solve() returned the max-min fair allocation.
+// It uses nothing of the solver but its public config: with one path per
+// flow every flow is a single subflow, whose path is rebuilt here from the
+// same counter-seeded substream the solver samples from. Then
+//  - feasibility: every link carries at most capacity * (1 + 1e-9), and
+//  - bottleneck: every flow crosses a saturated link on which no other
+//    flow gets a higher rate.
+// A link counts as saturated within the solver's documented tolerance
+// (1e-6 of a link's bandwidth) plus float slack.
+void certify_max_min(const topo::Topology& topology, std::vector<Flow> flows) {
   FlowSolverConfig config;
-  config.sample_threads = 1;
-  config.solve_threads = solve_threads;
-  FlowSolver solver(topo, config);
-  std::vector<Flow> flows = pattern;
-  solver.solve(flows);
-  std::vector<double> rates;
-  rates.reserve(flows.size());
-  for (const Flow& f : flows) rates.push_back(f.rate);
-  return rates;
-}
+  config.paths_per_flow = 1;
+  FlowSolver(topology, config).solve(flows);
 
-// The flow sets of the two regression-grid pattern families: a random
-// permutation, and the superposition of two balanced-shift rounds (the
-// instance shape the alltoall ensemble feeds the solver).
-std::vector<std::vector<Flow>> invariance_patterns(int n) {
-  Rng rng(3);
-  std::vector<std::vector<Flow>> patterns;
-  patterns.push_back(random_permutation(n, rng));
-  std::vector<Flow> alltoall = shift_pattern(n, n / 2);
-  const std::vector<Flow> second = shift_pattern(n, 7);
-  alltoall.insert(alltoall.end(), second.begin(), second.end());
-  patterns.push_back(std::move(alltoall));
-  return patterns;
-}
-
-TEST(FlowSolver, SolveThreadsNeverChangeRates) {
-  for (int side : {16, 64}) {
-    topo::HammingMesh hx({.a = 2, .b = 2, .x = side, .y = side});
-    for (const auto& pattern : invariance_patterns(hx.num_endpoints())) {
-      const auto r1 = rates_with_threads(hx, pattern, 1);
-      const auto r4 = rates_with_threads(hx, pattern, 4);
-      const auto r16 = rates_with_threads(hx, pattern, 16);
-      ASSERT_EQ(r1.size(), r4.size());
-      ASSERT_EQ(r1.size(), r16.size());
-      // Byte-identical, not merely close: compare the raw double bits.
-      EXPECT_EQ(std::memcmp(r1.data(), r4.data(),
-                            r1.size() * sizeof(double)),
-                0)
-          << side << "x" << side << " threads 1 vs 4";
-      EXPECT_EQ(std::memcmp(r1.data(), r16.data(),
-                            r1.size() * sizeof(double)),
-                0)
-          << side << "x" << side << " threads 1 vs 16";
+  const topo::Graph& g = topology.graph();
+  std::vector<double> load(g.num_links(), 0.0);
+  std::vector<double> top_rate(g.num_links(), 0.0);
+  std::vector<std::vector<topo::LinkId>> paths(flows.size());
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    if (flows[f].src == flows[f].dst) continue;
+    Rng rng = Rng::substream(config.seed, f);
+    topology.sample_path_stratified(flows[f].src, flows[f].dst, 0, 1, rng,
+                                    paths[f], config.route);
+    for (topo::LinkId l : paths[f]) {
+      load[l] += flows[f].rate;
+      top_rate[l] = std::max(top_rate[l], flows[f].rate);
     }
+  }
+  std::vector<bool> saturated(g.num_links());
+  for (std::size_t l = 0; l < g.num_links(); ++l) {
+    const double cap = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
+    EXPECT_LE(load[l], cap * (1 + 1e-9)) << "link " << l << " oversubscribed";
+    saturated[l] = load[l] >= cap - 1e-6 * kLink - 1e-9 * cap;
+  }
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    if (flows[f].src == flows[f].dst) continue;
+    const double rate = flows[f].rate;
+    const bool bottlenecked =
+        std::any_of(paths[f].begin(), paths[f].end(), [&](topo::LinkId l) {
+          return saturated[l] && top_rate[l] <= rate * (1 + 1e-9);
+        });
+    EXPECT_TRUE(bottlenecked) << "flow " << f << " (" << flows[f].src
+                              << " -> " << flows[f].dst << ", rate " << rate
+                              << ") has no bottleneck link";
   }
 }
 
-TEST(FlowSolver, LargeInstanceRoundsActuallyParallelize) {
-  // Guard against the parallel path silently never engaging (threshold set
-  // wrong, pool never built): a 64x64 permutation with solve_threads=4
-  // must run parallel rounds, and solve_threads=1 must run none.
+TEST(FlowSolver, MaxMinCertificateOnSmallNetworks) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 8, .y = 8});
+  topo::FatTree ft({.num_endpoints = 256, .radix = 64, .taper = 0.5});
+  topo::Torus torus({.width = 16, .height = 16});
+  const topo::Topology* topologies[] = {&hx, &ft, &torus};
+  for (const topo::Topology* t : topologies) {
+    Rng rng(7);
+    certify_max_min(*t, random_permutation(t->num_endpoints(), rng));
+    certify_max_min(*t, shift_pattern(t->num_endpoints(), 5));
+  }
+}
+
+// The permutation instances that need far more filling levels at their
+// engine path counts than the 400-round cap the solver used to stop at
+// (see FlowSolverDeterminism.ConvergesPastFormerRoundCap).
+TEST(FlowSolver, MaxMinCertificateOnLargePermutations) {
+  auto dragonfly = topo::make_paper_topology(topo::PaperTopology::kDragonfly,
+                                             topo::ClusterSize::kSmall);
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 64, .y = 64});
-  Rng rng(3);
-  const std::vector<Flow> pattern =
-      random_permutation(hx.num_endpoints(), rng);
-
-  const SolverCounters before = solver_counters();
-  rates_with_threads(hx, pattern, 4);
-  const SolverCounters mid = solver_counters();
-  EXPECT_GT(mid.rounds_parallel, before.rounds_parallel);
-
-  rates_with_threads(hx, pattern, 1);
-  const SolverCounters after = solver_counters();
-  EXPECT_EQ(after.rounds_parallel, mid.rounds_parallel);
-  EXPECT_GT(after.rounds_serial, mid.rounds_serial);
+  const topo::Topology* topologies[] = {dragonfly.get(), &hx};
+  for (const topo::Topology* t : topologies)
+    for (std::uint64_t seed : {1ull, 7ull}) {
+      Rng rng(seed);
+      certify_max_min(*t, random_permutation(t->num_endpoints(), rng));
+    }
 }
 
 TEST(FlowSolver, HxMeshNeighborRingFullRate) {
