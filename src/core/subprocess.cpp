@@ -2,7 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <spawn.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -47,15 +47,66 @@ bool drain_pipe(int fd, std::string& tail, std::size_t limit) {
   }
 }
 
-// waitpid(WNOHANG) with EINTR retry. Returns true when the child was
-// reaped (status filled in), false when it is still running.
-bool try_reap(pid_t pid, int& status) {
+// Forks and execs `argv` (argv[0] is a path; no PATH search). The child
+// gets `stderr_fd` as its stderr when it is >= 0, leads a new process
+// group when `own_group` is set, and is SIGKILLed by the kernel if the
+// calling thread dies first: every caller blocks until it has reaped
+// its child, so a child never outlives the call that started it, even
+// when the whole process is killed. Returns the child's pid, or -1 with
+// `error` set when the exec failed.
+pid_t spawn_child(char* const* argv, int stderr_fd, bool own_group,
+                  std::string& error) {
+  // Carries exec's errno back; close-on-exec, so a successful exec reads
+  // as EOF.
+  int status_pipe[2];
+  if (::pipe2(status_pipe, O_CLOEXEC) != 0) {
+    error = std::string("pipe failed: ") + std::strerror(errno);
+    return -1;
+  }
+  const pid_t parent = ::getpid();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    // Async-signal-safe calls only from here to exec.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);  // died before prctl landed
+    if (own_group) ::setpgid(0, 0);
+    if (stderr_fd >= 0) ::dup2(stderr_fd, 2);
+    ::execve(argv[0], argv, environ);
+    const int err = errno;
+    [[maybe_unused]] const ssize_t n =
+        ::write(status_pipe[1], &err, sizeof(err));
+    ::_exit(127);
+  }
+  ::close(status_pipe[1]);
+  if (pid < 0) {
+    error = std::string("fork failed: ") + std::strerror(errno);
+    ::close(status_pipe[0]);
+    return -1;
+  }
+  int err = 0;
+  ssize_t n = 0;
+  do {
+    n = ::read(status_pipe[0], &err, sizeof(err));
+  } while (n < 0 && errno == EINTR);
+  ::close(status_pipe[0]);
+  if (n <= 0) return pid;  // EOF: the exec went through
+  ::waitpid(pid, nullptr, 0);
+  error = std::strerror(err);
+  return -1;
+}
+
+// waitid(WNOHANG | WNOWAIT) with EINTR retry: true once the child has
+// exited. The child stays a zombie — it is reaped later by reap_blocking
+// — so its pid, and the id of the group it leads, cannot be reused by
+// another process in between.
+bool has_exited(pid_t pid) {
   for (;;) {
-    const pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r == pid) return true;
-    if (r == 0) return false;
+    siginfo_t info{};
+    if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                 WEXITED | WNOHANG | WNOWAIT) == 0)
+      return info.si_pid == pid;
     if (errno != EINTR)
-      throw std::runtime_error(std::string("run_command: waitpid failed: ") +
+      throw std::runtime_error(std::string("run_command: waitid failed: ") +
                                std::strerror(errno));
   }
 }
@@ -105,9 +156,8 @@ CommandResult run_command_watched(const std::vector<std::string>& argv,
     return result;
   }
 
-  // posix_spawn (not fork+exec): safe to call with harness worker threads
-  // alive, and it reports spawn failures as error codes instead of a child
-  // that dies before exec.
+  // Built before the fork: the child may only make async-signal-safe
+  // calls.
   std::vector<char*> cargv;
   cargv.reserve(argv.size() + 1);
   for (const std::string& arg : argv)
@@ -115,36 +165,27 @@ CommandResult run_command_watched(const std::vector<std::string>& argv,
   cargv.push_back(nullptr);
 
   int pipe_fds[2] = {-1, -1};
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_t* actions_ptr = nullptr;
-  if (options.capture_stderr) {
-    if (::pipe(pipe_fds) != 0) {
-      result.error = std::string("run_command: pipe failed: ") +
-                     std::strerror(errno);
-      return result;
-    }
-    ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-    posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_adddup2(&actions, pipe_fds[1], 2);
-    posix_spawn_file_actions_addclose(&actions, pipe_fds[0]);
-    posix_spawn_file_actions_addclose(&actions, pipe_fds[1]);
-    actions_ptr = &actions;
+  if (options.capture_stderr && ::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+    result.error = std::string("run_command: pipe failed: ") +
+                   std::strerror(errno);
+    return result;
   }
+  if (options.capture_stderr) ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
 
-  pid_t pid = -1;
-  const int rc =
-      ::posix_spawn(&pid, cargv[0], actions_ptr, nullptr, cargv.data(),
-                    environ);
-  if (actions_ptr) posix_spawn_file_actions_destroy(actions_ptr);
+  // A watched child leads its own process group, so the deadline's
+  // signals reach everything it started (a shell's sleeping child, a
+  // worker's helpers), not just the direct child.
+  const bool watched = options.timeout_s > 0.0;
+  const pid_t pid =
+      spawn_child(cargv.data(), pipe_fds[1], watched, result.error);
   if (options.capture_stderr) ::close(pipe_fds[1]);  // parent keeps read end
-  if (rc != 0) {
+  if (pid < 0) {
     if (options.capture_stderr) ::close(pipe_fds[0]);
     result.error = "run_command: cannot spawn " + argv[0] + ": " +
-                   std::strerror(rc);
+                   result.error;
     return result;  // status stays kSpawnFailed
   }
 
-  const bool watched = options.timeout_s > 0.0;
   int status = 0;
   bool timed_out = false;
   bool killed = false;  // escalated to SIGKILL
@@ -153,7 +194,7 @@ CommandResult run_command_watched(const std::vector<std::string>& argv,
     // Classic blocking path: nothing to poll for.
     reap_blocking(pid, status);
   } else {
-    // Poll loop: reap without blocking so the deadline can fire and the
+    // Poll loop: wait without blocking so the deadline can fire and the
     // stderr pipe stays drained (a blocking wait on a child whose stderr
     // pipe is full would deadlock).
     using clock = std::chrono::steady_clock;
@@ -164,26 +205,32 @@ CommandResult run_command_watched(const std::vector<std::string>& argv,
     auto kill_at = clock::time_point::max();
     bool pipe_open = options.capture_stderr;
     for (;;) {
-      if (try_reap(pid, status)) break;
+      if (has_exited(pid)) break;
       if (pipe_open)
         pipe_open = drain_pipe(pipe_fds[0], result.stderr_tail,
                                options.stderr_limit);
       const auto now = clock::now();
       if (watched && !timed_out && now >= deadline) {
         timed_out = true;
-        ::kill(pid, SIGTERM);
+        ::kill(-pid, SIGTERM);
         kill_at = now + std::chrono::duration_cast<clock::duration>(
                             std::chrono::duration<double>(
                                 std::max(0.0, options.grace_s)));
       }
       if (timed_out && !killed && now >= kill_at) {
         killed = true;
-        ::kill(pid, SIGKILL);
+        ::kill(-pid, SIGKILL);
         // SIGKILL cannot be caught or blocked; the child is guaranteed to
-        // die, so the loop keeps polling until the reap lands.
+        // die, so the loop keeps polling until its exit shows.
       }
       std::this_thread::sleep_for(kPollNap);
     }
+    // The child may have died of its SIGTERM while a group member that
+    // ignores SIGTERM lives on: nothing of a timed-out child survives.
+    // The unreaped leader still holds the group id, so this signal cannot
+    // reach a group that reused it.
+    if (timed_out) ::kill(-pid, SIGKILL);
+    reap_blocking(pid, status);
   }
   if (options.capture_stderr) {
     // Final drain: the child is reaped, so EOF (or emptiness) is terminal.

@@ -34,6 +34,10 @@ const char* command_status_name(CommandStatus status);
 struct CommandOptions {
   /// Wall-clock deadline in seconds; 0 (the default) disables the
   /// watchdog and the call waits forever, like classic run_command.
+  /// A watched child runs in its own process group, and the deadline's
+  /// signals go to the whole group, so no descendant outlives it. The
+  /// group also keeps the child out of the terminal's Ctrl-C; the child
+  /// still dies with its caller (see run_command_watched).
   double timeout_s = 0.0;
   /// After the deadline's SIGTERM, how long to wait for a graceful exit
   /// before escalating to SIGKILL. The escalation is unconditional: a
@@ -68,9 +72,13 @@ struct CommandResult {
 /// `argv[0]` is the executable path (no PATH search); the child inherits
 /// stdio (stderr optionally captured) and the environment. With a nonzero
 /// `options.timeout_s` the parent polls the child and, past the deadline,
-/// sends SIGTERM, waits `options.grace_s`, then SIGKILLs — a hung child
+/// sends SIGTERM to its process group, waits `options.grace_s`, then
+/// SIGKILLs the group — a hung child
 /// can never block the caller for longer than timeout + grace (plus reap
-/// latency). Never throws on child failure: every outcome, including a
+/// latency). The child is spawned with a parent-death signal: should the
+/// calling thread die first — its process killed, say by Ctrl-C — the
+/// kernel SIGKILLs the child, so no child outlives the call that started
+/// it. Never throws on child failure: every outcome, including a
 /// spawn failure, is reported through CommandResult. Safe to call from
 /// multiple threads at once — each call watches its own child.
 CommandResult run_command_watched(const std::vector<std::string>& argv,

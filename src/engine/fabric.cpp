@@ -1,16 +1,15 @@
-#include "cli/fabric.hpp"
+#include "engine/fabric.hpp"
 
-#include <chrono>
+#include <cstdio>
 #include <ostream>
-#include <thread>
 
 #include "core/fsio.hpp"
 #include "core/json.hpp"
 #include "core/json_parse.hpp"
 #include "core/net.hpp"
-#include "core/subprocess.hpp"
+#include "engine/sharded_sweep.hpp"
 
-namespace hxmesh::cli {
+namespace hxmesh::engine {
 
 namespace {
 
@@ -29,14 +28,6 @@ std::string quoted(const std::string& s) {
   out += JsonObject::escape(s);
   out += "\"";
   return out;
-}
-
-std::string last_line(const std::string& text) {
-  const std::size_t end = text.find_last_not_of(" \t\r\n");
-  if (end == std::string::npos) return "";
-  std::size_t start = text.find_last_of('\n', end);
-  start = start == std::string::npos ? 0 : start + 1;
-  return text.substr(start, end - start + 1);
 }
 
 std::string error_response(const std::string& status, int exit_code,
@@ -60,8 +51,8 @@ std::uint64_t require_u64(const JsonValue& doc, const char* key) {
   return v->as_u64();
 }
 
-/// Runs one leased job as a watched `hxmesh shard` child and renders the
-/// response frame. Every outcome — including a missing manifest after a
+/// Runs one leased job through run_shard_child and renders the response
+/// frame. Every outcome — including a missing manifest after a
 /// "successful" child — is a response, not an exception: the job layer
 /// must never tear the connection, because a torn frame reads as a host
 /// fault while everything in here is the job's own fault.
@@ -71,81 +62,44 @@ std::string handle_job(const JsonValue& doc, const ServeOptions& opt,
   if (!proto || !proto->is_number() || proto->as_int() != kFabricProto)
     return error_response("spawn-failed", -1, "fabric protocol mismatch");
 
-  const std::string fingerprint = require_string(doc, "fingerprint");
+  ShardChildJob job;
+  job.cache_dir = opt.cache_dir;
+  job.fingerprint = require_string(doc, "fingerprint");
   const std::string grid = require_string(doc, "grid");
-  const unsigned shards = static_cast<unsigned>(require_u64(doc, "shards"));
-  const unsigned shard = static_cast<unsigned>(require_u64(doc, "shard"));
-  const int attempt = static_cast<int>(require_u64(doc, "attempt"));
-  const JsonValue* weighted = doc.get("weighted");
+  job.shards = static_cast<unsigned>(require_u64(doc, "shards"));
+  job.shard = static_cast<unsigned>(require_u64(doc, "shard"));
+  job.attempt = static_cast<int>(require_u64(doc, "attempt"));
+  job.threads = opt.threads;
   const JsonValue* timeout = doc.get("timeout_s");
-  if (shards < 1 || shard >= shards)
+  if (timeout && timeout->is_number() && timeout->number > 0.0)
+    job.timeout_s = timeout->number;
+  if (job.shards < 1 || job.shard >= job.shards)
     return error_response("spawn-failed", -1, "job: shard out of range");
 
-  engine::ResultCache cache(opt.cache_dir);
-  const std::string meta_dir = cache.shard_meta_dir();
-  ensure_dir(meta_dir);
-  const std::string grid_file = meta_dir + "/" + fingerprint + ".grid.json";
-  const std::string manifest_path =
-      meta_dir + "/" + fingerprint + "." + std::to_string(shard) + "-of-" +
-      std::to_string(shards) + ".json";
-  write_file_atomic(grid_file, grid);
-  remove_file(manifest_path);  // stale coverage must not stand in
+  ResultCache cache(opt.cache_dir);
+  ensure_dir(cache.shard_meta_dir());
+  write_file_atomic(cache.shard_grid_path(job.fingerprint), grid);
+  const ShardAttempt a = run_shard_child(job);
 
-  std::vector<std::string> argv = {self_exe_path(),
-                                   "shard",
-                                   "--config",
-                                   grid_file,
-                                   "--shards",
-                                   std::to_string(shards),
-                                   "--shard",
-                                   std::to_string(shard),
-                                   "--manifest",
-                                   manifest_path,
-                                   "--cache-dir",
-                                   opt.cache_dir,
-                                   "--attempt",
-                                   std::to_string(attempt)};
-  if (opt.threads > 0) {
-    argv.push_back("--threads");
-    argv.push_back(std::to_string(opt.threads));
-  }
-  if (weighted && weighted->is_bool() && weighted->boolean)
-    argv.push_back("--weighted");
-
-  CommandOptions options;
-  options.timeout_s =
-      timeout && timeout->is_number() && timeout->number > 0.0
-          ? timeout->number
-          : 0.0;
-  options.capture_stderr = true;
-  const CommandResult r = run_command_watched(argv, options);
-
-  err << "serve: shard " << shard << "/" << shards << " attempt " << attempt
-      << " -> " << command_status_name(r.status);
-  if (r.status == CommandStatus::kExited) err << " (exit " << r.exit_code
-                                              << ")";
+  err << "serve: shard " << job.shard << "/" << job.shards << " attempt "
+      << job.attempt << " -> " << outcome_name(a.outcome);
+  if (a.outcome == ShardOutcome::kExited)
+    err << " (exit " << a.exit_code << ")";
   err << "\n";
   err.flush();
-
-  if (!r.ok()) {
-    std::string why = r.error;
-    const std::string tail = last_line(r.stderr_tail);
-    if (!tail.empty()) why += why.empty() ? tail : " — " + tail;
-    return error_response(command_status_name(r.status),
-                          r.status == CommandStatus::kExited ? r.exit_code
-                                                             : r.shell_code(),
-                          why);
-  }
+  if (!a.ok())
+    return error_response(outcome_name(a.outcome), a.exit_code, a.error);
 
   // The child exited 0, so its manifest and every covered entry must
   // exist; a gap here is a broken store, reported as a job failure the
   // orchestrator will retry elsewhere.
-  const std::optional<std::string> manifest_text = read_file(manifest_path);
+  const std::optional<std::string> manifest_text = read_file(
+      cache.shard_manifest_path(job.fingerprint, job.shard, job.shards));
   if (!manifest_text)
     return error_response("exited", 1, "manifest missing after shard run");
-  engine::ShardManifest manifest;
+  ShardManifest manifest;
   try {
-    manifest = engine::parse_manifest(*manifest_text);
+    manifest = parse_manifest(*manifest_text);
   } catch (const std::exception& e) {
     return error_response("exited", 1,
                           std::string("bad manifest after shard run: ") +
@@ -200,20 +154,11 @@ std::string handle_request(const std::string& text, const ServeOptions& opt,
   return error_response("spawn-failed", -1, "unknown op '" + op->str + "'");
 }
 
-engine::ShardAttempt host_fault(const std::string& why) {
-  engine::ShardAttempt a;
-  a.outcome = engine::ShardOutcome::kSpawnFailed;
-  a.exit_code = -1;
-  a.error = why;
-  a.host_fault = true;
-  return a;
-}
-
-bool parse_outcome(const std::string& status, engine::ShardOutcome* out) {
-  if (status == "exited") *out = engine::ShardOutcome::kExited;
-  else if (status == "signaled") *out = engine::ShardOutcome::kSignaled;
-  else if (status == "timed-out") *out = engine::ShardOutcome::kTimedOut;
-  else if (status == "spawn-failed") *out = engine::ShardOutcome::kSpawnFailed;
+bool parse_outcome(const std::string& status, ShardOutcome* out) {
+  if (status == "exited") *out = ShardOutcome::kExited;
+  else if (status == "signaled") *out = ShardOutcome::kSignaled;
+  else if (status == "timed-out") *out = ShardOutcome::kTimedOut;
+  else if (status == "spawn-failed") *out = ShardOutcome::kSpawnFailed;
   else return false;
   return true;
 }
@@ -226,7 +171,6 @@ std::string render_job(const FabricJob& job) {
                     ",\"shards\":" + std::to_string(job.shards) +
                     ",\"shard\":" + std::to_string(job.shard) +
                     ",\"attempt\":" + std::to_string(job.attempt);
-  if (job.weighted) out += ",\"weighted\":true";
   if (job.timeout_s > 0.0) {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", job.timeout_s);
@@ -273,7 +217,7 @@ int serve_daemon(const ServeOptions& opt, std::ostream& err) {
   return 0;
 }
 
-bool fabric_ping(const engine::HostSpec& host, double timeout_s) {
+bool fabric_ping(const HostSpec& host, double timeout_s) {
   try {
     Socket sock = tcp_connect(host.host, host.port, timeout_s);
     send_frame(sock, "{\"op\":\"ping\"}");
@@ -289,7 +233,7 @@ bool fabric_ping(const engine::HostSpec& host, double timeout_s) {
   }
 }
 
-FabricResult fabric_run_job(const engine::HostSpec& host,
+FabricResult fabric_run_job(const HostSpec& host,
                             const FabricJob& job, double lease_timeout_s) {
   FabricResult result;
   std::optional<std::string> resp;
@@ -311,7 +255,7 @@ FabricResult fabric_run_job(const engine::HostSpec& host,
     const JsonValue* status = doc.is_object() ? doc.get("status") : nullptr;
     if (!ok || !ok->is_bool() || !status || !status->is_string())
       throw std::invalid_argument("response without ok/status");
-    engine::ShardOutcome outcome;
+    ShardOutcome outcome;
     if (!parse_outcome(status->str, &outcome))
       throw std::invalid_argument("unknown status '" + status->str + "'");
     result.attempt.outcome = outcome;
@@ -347,4 +291,4 @@ FabricResult fabric_run_job(const engine::HostSpec& host,
   return result;
 }
 
-}  // namespace hxmesh::cli
+}  // namespace hxmesh::engine

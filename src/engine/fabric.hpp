@@ -1,13 +1,13 @@
 // Distributed sweep fabric: the `hxmesh serve` daemon and the
 // orchestrator-side client it speaks to.
 //
-// Protocol (version 1): length-prefixed frames (core/net) carrying JSON
+// Protocol (version 2): length-prefixed frames (core/net) carrying JSON
 // documents. Three request ops:
 //
-//   {"op":"ping"}      -> {"ok":true,"proto":1}
+//   {"op":"ping"}      -> {"ok":true,"proto":2}
 //   {"op":"shutdown"}  -> {"ok":true}            (daemon exits afterwards)
-//   {"op":"job", "proto":1, "fingerprint":F, "grid":G, "shards":N,
-//    "shard":I, "attempt":A, "weighted":B, "timeout_s":T}
+//   {"op":"job", "proto":2, "fingerprint":F, "grid":G, "shards":N,
+//    "shard":I, "attempt":A, "timeout_s":T}
 //     -> on a job that ran and succeeded:
 //        {"ok":true,"status":"exited","exit_code":0,
 //         "manifest":M, "blobs":[[key, entry-text], ...]}
@@ -15,9 +15,9 @@
 //        {"ok":false,"status":"exited|signaled|timed-out|spawn-failed",
 //         "exit_code":E,"error":S}
 //
-// The daemon executes each job as a local `hxmesh shard` child under the
-// run_command_watched watchdog (so kill/hang chaos and real crashes are
-// classified exactly as in a local sweep), then streams back the coverage
+// The daemon executes each job through run_shard_child, the same watched
+// `hxmesh shard` launcher a local sweep uses (so kill/hang chaos and real
+// crashes are classified exactly as locally), then streams back the coverage
 // manifest plus the raw result-cache entry of every covered cell. The
 // blobs carry their own FNV-1a checksums; the orchestrator admits them
 // through ResultCache::adopt_blob, which rejects any blob corrupted in
@@ -41,18 +41,19 @@
 #include "engine/result_cache.hpp"
 #include "engine/shard.hpp"
 
-namespace hxmesh::cli {
+namespace hxmesh::engine {
 
 /// \brief Fabric protocol version; bumped when request/response fields
-/// change meaning. A daemon answering a mismatched version is treated as
-/// a host fault by the orchestrator.
-constexpr int kFabricProto = 1;
+/// change meaning (2: the partition is always GridPlan::shard_cells, so
+/// jobs no longer carry a partition flag). A daemon answering a
+/// mismatched version fails its probe and is never leased to.
+constexpr int kFabricProto = 2;
 
 /// \brief Knobs of the `hxmesh serve` daemon.
 struct ServeOptions {
   std::string bind = "127.0.0.1";  ///< bind address (loopback by default)
   int port = 0;                    ///< 0 = ephemeral; printed on startup
-  std::string cache_dir = engine::ResultCache::kDefaultDir;
+  std::string cache_dir = ResultCache::kDefaultDir;
   int threads = 0;    ///< worker threads per job child (0 = its default)
   unsigned max_jobs = 0;  ///< exit after N jobs (0 = serve forever)
   /// When non-empty, the bound port is written here (atomically) once the
@@ -74,7 +75,6 @@ struct FabricJob {
   unsigned shards = 1;
   unsigned shard = 0;
   int attempt = 1;          ///< forwarded so chaos schedules line up
-  bool weighted = false;
   double timeout_s = 0.0;   ///< per-job watchdog on the daemon side
 };
 
@@ -83,7 +83,7 @@ struct FabricResult {
   /// Outcome as the dispatcher sees it. host_fault is set on any
   /// transport-layer problem (connect, timeout, torn frame, malformed
   /// response) — those charge the host, not the shard.
-  engine::ShardAttempt attempt;
+  ShardAttempt attempt;
   std::string manifest_json;  ///< coverage manifest text (on success)
   /// (cell key, raw cache-entry text) for every covered cell.
   std::vector<std::pair<std::string, std::string>> blobs;
@@ -91,12 +91,12 @@ struct FabricResult {
 
 /// \brief Heartbeat: connect and exchange a ping within `timeout_s`.
 /// False on any failure (never throws) — the probe loop's currency.
-bool fabric_ping(const engine::HostSpec& host, double timeout_s);
+bool fabric_ping(const HostSpec& host, double timeout_s);
 
 /// \brief Leases `job` to `host` and waits up to `lease_timeout_s` for
 /// the result frame. Never throws: transport failures come back as a
 /// host-fault ShardAttempt (see FabricResult::attempt).
-FabricResult fabric_run_job(const engine::HostSpec& host,
+FabricResult fabric_run_job(const HostSpec& host,
                             const FabricJob& job, double lease_timeout_s);
 
-}  // namespace hxmesh::cli
+}  // namespace hxmesh::engine

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/hash.hpp"
+#include "core/json.hpp"
 #include "engine/result_cache.hpp"
 
 namespace hxmesh::engine {
@@ -217,24 +218,28 @@ std::string GridPlan::cell_key(std::size_t cell) const {
                                row.seed);
 }
 
-std::pair<std::size_t, std::size_t> GridPlan::weighted_shard_cells(
+std::pair<std::size_t, std::size_t> GridPlan::shard_cells(
     unsigned shard, unsigned shards) const {
   if (shards == 0 || shard >= shards)
-    throw std::invalid_argument("weighted_shard_cells: shard " +
-                                std::to_string(shard) + " of " +
-                                std::to_string(shards));
-  // Boundary k is the first index whose cost prefix reaches k/shards of
-  // the total cost. Boundaries are monotone in k with boundary(0) == 0 and
-  // boundary(shards) == total_cells() (costs are >= 1, so the prefix is
-  // strictly increasing), which makes the blocks an exact contiguous
-  // cover — the same merge invariant as the unweighted shard_range.
+    throw std::invalid_argument("shard_cells: shard " + std::to_string(shard) +
+                                " of " + std::to_string(shards));
+  // Boundary k is the first cell whose cost *midpoint* lies past k/shards
+  // of the total cost, so a cell joins the block that holds most of its
+  // cost and a heavy last cell gets a block of its own instead of riding
+  // in the one before it. Midpoints are strictly increasing (costs are
+  // >= 1) and lie strictly inside (0, total), so boundaries are monotone
+  // in k with boundary(0) == 0 and boundary(shards) == total_cells(),
+  // which makes the blocks an exact contiguous cover.
   auto boundary = [&](unsigned k) {
     const unsigned __int128 target =
-        static_cast<unsigned __int128>(total_cost_) * k;
+        static_cast<unsigned __int128>(total_cost_) * k * 2;
     std::size_t lo = 0, hi = total_cells_;
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      if (static_cast<unsigned __int128>(cost_prefix_[mid]) * shards >= target)
+      const unsigned __int128 twice_midpoint =
+          static_cast<unsigned __int128>(cost_prefix_[mid]) +
+          cost_prefix_[mid + 1];
+      if (twice_midpoint * shards > target)
         hi = mid;
       else
         lo = mid + 1;
@@ -244,18 +249,39 @@ std::pair<std::size_t, std::size_t> GridPlan::weighted_shard_cells(
   return {boundary(shard), boundary(shard + 1)};
 }
 
-std::pair<std::size_t, std::size_t> GridPlan::shard_range(std::size_t total,
-                                                          unsigned shard,
-                                                          unsigned shards) {
-  if (shards == 0 || shard >= shards)
-    throw std::invalid_argument("shard_range: shard " + std::to_string(shard) +
-                                " of " + std::to_string(shards));
-  // floor(total * i / shards) boundaries: monotone, exactly covering, and
-  // never off by more than one cell between shards. Sizes here are far
-  // below 2^32, so the product cannot overflow 64 bits.
-  const std::size_t lo = total * shard / shards;
-  const std::size_t hi = total * (shard + 1) / shards;
-  return {lo, hi};
+std::string render_grids_json(const std::vector<GridSpec>& grids) {
+  auto string_array = [](const std::vector<std::string>& items) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      out += (i ? "," : "");
+      out += "\"" + JsonObject::escape(items[i]) + "\"";
+    }
+    return out + "]";
+  };
+  std::string out = "{\"grids\":[";
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    const GridSpec& grid = grids[g];
+    out += (g ? "," : "");
+    out += "{\"topologies\":" + string_array(grid.config.topologies);
+    if (!grid.labels.empty())
+      out += ",\"labels\":" + string_array(grid.labels);
+    out += ",\"engines\":" + string_array(grid.config.engines);
+    std::vector<std::string> patterns;
+    patterns.reserve(grid.config.patterns.size());
+    for (const flow::TrafficSpec& p : grid.config.patterns)
+      patterns.push_back(flow::pattern_spec(p));
+    out += ",\"patterns\":" + string_array(patterns);
+    if (!grid.config.seeds.empty()) {
+      out += ",\"seeds\":[";
+      for (std::size_t i = 0; i < grid.config.seeds.size(); ++i) {
+        out += (i ? "," : "");
+        out += std::to_string(grid.config.seeds[i]);
+      }
+      out += "]";
+    }
+    out += "}";
+  }
+  return out + "]}\n";
 }
 
 }  // namespace hxmesh::engine

@@ -6,8 +6,8 @@
 // pattern, seed. Everything downstream keys off this order: the harness
 // lands each result at its precomputed index, the result cache addresses
 // cells by identity, and the sharded backend partitions the index space
-// into contiguous blocks so N shard processes cover every cell exactly
-// once and a merge re-reads them in the original order.
+// into contiguous cost-balanced blocks so N shard processes cover every
+// cell exactly once and a merge re-reads them in the original order.
 #pragma once
 
 /// \file
@@ -143,27 +143,7 @@ class GridPlan {
     return slot_batch_[jobs_[j].topo_slot];
   }
 
-  // -- sharding ----------------------------------------------------------
-
-  /// \brief Half-open cell range `[lo, hi)` of shard `shard` of `shards`.
-  ///
-  /// Contiguous balanced blocks: concatenating the ranges of shards
-  /// `0..shards-1` reproduces `[0, total)` exactly, for any `shards >= 1`
-  /// — including awkward counts that do not divide `total` and counts
-  /// larger than `total` (trailing shards are empty). Contiguity keeps
-  /// topology-major locality inside each shard and makes a merged result
-  /// a plain concatenation.
-  static std::pair<std::size_t, std::size_t> shard_range(std::size_t total,
-                                                         unsigned shard,
-                                                         unsigned shards);
-
-  /// \brief This plan's range for shard `shard` of `shards`.
-  std::pair<std::size_t, std::size_t> shard_cells(unsigned shard,
-                                                  unsigned shards) const {
-    return shard_range(total_cells_, shard, shards);
-  }
-
-  // -- cost model: weighted micro-shard partition ------------------------
+  // -- sharding: the cost-balanced partition ----------------------------
 
   /// \brief Estimated relative cost of one cell, in abstract units.
   ///
@@ -171,31 +151,33 @@ class GridPlan {
   /// magnitude more than flow cells of the same size, so the model scales
   /// an endpoint-count estimate (parsed from the topology spec string
   /// without building anything) by a per-engine factor and a per-pattern
-  /// factor. The estimate only drives scheduling — results never depend
-  /// on it — so a rough model is fine; what matters is that a packet cell
-  /// never looks as cheap as a flow cell.
+  /// factor. The estimate only drives partitioning and dispatch order —
+  /// results never depend on it — so a rough model is fine; what matters
+  /// is that a packet cell never looks as cheap as a flow cell.
   std::uint64_t cell_cost(std::size_t cell) const { return cell_costs_[cell]; }
 
   /// \brief Sum of cell_cost over all cells.
   std::uint64_t total_cost() const { return total_cost_; }
 
-  /// \brief Half-open cell range of shard `shard` of `shards` under the
-  /// cost-balanced partition.
+  /// \brief Half-open cell range `[lo, hi)` of shard `shard` of `shards`.
   ///
-  /// Contiguous blocks with boundaries at equal *cost* fractions instead
-  /// of equal cell counts: concatenating the ranges of shards
-  /// `0..shards-1` still reproduces `[0, total_cells())` exactly for any
-  /// `shards >= 1` (the merge invariant), but a block full of packet
-  /// cells holds fewer cells than a block of flow cells. Used by
-  /// `--micro-shards` over-decomposition, where balanced micro-shards
-  /// plus dynamic queue scheduling stop one slow cell block from
-  /// serializing the sweep's tail.
-  std::pair<std::size_t, std::size_t> weighted_shard_cells(
-      unsigned shard, unsigned shards) const;
+  /// Contiguous blocks of near-equal *cost*: each cell joins the block
+  /// its cost midpoint falls in, so every block is within one cell of
+  /// its fair share. Concatenating the ranges of shards `0..shards-1`
+  /// reproduces
+  /// `[0, total_cells())` exactly for any `shards >= 1` — including
+  /// counts larger than the cell count (surplus shards are empty) — so a
+  /// merged result is a plain concatenation. A block of packet cells
+  /// holds fewer cells than a block of flow cells, which keeps one slow
+  /// block from serializing a sweep's tail. Contiguity keeps
+  /// topology-major locality inside each shard.
+  /// \throws std::invalid_argument unless `shard < shards`.
+  std::pair<std::size_t, std::size_t> shard_cells(unsigned shard,
+                                                  unsigned shards) const;
 
   /// \brief Endpoint-count estimate parsed from a topology spec string
   /// (never builds the topology; unknown families fall back to a flat
-  /// guess). Exposed for tests and the scheduling log.
+  /// guess). Exposed for tests.
   static std::uint64_t estimate_endpoints(const std::string& spec);
 
  private:
@@ -222,5 +204,10 @@ class GridPlan {
   std::size_t total_cells_ = 0;
   std::string fingerprint_;
 };
+
+/// \brief Canonical "grids" config document for `grids` — what a sharded
+/// sweep hands its shard workers (as a file, or inside a remote job
+/// lease) so that parent and children agree on the plan byte for byte.
+std::string render_grids_json(const std::vector<GridSpec>& grids);
 
 }  // namespace hxmesh::engine

@@ -66,6 +66,16 @@ class ResultCache {
   std::string shard_meta_dir() const {
     return dir_ + "/" + kShardMetaSubdir;
   }
+  /// The canonical grid handoff file of the grid named `fingerprint`.
+  std::string shard_grid_path(const std::string& fingerprint) const {
+    return shard_meta_dir() + "/" + fingerprint + ".grid.json";
+  }
+  /// The coverage manifest of shard `shard` of `shards` of that grid.
+  std::string shard_manifest_path(const std::string& fingerprint,
+                                  unsigned shard, unsigned shards) const {
+    return shard_meta_dir() + "/" + fingerprint + "." +
+           std::to_string(shard) + "-of-" + std::to_string(shards) + ".json";
+  }
 
   /// Where corrupt entries are moved for inspection.
   std::string quarantine_dir() const {

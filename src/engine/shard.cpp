@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <queue>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -102,25 +102,35 @@ ShardManifest parse_manifest(const std::string& text) {
 }
 
 ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
-                        unsigned shard, unsigned shards, ResultCache& cache,
-                        bool weighted) {
-  const auto [lo, hi] = weighted ? plan.weighted_shard_cells(shard, shards)
-                                 : plan.shard_cells(shard, shards);
-  const std::size_t hits_before = cache.hits();
-  const std::size_t misses_before = cache.misses();
-  harness.run_cells(plan, lo, hi, &cache);
-
+                        unsigned shard, unsigned shards, ResultCache& cache) {
+  const auto [lo, hi] = plan.shard_cells(shard, shards);
   ShardManifest manifest;
   manifest.fingerprint = plan.fingerprint();
   manifest.shard = shard;
   manifest.shards = shards;
   manifest.cell_lo = lo;
   manifest.cell_hi = hi;
-  manifest.hits = cache.hits() - hits_before;
-  manifest.computed = cache.misses() - misses_before;
   manifest.keys.reserve(hi - lo);
   for (std::size_t c = lo; c < hi; ++c)
     manifest.keys.push_back(plan.cell_key(c));
+
+  // A cell whose entry is already stored only needs its checksum checked
+  // here: the merge decodes every cell anyway, and decoding a large entry
+  // twice is most of a warm replay. The cells from the first to the last
+  // one without a sound entry go through the harness, which loads — or
+  // computes and stores — each of them.
+  std::size_t first = hi, last = lo;
+  for (std::size_t c = lo; c < hi; ++c) {
+    const std::optional<std::string> blob =
+        cache.read_blob(manifest.keys[c - lo]);
+    if (blob && ResultCache::blob_checksum_ok(*blob)) continue;
+    first = std::min(first, c);
+    last = c + 1;
+  }
+  const std::size_t misses_before = cache.misses();
+  if (first < last) harness.run_cells(plan, first, last, &cache);
+  manifest.computed = cache.misses() - misses_before;
+  manifest.hits = (hi - lo) - manifest.computed;
   return manifest;
 }
 
@@ -143,8 +153,7 @@ std::string merge_error(const GridPlan& plan,
              ", plan " + plan.fingerprint() + ")";
   }
   // Partition-agnostic coverage: ordered by shard index, the ranges must
-  // tile [0, total_cells()) exactly — the equal-count split, the
-  // cost-weighted split, and any future partition all pass, while a gap,
+  // tile [0, total_cells()) exactly — any partition passes, while a gap,
   // an overlap, or a truncated shard cannot.
   std::uint64_t expect_lo = 0;
   for (unsigned i = 0; i < shards; ++i) {
@@ -180,6 +189,14 @@ const char* outcome_name(ShardOutcome outcome) {
     case ShardOutcome::kSkipped: return "skipped";
   }
   return "unknown";
+}
+
+ShardAttempt host_fault(std::string error) {
+  ShardAttempt a;
+  a.outcome = ShardOutcome::kSpawnFailed;
+  a.error = std::move(error);
+  a.host_fault = true;
+  return a;
 }
 
 std::string history_names(const ShardRun& run) {
@@ -263,34 +280,6 @@ double reconnect_backoff_s(const HostPolicy& policy, unsigned host,
   return delay * (0.5 + 0.5 * u);
 }
 
-std::uint64_t estimate_makespan(const std::vector<std::uint64_t>& costs,
-                                unsigned workers) {
-  if (workers == 0) workers = 1;
-  // Earliest-free-slot list scheduling over a min-heap of finish times.
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<>>
-      slots;
-  for (unsigned w = 0; w < workers; ++w) slots.push(0);
-  std::uint64_t makespan = 0;
-  for (std::uint64_t cost : costs) {
-    const std::uint64_t finish = slots.top() + cost;
-    slots.pop();
-    slots.push(finish);
-    makespan = std::max(makespan, finish);
-  }
-  return makespan;
-}
-
-std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
-                                     const RetryPolicy& policy,
-                                     const ShardLauncher& launch,
-                                     const ShardProgress& progress,
-                                     const std::vector<unsigned>& order) {
-  return run_shard_jobs_distributed(shards, workers, policy, launch,
-                                    /*hosts=*/0, nullptr, nullptr,
-                                    HostPolicy{}, nullptr, progress, order);
-}
-
 std::vector<ShardRun> run_shard_jobs_distributed(
     unsigned shards, unsigned local_workers, const RetryPolicy& policy,
     const ShardLauncher& local_launch, unsigned hosts,
@@ -314,7 +303,8 @@ std::vector<ShardRun> run_shard_jobs_distributed(
   if (local_workers > shards) local_workers = shards;
   const unsigned max_attempts = std::max(1u, policy.max_attempts);
   if (!order.empty() && order.size() != shards)
-    throw std::invalid_argument("run_shard_jobs: order must list every shard");
+    throw std::invalid_argument(
+        "run_shard_jobs_distributed: order must list every shard");
 
   std::mutex mutex;
   std::condition_variable cv;

@@ -1,21 +1,23 @@
 // Sharded grid execution: split one GridPlan across N worker processes.
 //
-// A shard is a contiguous block of the plan's cell index space. Each
-// worker executes its block with ExperimentHarness::run_cells, which
-// stores every computed cell into the shared content-addressed
-// ResultCache, and then writes a small JSON manifest naming the cells it
-// covered. The cache is the wire format: merging is just re-reading the
-// full plan through the cache (every cell hits), so a merged sharded run
-// renders byte-identical rows to a single-process run. The manifest layer
+// A shard is a contiguous, cost-balanced block of the plan's cell index
+// space (GridPlan::shard_cells). Each worker executes its block with
+// ExperimentHarness::run_cells, which stores every computed cell into the
+// shared content-addressed ResultCache, and then writes a small JSON
+// manifest naming the cells it covered. The cache is the wire format:
+// merging is just re-reading the full plan through the cache (every cell
+// hits), so a merged sharded run renders byte-identical rows to a
+// single-process run. The manifest layer
 // exists to make coverage checkable — a merge refuses to proceed unless
 // the manifests prove that every cell of this exact grid (by fingerprint)
 // was covered exactly once.
 //
-// The orchestrator half (run_shard_jobs) is process-agnostic: it drives
-// any launcher callback with a bounded worker pool and per-shard retries.
-// The CLI wires it to fork/exec'd `hxmesh shard` children locally, and —
-// through run_shard_jobs_distributed — to `hxmesh serve` daemons on
-// remote hosts, which act as extra worker slots beside the local ones.
+// The orchestrator half (run_shard_jobs_distributed) is process-agnostic:
+// it drives any launcher callback with a bounded worker pool and
+// per-shard retries. The sweep runner (engine/sharded_sweep.hpp) wires it
+// to watched `hxmesh shard` children locally and to `hxmesh serve`
+// daemons on remote hosts (engine/fabric.hpp), which act as extra worker
+// slots beside the local ones.
 // The distributed layer stays transport-agnostic: remote dispatch and
 // heartbeat probing are callbacks, so the host health state machine
 // (lease → fault → jittered reconnect → blacklist → re-lease to healthy
@@ -63,15 +65,13 @@ std::string render_manifest(const ShardManifest& manifest);
 /// \throws std::invalid_argument on malformed input or a schema mismatch.
 ShardManifest parse_manifest(const std::string& text);
 
-/// \brief Executes shard `shard` of `shards` of `plan`: runs the shard's
-/// cell block through `harness` with `cache` (storing every miss) and
-/// returns the manifest describing the coverage. With `weighted`, the
-/// block comes from the cost-balanced partition
-/// (GridPlan::weighted_shard_cells) instead of the equal-count split —
-/// orchestrator and worker must agree on the flag.
+/// \brief Executes shard `shard` of `shards` of `plan`: makes sure every
+/// cell of the shard's block (GridPlan::shard_cells) has a sound entry in
+/// `cache` — computing and storing the missing ones through `harness` —
+/// and returns the manifest describing the coverage. A stored entry is
+/// checked by its checksum only; the merge is what decodes it.
 ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
-                        unsigned shard, unsigned shards, ResultCache& cache,
-                        bool weighted = false);
+                        unsigned shard, unsigned shards, ResultCache& cache);
 
 /// \brief Checks that `manifests` together cover `plan` exactly.
 ///
@@ -79,10 +79,9 @@ ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
 /// exactly once, matching fingerprints, that the manifests' cell ranges —
 /// ordered by shard index — form one exact contiguous cover of
 /// `[0, total_cells())`, and that each manifest's keys equal the plan's
-/// keys for its range. Any partition with those properties merges (equal
-///-count, cost-weighted, or anything else that covers every cell exactly
-/// once). Returns an empty string when the merge is sound, else a
-/// human-readable reason.
+/// keys for its range. Any partition with those properties merges, not
+/// only GridPlan::shard_cells. Returns an empty string when the merge is
+/// sound, else a human-readable reason.
 std::string merge_error(const GridPlan& plan,
                         const std::vector<ShardManifest>& manifests);
 
@@ -113,6 +112,10 @@ struct ShardAttempt {
 
   bool ok() const { return outcome == ShardOutcome::kExited && exit_code == 0; }
 };
+
+/// \brief The attempt a remote launcher reports for a transport failure:
+/// kSpawnFailed with `error` as its text and host_fault set.
+ShardAttempt host_fault(std::string error);
 
 /// \brief Outcome of driving one shard through the orchestrator.
 struct ShardRun {
@@ -150,13 +153,6 @@ struct RetryPolicy {
 /// inputs always wait the same time, keeping soak tests reproducible.
 double retry_backoff_s(const RetryPolicy& policy, unsigned shard, int attempt);
 
-/// \brief Greedy list-scheduling makespan estimate: items (cost units)
-/// assigned in order, each to the earliest-free of `workers` slots.
-/// Drives the scheduling log that compares static contiguous shards to
-/// weighted micro-shards; never affects results.
-std::uint64_t estimate_makespan(const std::vector<std::uint64_t>& costs,
-                                unsigned workers);
-
 /// \brief Per-attempt progress callback of the orchestrator.
 ///
 /// Invoked after every launch attempt resolves, with the shard's current
@@ -172,28 +168,6 @@ using ShardProgress =
 /// (1-based) and reports how it ended. Must be thread-safe: up to
 /// `workers` invocations run concurrently.
 using ShardLauncher = std::function<ShardAttempt(unsigned shard, int attempt)>;
-
-/// \brief Drives `launch` for every shard over `workers` concurrent
-/// slots, retrying failures under `policy`.
-///
-/// Failed attempts are retried — after the deterministic retry_backoff_s
-/// delay — until the shard succeeds or has consumed
-/// `policy.max_attempts` launches, with one exception: an attempt that
-/// exits with code 2 (the CLI's usage/config contract) is a *permanent*
-/// error that retrying cannot fix, so it is never retried and the whole
-/// run aborts — every shard still queued is marked kSkipped instead of
-/// burning attempts on the same deterministic failure. A launcher that
-/// throws records kSpawnFailed with the exception's what() as the error.
-/// `order`, when non-empty, fixes the initial dispatch order (it must be
-/// a permutation of 0..shards-1) — the weighted scheduler enqueues
-/// expensive micro-shards first so no heavy block starts last.
-/// Returns one ShardRun per shard, indexed by shard. `progress`, when
-/// set, observes every attempt (see ShardProgress).
-std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
-                                     const RetryPolicy& policy,
-                                     const ShardLauncher& launch,
-                                     const ShardProgress& progress = nullptr,
-                                     const std::vector<unsigned>& order = {});
 
 // -- distributed dispatch: remote hosts as extra worker slots -------------
 
@@ -254,8 +228,24 @@ using RemoteLauncher =
 /// leases. A probe that throws counts as false.
 using HostProbe = std::function<bool(unsigned host)>;
 
-/// \brief run_shard_jobs with `hosts` remote worker slots beside
-/// `local_workers` local ones.
+/// \brief Drives every shard over `local_workers` local slots (running
+/// `local_launch`) plus `hosts` remote ones (running `remote_launch`),
+/// retrying failures under `policy`.
+///
+/// Failed attempts are retried — after the deterministic retry_backoff_s
+/// delay — until the shard succeeds or has consumed
+/// `policy.max_attempts` launches, with one exception: an attempt that
+/// exits with code 2 (the CLI's usage/config contract) is a *permanent*
+/// error that retrying cannot fix, so it is never retried and the whole
+/// run aborts — every shard still queued is marked kSkipped instead of
+/// burning attempts on the same deterministic failure. A launcher that
+/// throws records kSpawnFailed with the exception's what() as the error.
+/// `order`, when non-empty, fixes the initial dispatch order (it must be
+/// a permutation of 0..shards-1) — the sweep runner enqueues expensive
+/// shards first so no heavy block starts last.
+/// Returns one ShardRun per shard, indexed by shard. `progress`, when
+/// set, observes every attempt (see ShardProgress). With `hosts == 0`
+/// the remote launcher and probe may be null.
 ///
 /// Each host gets one dispatcher thread running the health state
 /// machine: probe until healthy (jittered reconnect backoff between
@@ -265,9 +255,9 @@ using HostProbe = std::function<bool(unsigned host)>;
 /// probing; `policy.blacklist_after` consecutive faults quarantine the
 /// host for the rest of the run. With every host blacklisted the sweep
 /// degrades to local-only execution and still completes (there is always
-/// at least one local worker). Job failures behave exactly as in
-/// run_shard_jobs, including the permanent exit-2 abort. `reports`, when
-/// non-null, receives one HostReport per host.
+/// at least one local worker). A remote job failure is charged to its
+/// shard exactly like a local one, including the permanent exit-2 abort.
+/// `reports`, when non-null, receives one HostReport per host.
 std::vector<ShardRun> run_shard_jobs_distributed(
     unsigned shards, unsigned local_workers, const RetryPolicy& policy,
     const ShardLauncher& local_launch, unsigned hosts,

@@ -16,6 +16,9 @@
 #include "core/chaos.hpp"
 #include "core/fsio.hpp"
 #include "core/net.hpp"
+#include "engine/grid_plan.hpp"
+#include "engine/result_cache.hpp"
+#include "engine/shard.hpp"
 #include "topo/routing_oracle.hpp"
 
 namespace hxmesh {
@@ -419,25 +422,27 @@ TEST(Cli, RobustnessFlagsAreValidated) {
     return args;
   };
   // run is a single cell: none of the orchestration flags apply.
-  EXPECT_EQ(run(with({"run"}, {"--micro-shards", "4", "--no-cache"})).code, 2);
   EXPECT_EQ(run(with({"run"}, {"--shard-timeout", "5", "--no-cache"})).code, 2);
-  EXPECT_EQ(run(with({"run"}, {"--weighted", "--no-cache"})).code, 2);
   EXPECT_EQ(run(with({"run"}, {"--attempt", "2", "--no-cache"})).code, 2);
-  // sweep: the partition flags are mutually exclusive, the watchdog needs
-  // a sharded run to watch, and the shard-only flags are rejected.
-  auto both = run(with({"sweep"}, {"--micro-shards", "4", "--shards", "2"}));
-  EXPECT_EQ(both.code, 2);
-  EXPECT_NE(both.err.find("pick one"), std::string::npos) << both.err;
+  // There is one partition, so the flags that picked one are gone.
+  for (const char* sub : {"run", "sweep", "shard"})
+    for (const std::vector<std::string>& gone :
+         {std::vector<std::string>{"--weighted"},
+          std::vector<std::string>{"--micro-shards", "4"}}) {
+      auto r = run(with({sub}, gone));
+      EXPECT_EQ(r.code, 2) << sub << " " << gone[0];
+      EXPECT_NE(r.err.find("unknown flag '" + gone[0] + "'"),
+                std::string::npos)
+          << r.err;
+    }
+  // sweep: the watchdog needs a sharded run to watch, and the shard-only
+  // flags are rejected.
   auto orphan_timeout = run(with({"sweep"}, {"--shard-timeout", "5"}));
   EXPECT_EQ(orphan_timeout.code, 2);
   EXPECT_NE(orphan_timeout.err.find("--shard-timeout needs"),
             std::string::npos)
       << orphan_timeout.err;
-  EXPECT_EQ(run(with({"sweep"}, {"--weighted"})).code, 2);
   EXPECT_EQ(run(with({"sweep"}, {"--attempt", "2"})).code, 2);
-  // Micro-shards go through the shared sharded path: cache required.
-  EXPECT_EQ(run(with({"sweep"}, {"--micro-shards", "4", "--no-cache"})).code,
-            2);
   // shard: the sweep-side flags are rejected, and bad durations fail.
   EXPECT_EQ(run(with({"shard"}, {"--shards", "2", "--shard", "0",
                                  "--shard-timeout", "1"}))
@@ -451,16 +456,16 @@ TEST(Cli, RobustnessFlagsAreValidated) {
             2);
 }
 
-TEST(Cli, MicroShardsSweepMatchesSingleProcessAndLogsTheSchedule) {
+TEST(Cli, ShardedSweepSplitsByCostAndMatchesSingleProcess) {
   const char* exe = std::getenv("HXMESH_EXE");
   if (!exe || !*exe || !std::filesystem::exists(exe))
     GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
 
-  const std::string dir = fresh_dir("cli_micro_shards");
+  const std::string dir = fresh_dir("cli_cost_shards");
   ensure_dir(dir);
   const std::string config = dir + "/grid.json";
-  // Mixed flow+packet so the cost-weighted boundaries differ from the
-  // equal-count split: the packet cell dwarfs every flow cell.
+  // Mixed flow+packet so the cost-balanced boundaries differ from an
+  // equal-count split: the packet cells dwarf every flow cell.
   write_file_atomic(config, R"({
     "topologies": ["hx2mesh:2x2"],
     "engines": ["flow", "packet"],
@@ -472,16 +477,37 @@ TEST(Cli, MicroShardsSweepMatchesSingleProcessAndLogsTheSchedule) {
       run({"sweep", "--config", config, "--no-cache", "--threads", "2"});
   ASSERT_EQ(single.code, 0) << single.err;
 
-  auto micro = run({"sweep", "--config", config, "--micro-shards", "4",
-                    "--workers", "2", "--threads", "1", "--cache-dir",
-                    dir + "/cache"});
-  ASSERT_EQ(micro.code, 0) << micro.err;
-  EXPECT_EQ(micro.out, single.out);  // byte-identical rows, resorted work
-  EXPECT_NE(micro.err.find("sched: 4 cells as 4 weighted micro-shards"),
-            std::string::npos)
-      << micro.err;
-  EXPECT_NE(micro.err.find("est. makespan"), std::string::npos) << micro.err;
-  EXPECT_NE(micro.err.find("shards: 4 ok"), std::string::npos) << micro.err;
+  const std::string cache_dir = dir + "/cache";
+  auto sharded = run({"sweep", "--config", config, "--shards", "4",
+                      "--workers", "2", "--threads", "1", "--cache-dir",
+                      cache_dir});
+  ASSERT_EQ(sharded.code, 0) << sharded.err;
+  EXPECT_EQ(sharded.out, single.out);  // byte-identical rows
+  EXPECT_NE(sharded.err.find("shards: 4 ok"), std::string::npos)
+      << sharded.err;
+
+  // Each child covered exactly its block of plan.shard_cells.
+  engine::SweepConfig axes;
+  axes.topologies = {"hx2mesh:2x2"};
+  axes.engines = {"flow", "packet"};
+  axes.patterns = {flow::parse_traffic("shift:1:msg=64KiB"),
+                   flow::parse_traffic("perm:msg=64KiB")};
+  axes.seeds = {1};
+  const engine::GridPlan plan({engine::GridSpec{axes, {}}});
+  const engine::ResultCache cache(cache_dir);
+  bool uneven = false;
+  for (unsigned i = 0; i < 4; ++i) {
+    const auto text =
+        read_file(cache.shard_manifest_path(plan.fingerprint(), i, 4));
+    ASSERT_TRUE(text.has_value()) << "no manifest for shard " << i;
+    const engine::ShardManifest manifest = engine::parse_manifest(*text);
+    const auto [lo, hi] = plan.shard_cells(i, 4);
+    EXPECT_EQ(manifest.cell_lo, lo) << i;
+    EXPECT_EQ(manifest.cell_hi, hi) << i;
+    uneven = uneven || hi - lo != 1;
+  }
+  EXPECT_TRUE(uneven) << "4 cells in 4 shards of one cell each: split by "
+                         "count, not by cost";
 }
 
 // Sets HXMESH_CHAOS for one test; shard children inherit it through the
@@ -545,7 +571,7 @@ TEST(Cli, ChaosSoakSurvivesKillsAndHangsByteIdentically) {
   ASSERT_EQ(single.code, 0) << single.err;
 
   const ChaosEnv chaos("kill:0.25:seed=" + std::to_string(seed) + ",hang:0.2");
-  auto soaked = run({"sweep", "--config", config, "--micro-shards",
+  auto soaked = run({"sweep", "--config", config, "--shards",
                      std::to_string(shards), "--workers", "3", "--retries",
                      "6", "--shard-timeout", "1", "--retry-backoff", "0.01",
                      "--progress", "--threads", "1", "--cache-dir",

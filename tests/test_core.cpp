@@ -2,11 +2,15 @@
 // the HyperX topology class added for the Table II reproduction, the
 // watchdog subprocess runner, and deterministic chaos injection.
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "core/chaos.hpp"
 #include "core/fsio.hpp"
@@ -188,6 +192,87 @@ TEST(Watchdog, DeadlineReapsASleepingChild) {
   EXPECT_NE(r.error.find("SIGTERM"), std::string::npos) << r.error;
   EXPECT_EQ(r.shell_code(), 128 + SIGKILL);  // shell convention for a kill
   EXPECT_LT(elapsed, 5.0) << "watchdog failed to reap within the deadline";
+}
+
+TEST(Watchdog, DeadlineKillsTheChildsWholeProcessGroup) {
+  // The shell's backgrounded sleeper is a grandchild: signaling only the
+  // shell would orphan it, and it would hold every pipe it inherited (a
+  // test runner's stdout) open for 30 s.
+  const std::string pid_file =
+      (std::filesystem::path(::testing::TempDir()) / "watchdog_grandchild")
+          .string();
+  std::filesystem::remove(pid_file);
+  // As a subreaper this process inherits the orphan and can reap it, so
+  // "dead" means ESRCH rather than a zombie nobody waits for.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  CommandOptions options;
+  options.timeout_s = 0.2;
+  const CommandResult r = run_command_watched(
+      {"/bin/sh", "-c", "sleep 30 & echo $! > '" + pid_file + "'; wait"},
+      options);
+  EXPECT_EQ(r.status, CommandStatus::kTimedOut);
+  const std::optional<std::string> text = read_file(pid_file);
+  ASSERT_TRUE(text.has_value());
+  const pid_t grandchild = std::stoi(*text);
+  for (int i = 0; i < 500; ++i) {
+    int status = 0;
+    if (::waitpid(grandchild, &status, WNOHANG) == grandchild) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  errno = 0;
+  const bool gone = ::kill(grandchild, 0) != 0 && errno == ESRCH;
+  if (!gone) {  // never leak the sleeper into the rest of the run
+    ::kill(grandchild, SIGKILL);
+    ::waitpid(grandchild, nullptr, 0);
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  EXPECT_TRUE(gone) << "grandchild " << grandchild << " outlived the watchdog";
+}
+
+TEST(Watchdog, WatchedChildDiesWithItsWatcher) {
+  // A watched child leads its own process group, so a terminal's Ctrl-C
+  // no longer reaches it: if the watching process is killed, the child
+  // must die with it instead of running — or hanging — on unwatched.
+  const std::string pid_file =
+      (std::filesystem::path(::testing::TempDir()) / "watchdog_orphan")
+          .string();
+  std::filesystem::remove(pid_file);
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  const pid_t watcher = ::fork();
+  ASSERT_GE(watcher, 0);
+  if (watcher == 0) {
+    CommandOptions options;
+    options.timeout_s = 30.0;
+    run_command_watched(
+        {"/bin/sh", "-c", "echo $$ > '" + pid_file + "'; exec sleep 30"},
+        options);
+    ::_exit(0);
+  }
+  std::optional<std::string> text;
+  for (int i = 0; i < 500 && !(text && !text->empty() && text->back() == '\n');
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    text = read_file(pid_file);
+  }
+  ::kill(watcher, SIGKILL);
+  ::waitpid(watcher, nullptr, 0);
+  ASSERT_TRUE(text.has_value());
+  const pid_t child = std::stoi(*text);
+  // The orphan is re-parented to this subreaper; reap it once it dies.
+  int status = 0;
+  bool reaped = false;
+  for (int i = 0; i < 500 && !reaped; ++i) {
+    reaped = ::waitpid(child, &status, WNOHANG) == child;
+    if (!reaped) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!reaped) {  // never leak the sleeper into the rest of the run
+    ::kill(child, SIGKILL);
+    ::waitpid(child, nullptr, 0);
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  ASSERT_TRUE(reaped) << "child " << child << " outlived its watcher";
+  EXPECT_TRUE(WIFSIGNALED(status));
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
 }
 
 TEST(Watchdog, EscalatesToSigkillWhenSigtermIsIgnored) {

@@ -2,7 +2,8 @@
 // ephemeral port readback, clean-EOF vs torn-frame vs timeout contracts,
 // and the oversize length-prefix rejection. Every failure mode here maps
 // to a *host fault* in the shard dispatcher, so the typed-NetError
-// contract is what the fabric's health state machine is built on.
+// contract is what the fabric's health state machine is built on. The
+// fabric's ping must refuse a daemon that speaks another protocol version.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -12,6 +13,7 @@
 #include <thread>
 
 #include "core/net.hpp"
+#include "engine/fabric.hpp"
 
 namespace hxmesh {
 namespace {
@@ -106,6 +108,29 @@ TEST(Net, AcceptTimeoutReturnsInvalidSocket) {
   // blocking forever, which is how the serve loop notices stop requests.
   Socket conn = listener.accept(0.1);
   EXPECT_FALSE(conn.valid());
+}
+
+// A fake daemon that answers one ping with `reply`; returns what
+// fabric_ping made of it.
+bool ping_answered_with(const std::string& reply) {
+  TcpListener listener("127.0.0.1", 0);
+  std::thread daemon([&] {
+    Socket conn = listener.accept(2.0);
+    if (!conn.valid()) return;
+    if (recv_frame(conn, 2.0)) send_frame(conn, reply);
+  });
+  const bool up = engine::fabric_ping({"127.0.0.1", listener.port()}, 2.0);
+  daemon.join();
+  return up;
+}
+
+TEST(Net, FabricPingRejectsAStaleProtocolVersion) {
+  // A daemon from before the last protocol bump must fail its probe, so
+  // the dispatcher never leases it a job it would misread.
+  EXPECT_FALSE(ping_answered_with("{\"ok\":true,\"proto\":1}"));
+  EXPECT_FALSE(ping_answered_with("{\"ok\":true}"));
+  EXPECT_TRUE(ping_answered_with("{\"ok\":true,\"proto\":" +
+                                 std::to_string(engine::kFabricProto) + "}"));
 }
 
 }  // namespace

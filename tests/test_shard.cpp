@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -57,24 +58,6 @@ std::string rows_json(const std::vector<engine::SweepRow>& rows) {
   std::ostringstream out;
   engine::write_json(out, rows);
   return out.str();
-}
-
-TEST(ShardRange, CoversEveryCellExactlyOnceForAwkwardCounts) {
-  for (std::size_t total : {0u, 1u, 5u, 12u, 17u, 100u}) {
-    for (unsigned shards : {1u, 2u, 3u, 5u, 7u, 16u, 40u}) {
-      std::size_t expect_lo = 0;
-      for (unsigned s = 0; s < shards; ++s) {
-        const auto [lo, hi] = GridPlan::shard_range(total, s, shards);
-        EXPECT_EQ(lo, expect_lo) << total << " cells, shard " << s << "/"
-                                 << shards;
-        EXPECT_LE(lo, hi);
-        expect_lo = hi;
-      }
-      EXPECT_EQ(expect_lo, total) << total << " cells over " << shards;
-    }
-  }
-  EXPECT_THROW(GridPlan::shard_range(10, 3, 3), std::invalid_argument);
-  EXPECT_THROW(GridPlan::shard_range(10, 0, 0), std::invalid_argument);
 }
 
 TEST(GridPlanTest, EnumeratesMultiGridCellsInRowOrder) {
@@ -134,6 +117,10 @@ TEST(ShardExecution, ShardedRunMergesByteIdenticalToSingleProcess) {
   std::vector<ShardManifest> manifests;
   for (unsigned s = 0; s < shards; ++s)
     manifests.push_back(engine::run_shard(harness, plan, s, shards, cache));
+  // The nine flow cells fill shard 0 and the heavy packet cell gets
+  // shard 1 to itself, so the merge really joins two blocks.
+  ASSERT_EQ(manifests[0].cell_hi, 9u);
+  ASSERT_EQ(manifests[1].cell_hi - manifests[1].cell_lo, 1u);
 
   EXPECT_EQ(engine::merge_error(plan, manifests), "");
   std::uint64_t computed = 0;
@@ -147,10 +134,60 @@ TEST(ShardExecution, ShardedRunMergesByteIdenticalToSingleProcess) {
   EXPECT_EQ(cache.misses(), plan.total_cells());  // only the shard misses
   EXPECT_EQ(cache.hits(), plan.total_cells());
 
-  // A second full sharded pass is all hits.
-  const ShardManifest warm = engine::run_shard(harness, plan, 1, shards, cache);
-  EXPECT_EQ(warm.computed, 0u);
-  EXPECT_EQ(warm.hits, warm.cell_hi - warm.cell_lo);
+  // A second full sharded pass is all hits, block by block.
+  std::uint64_t warm_hits = 0;
+  for (unsigned s = 0; s < shards; ++s) {
+    const ShardManifest warm =
+        engine::run_shard(harness, plan, s, shards, cache);
+    EXPECT_EQ(warm.computed, 0u) << s;
+    EXPECT_EQ(warm.hits, warm.cell_hi - warm.cell_lo) << s;
+    warm_hits += warm.hits;
+  }
+  EXPECT_EQ(warm_hits, plan.total_cells());
+  EXPECT_EQ(cache.misses(), plan.total_cells());  // nothing recomputed
+}
+
+TEST(ShardExecution, PartiallyWarmShardRecomputesOnlyUnsoundCells) {
+  const auto grids = tiny_grids();
+  ExperimentHarness harness(2);
+  const std::string single = rows_json(harness.run_grids(grids, nullptr));
+
+  const GridPlan plan(grids);
+  const std::string dir = fresh_dir("shard_partial_cache");
+  ResultCache cache(dir);
+  const ShardManifest cold = engine::run_shard(harness, plan, 0, 2, cache);
+  ASSERT_EQ(cold.cell_lo, 0u);
+  ASSERT_EQ(cold.cell_hi, 9u);
+  ASSERT_EQ(cold.computed, 9u);
+  auto entry = [&](std::size_t cell) {
+    return dir + "/" + plan.cell_key(cell) + ".json";
+  };
+
+  // One corrupt entry in the middle of the block: only that cell is
+  // recomputed, every other one counts as a hit.
+  const std::optional<std::string> text = read_file(entry(4));
+  ASSERT_TRUE(text);
+  write_file_atomic(entry(4), text->substr(0, text->size() / 2));
+  const std::size_t misses_before = cache.misses();
+  ShardManifest warm = engine::run_shard(harness, plan, 0, 2, cache);
+  EXPECT_EQ(warm.computed, 1u);
+  EXPECT_EQ(warm.hits, 8u);
+  EXPECT_EQ(cache.misses() - misses_before, 1u);
+
+  // Two missing entries with sound ones between them: the harness runs
+  // the span, but the sound cells inside it are still hits.
+  std::filesystem::remove(entry(2));
+  std::filesystem::remove(entry(6));
+  warm = engine::run_shard(harness, plan, 0, 2, cache);
+  EXPECT_EQ(warm.computed, 2u);
+  EXPECT_EQ(warm.hits, 7u);
+
+  // The repaired block merges byte-identically to a single-process run.
+  std::vector<ShardManifest> manifests = {
+      warm, engine::run_shard(harness, plan, 1, 2, cache)};
+  EXPECT_EQ(engine::merge_error(plan, manifests), "");
+  EXPECT_EQ(rows_json(harness.run_cells(plan, 0, plan.total_cells(), &cache)),
+            single);
 }
 
 TEST(ShardManifestTest, RendersAndParsesRoundTrip) {
@@ -209,8 +246,11 @@ TEST(ShardMerge, RejectsIncompleteOrForeignManifests) {
   EXPECT_NE(engine::merge_error(plan, foreign).find("fingerprint"),
             std::string::npos);
 
+  // The packet cell outweighs the other nine, so shard 0 holds the nine
+  // flow cells and shard 1 the packet cell.
+  ASSERT_EQ(manifests[0].keys.size(), 9u);
   auto tampered = manifests;
-  tampered[1].keys.back() = "0000000000000000";
+  tampered[0].keys.back() = "0000000000000000";
   EXPECT_NE(engine::merge_error(plan, tampered).find("key mismatch"),
             std::string::npos);
 }
@@ -232,6 +272,17 @@ engine::RetryPolicy attempts_policy(unsigned max_attempts) {
   return policy;
 }
 
+// The orchestrator with local worker slots only (no hosts).
+std::vector<engine::ShardRun> run_local(
+    unsigned shards, unsigned workers, const engine::RetryPolicy& policy,
+    const engine::ShardLauncher& launch,
+    const engine::ShardProgress& progress = nullptr,
+    const std::vector<unsigned>& order = {}) {
+  return engine::run_shard_jobs_distributed(
+      shards, workers, policy, launch, /*hosts=*/0, nullptr, nullptr,
+      engine::HostPolicy{}, nullptr, progress, order);
+}
+
 TEST(ShardOrchestrator, RunsEveryShardAndRetriesFailures) {
   // Shard 1 fails twice before succeeding; shard 3 never succeeds.
   std::mutex mutex;
@@ -245,7 +296,7 @@ TEST(ShardOrchestrator, RunsEveryShardAndRetriesFailures) {
     if (shard == 3) return exited(9, "persistent failure");
     return exited(0);
   };
-  const auto runs = engine::run_shard_jobs(5, 2, attempts_policy(3), launch);
+  const auto runs = run_local(5, 2, attempts_policy(3), launch);
   ASSERT_EQ(runs.size(), 5u);
   for (unsigned s = 0; s < 5; ++s) EXPECT_EQ(runs[s].shard, s);
   EXPECT_TRUE(runs[0].ok());
@@ -273,7 +324,7 @@ TEST(ShardOrchestrator, PermanentConfigErrorAbortsWithoutBurningRetries) {
     return shard == 0 ? exited(2, "bad --pattern spec") : exited(0);
   };
   // One worker: shard 0 is dispatched first, so the outcome is exact.
-  const auto runs = engine::run_shard_jobs(4, 1, attempts_policy(5), launch);
+  const auto runs = run_local(4, 1, attempts_policy(5), launch);
   ASSERT_EQ(runs.size(), 4u);
   EXPECT_EQ(runs[0].attempts, 1);  // never retried
   EXPECT_EQ(runs[0].exit_code, 2);
@@ -296,12 +347,12 @@ TEST(ShardOrchestrator, DispatchOrderIsHonored) {
   };
   const std::vector<unsigned> order = {2, 0, 3, 1};
   const auto runs =
-      engine::run_shard_jobs(4, 1, attempts_policy(1), launch, nullptr, order);
+      run_local(4, 1, attempts_policy(1), launch, nullptr, order);
   EXPECT_EQ(dispatched, order);
   for (const auto& run : runs) EXPECT_TRUE(run.ok());
   // A partial order is a bug, not a hint.
   EXPECT_THROW(
-      engine::run_shard_jobs(4, 1, attempts_policy(1), launch, nullptr, {1}),
+      run_local(4, 1, attempts_policy(1), launch, nullptr, {1}),
       std::invalid_argument);
 }
 
@@ -336,7 +387,7 @@ TEST(RetryBackoff, DeterministicBoundedAndGrowing) {
   EXPECT_EQ(engine::retry_backoff_s(other, 0, 3), 0.0);
 }
 
-TEST(WeightedPartition, CoversExactlyAndBalancesCost) {
+TEST(ShardPartition, CoversExactlyAndBalancesCost) {
   // Mixed flow+packet grid: packet cells carry a 256x engine weight, so
   // the cost-balanced boundaries must land unevenly in cell space.
   SweepConfig config;
@@ -364,7 +415,7 @@ TEST(WeightedPartition, CoversExactlyAndBalancesCost) {
     std::size_t expect_lo = 0;
     std::uint64_t max_shard_cost = 0;
     for (unsigned s = 0; s < shards; ++s) {
-      const auto [lo, hi] = plan.weighted_shard_cells(s, shards);
+      const auto [lo, hi] = plan.shard_cells(s, shards);
       EXPECT_EQ(lo, expect_lo) << s << "/" << shards;
       EXPECT_LE(lo, hi);
       expect_lo = hi;
@@ -378,10 +429,28 @@ TEST(WeightedPartition, CoversExactlyAndBalancesCost) {
     EXPECT_LE(max_shard_cost, plan.total_cost() / shards + max_cell_cost)
         << shards;
   }
-  EXPECT_THROW(plan.weighted_shard_cells(3, 3), std::invalid_argument);
+  EXPECT_THROW(plan.shard_cells(3, 3), std::invalid_argument);
 }
 
-TEST(WeightedPartition, EndpointEstimatesScaleWithSpecs) {
+TEST(ShardPartition, HeavyLastCellGetsABlockOfItsOwn) {
+  // tiny_grids ends in its one packet cell, which carries ~97% of the
+  // cost but starts at ~3% of it. A cell joins the block holding most of
+  // its cost, so the packet cell must not ride in the flow cells' block.
+  const GridPlan plan(tiny_grids());
+  const std::size_t last = plan.total_cells() - 1;
+  ASSERT_GT(plan.cell_cost(last) * 2, plan.total_cost());
+  for (unsigned shards : {2u, 3u, 4u, 8u}) {
+    unsigned non_empty = 0;
+    for (unsigned s = 0; s < shards; ++s) {
+      const auto [lo, hi] = plan.shard_cells(s, shards);
+      if (hi > lo) ++non_empty;
+      if (lo <= last && last < hi) EXPECT_EQ(lo, last) << s << "/" << shards;
+    }
+    EXPECT_EQ(non_empty, 2u) << shards;
+  }
+}
+
+TEST(ShardPartition, EndpointEstimatesScaleWithSpecs) {
   using engine::GridPlan;
   EXPECT_EQ(GridPlan::estimate_endpoints("hx2mesh:16x16"), 1024u);
   EXPECT_EQ(GridPlan::estimate_endpoints("hx4mesh:8x8"), 1024u);
@@ -396,21 +465,25 @@ TEST(WeightedPartition, EndpointEstimatesScaleWithSpecs) {
   EXPECT_GE(GridPlan::estimate_endpoints("mystery:topology"), 1u);
 }
 
-TEST(WeightedPartition, WeightedShardedRunMergesByteIdentical) {
+TEST(ShardPartition, OverDecomposedRunMergesByteIdentical) {
   const auto grids = tiny_grids();
   ExperimentHarness harness(2);
   const std::string single = rows_json(harness.run_grids(grids, nullptr));
 
   const GridPlan plan(grids);
-  ResultCache cache(fresh_dir("weighted_merge_cache"));
+  ResultCache cache(fresh_dir("over_decomposed_merge_cache"));
   const unsigned shards = 6;  // over-decomposed relative to 10 cells
   std::vector<ShardManifest> manifests;
   for (unsigned s = 0; s < shards; ++s)
-    manifests.push_back(
-        engine::run_shard(harness, plan, s, shards, cache, true));
+    manifests.push_back(engine::run_shard(harness, plan, s, shards, cache));
 
-  // The weighted ranges differ from the equal-count split but still
-  // merge: coverage verification is partition-agnostic.
+  // Shard 0 takes the nine flow cells, shard 3 the packet cell (whose
+  // cost midpoint lies just past half the total), and the other four are
+  // empty — and the merge still holds: coverage verification is
+  // partition-agnostic.
+  ASSERT_EQ(manifests[0].cell_hi, 9u);
+  ASSERT_EQ(manifests[3].cell_lo, 9u);
+  ASSERT_EQ(manifests[3].cell_hi, 10u);
   EXPECT_EQ(engine::merge_error(plan, manifests), "");
   const auto merged = harness.run_cells(plan, 0, plan.total_cells(), &cache);
   EXPECT_EQ(rows_json(merged), single);
@@ -424,20 +497,6 @@ TEST(WeightedPartition, WeightedShardedRunMergesByteIdentical) {
       break;
     }
   EXPECT_NE(engine::merge_error(plan, holed), "");
-}
-
-TEST(MakespanEstimate, WeightedOverDecompositionShortensTheTail) {
-  // Two workers, one heavy contiguous block: the static 2-shard split
-  // serializes the heavy half on one worker. Over-decomposed weighted
-  // blocks let both workers share it.
-  const std::vector<std::uint64_t> static_shards = {4, 1024};
-  const std::vector<std::uint64_t> micro_shards = {260, 256, 256, 256};
-  const std::uint64_t static_ms = engine::estimate_makespan(static_shards, 2);
-  const std::uint64_t micro_ms = engine::estimate_makespan(micro_shards, 2);
-  EXPECT_EQ(static_ms, 1024u);
-  EXPECT_LT(micro_ms, static_ms);
-  // List scheduling in the given order: heaviest-first keeps the bound.
-  EXPECT_LE(micro_ms, 1028u / 2 + 260);
 }
 
 TEST(ShardOrchestrator, ProgressObservesEveryAttemptAndCompletion) {
@@ -465,7 +524,7 @@ TEST(ShardOrchestrator, ProgressObservesEveryAttemptAndCompletion) {
                       total});
   };
   const auto runs =
-      engine::run_shard_jobs(4, 2, attempts_policy(3), launch, progress);
+      run_local(4, 2, attempts_policy(3), launch, progress);
   ASSERT_EQ(runs.size(), 4u);
   ASSERT_EQ(events.size(), 5u);  // 4 shards + 1 retried attempt
   unsigned last_completed = 0;
@@ -491,7 +550,7 @@ TEST(ShardOrchestrator, LauncherExceptionsCountAsFailedAttempts) {
     ++calls;
     throw std::runtime_error("spawn blew up");
   };
-  const auto runs = engine::run_shard_jobs(1, 4, attempts_policy(2), launch);
+  const auto runs = run_local(1, 4, attempts_policy(2), launch);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].outcome, engine::ShardOutcome::kSpawnFailed);
   EXPECT_EQ(runs[0].exit_code, -1);
@@ -557,19 +616,20 @@ TEST(ShardManifestTest, MalformedDocumentsThrowTypedErrors) {
             dup.keys);
 }
 
-TEST(WeightedPartition, DegenerateInputsStillCoverExactly) {
+TEST(ShardPartition, DegenerateInputsStillCoverExactly) {
   // Empty plan: every shard gets the empty range — a sweep of zero cells
   // merges trivially instead of dividing by zero.
   const GridPlan empty({});
   EXPECT_EQ(empty.total_cells(), 0u);
   for (unsigned shards : {1u, 2u, 7u})
     for (unsigned s = 0; s < shards; ++s) {
-      const auto [lo, hi] = empty.weighted_shard_cells(s, shards);
+      const auto [lo, hi] = empty.shard_cells(s, shards);
       EXPECT_EQ(lo, 0u);
       EXPECT_EQ(hi, 0u);
     }
 
-  // Single cell: shard 0 owns it; surplus shards are empty, never lost.
+  // Single cell: exactly one shard owns it; the surplus shards are empty,
+  // and the cell is never lost.
   SweepConfig one;
   one.topologies = {"hx2mesh:2x2"};
   one.patterns = {flow::parse_traffic("perm:msg=64KiB")};
@@ -579,7 +639,7 @@ TEST(WeightedPartition, DegenerateInputsStillCoverExactly) {
   for (unsigned shards : {1u, 2u, 5u}) {
     std::size_t expect_lo = 0, owners = 0;
     for (unsigned s = 0; s < shards; ++s) {
-      const auto [lo, hi] = single.weighted_shard_cells(s, shards);
+      const auto [lo, hi] = single.shard_cells(s, shards);
       EXPECT_EQ(lo, expect_lo);
       owners += hi - lo;
       expect_lo = hi;
@@ -589,7 +649,7 @@ TEST(WeightedPartition, DegenerateInputsStillCoverExactly) {
   }
 
   // All-equal weights: one engine, one pattern shape, seeds only — the
-  // weighted split must reduce to the near-equal count split (±1 cell).
+  // cost-balanced split must reduce to a near-equal count split (±1 cell).
   SweepConfig flat;
   flat.topologies = {"hx2mesh:2x2"};
   flat.patterns = {flow::parse_traffic("shift:1:msg=64KiB")};
@@ -599,7 +659,7 @@ TEST(WeightedPartition, DegenerateInputsStillCoverExactly) {
   for (unsigned shards : {2u, 3u, 4u}) {
     std::size_t expect_lo = 0;
     for (unsigned s = 0; s < shards; ++s) {
-      const auto [lo, hi] = equal.weighted_shard_cells(s, shards);
+      const auto [lo, hi] = equal.shard_cells(s, shards);
       EXPECT_EQ(lo, expect_lo);
       const std::size_t size = hi - lo;
       EXPECT_LE(size, 6u / shards + 1) << s << "/" << shards;
@@ -791,7 +851,7 @@ TEST(DistributedOrchestrator, HistoryNamesRenderTheRetryReport) {
     }
     return result;
   };
-  const auto runs = engine::run_shard_jobs(1, 1, attempts_policy(3), launch);
+  const auto runs = run_local(1, 1, attempts_policy(3), launch);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_TRUE(runs[0].ok());
   EXPECT_EQ(runs[0].attempts, 3);
