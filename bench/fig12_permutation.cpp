@@ -3,6 +3,7 @@
 // average bandwidth and the cost per average bandwidth relative to the
 // nonblocking fat tree. One harness grid: 8 topologies x 4 permutation
 // seeds on the flow engine, solved in parallel.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -38,12 +39,22 @@ int main() {
   const std::size_t trials = sweep.seeds.size();
   double ft_ratio = 0.0;
   for (std::size_t ti = 0; ti < sweep.topologies.size(); ++ti) {
-    // Pool per-flow receive rates over all seeds of this topology.
-    std::vector<double> rx;
-    for (std::size_t si = 0; si < trials; ++si)
-      for (const auto& f : rows[ti * trials + si].result.flows)
-        rx.push_back(f.rate / 1e9);
-    Summary s = summarize(std::move(rx));
+    // Combine the seeds' receive-rate summaries [GB/s]. Every seed has the
+    // same flow count, so min, max and mean are those of the pooled rates;
+    // the quartiles are the mean over seeds of each seed's quartile.
+    Summary s;
+    s.min = s.max = rows[ti * trials].result.rate_summary.min;
+    for (std::size_t si = 0; si < trials; ++si) {
+      const Summary& seed = rows[ti * trials + si].result.rate_summary;
+      s.min = std::min(s.min, seed.min);
+      s.max = std::max(s.max, seed.max);
+      s.mean += seed.mean / trials;
+      s.p25 += seed.p25 / trials;
+      s.median += seed.median / trials;
+      s.p75 += seed.p75 / trials;
+    }
+    for (double* v : {&s.min, &s.p25, &s.median, &s.p75, &s.max, &s.mean})
+      *v /= 1e9;
     double ratio = costs[ti] / s.mean;
     if (ti == 0) ft_ratio = ratio;  // row 0 is the nonblocking fat tree
     table.add_row({rows[ti * trials].label, fmt(s.min, 1), fmt(s.p25, 1),

@@ -14,6 +14,7 @@
 /// (flow-level solver, packet-level simulator) — and its uniform
 /// RunResult.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -25,12 +26,15 @@ namespace hxmesh::engine {
 
 /// Uniform result of running one TrafficSpec on one backend. Fields a
 /// backend cannot produce stay at their defaults (documented per field).
+/// A result is a summary: every number the paper reports per scenario is
+/// a rate quantile or a fraction, so the per-flow rates stay inside the
+/// engine that computed them.
 struct RunResult {
-  /// Per-flow achieved rates [bytes/s] for point-to-point kinds (kShift,
-  /// kPermutation, kRing). Empty for collective kinds.
-  std::vector<flow::Flow> flows;
-  /// Summary over the per-flow rates (or the sampled ensemble's rates for
-  /// kAlltoall on the flow engine).
+  /// Number of flows of point-to-point kinds (kShift, kPermutation,
+  /// kRing). 0 for collective kinds.
+  std::uint64_t flow_count = 0;
+  /// Summary over the per-flow achieved rates [bytes/s] (or the sampled
+  /// ensemble's rates for kAlltoall on the flow engine).
   Summary rate_summary;
   /// Mean achieved per-flow rate as a fraction of one plane's injection
   /// bandwidth — the "% of injection" metric of Table II.

@@ -44,9 +44,11 @@ RunResult FlowEngine::run(const flow::TrafficSpec& spec) {
 
 RunResult FlowEngine::run_point_to_point(const flow::TrafficSpec& spec) {
   RunResult result;
-  result.flows = flow::make_flows(spec, topology_.num_endpoints());
-  solver_.solve(result.flows, spec.route);
-  result.rate_summary = summarize_rates(result.flows);
+  std::vector<flow::Flow> flows =
+      flow::make_flows(spec, topology_.num_endpoints());
+  solver_.solve(flows, spec.route);
+  result.flow_count = flows.size();
+  result.rate_summary = summarize_rates(flows);
   result.aggregate_fraction =
       result.rate_summary.mean / topology_.injection_bandwidth();
   if (result.rate_summary.min > 0)

@@ -225,7 +225,7 @@ std::string row_json(const SweepRow& row) {
       .add("pattern", flow::pattern_spec(named))
       .add("message_bytes", row.pattern.message_bytes)
       .add("seed", row.seed)
-      .add("flows", static_cast<std::uint64_t>(row.result.flows.size()))
+      .add("flows", row.result.flow_count)
       .add("mean_bps", row.result.rate_summary.mean)
       .add("min_bps", row.result.rate_summary.min)
       .add("p50_bps", row.result.rate_summary.median)

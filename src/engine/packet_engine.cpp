@@ -80,18 +80,19 @@ RunResult PacketEngine::run(const flow::TrafficSpec& spec) {
 
 RunResult PacketEngine::run_point_to_point(const flow::TrafficSpec& spec) {
   RunResult result;
-  result.flows = flow::make_flows(spec, topology_.num_endpoints());
+  std::vector<flow::Flow> flows =
+      flow::make_flows(spec, topology_.num_endpoints());
   sim::PacketSim sim(topology_, routed_config(config_, spec));
   // The destination set is known before any message is queued, so the
   // route tables (the expensive per-destination setup) build in parallel.
   std::vector<int> dsts;
-  dsts.reserve(result.flows.size());
-  for (const flow::Flow& f : result.flows)
+  dsts.reserve(flows.size());
+  for (const flow::Flow& f : flows)
     if (f.src != f.dst) dsts.push_back(f.dst);
   sim.prebuild_routes(dsts);
-  std::vector<picoseconds> delivered(result.flows.size(), 0);
-  for (std::size_t i = 0; i < result.flows.size(); ++i) {
-    const flow::Flow& f = result.flows[i];
+  std::vector<picoseconds> delivered(flows.size(), 0);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const flow::Flow& f = flows[i];
     if (f.src == f.dst) continue;
     sim.send_message(f.src, f.dst, spec.message_bytes,
                      [&sim, &delivered, i] { delivered[i] = sim.now(); });
@@ -99,13 +100,13 @@ RunResult PacketEngine::run_point_to_point(const flow::TrafficSpec& spec) {
   picoseconds end = sim.run();
   result.completion_s = ps_to_s(end);
   result.numerics_ok = sim.unfinished_messages() == 0;
-  for (std::size_t i = 0; i < result.flows.size(); ++i) {
-    flow::Flow& f = result.flows[i];
-    f.rate = delivered[i] > 0 ? static_cast<double>(spec.message_bytes) /
-                                    ps_to_s(delivered[i])
-                              : 0.0;
-  }
-  result.rate_summary = summarize_rates(result.flows);
+  for (std::size_t i = 0; i < flows.size(); ++i)
+    flows[i].rate = delivered[i] > 0
+                        ? static_cast<double>(spec.message_bytes) /
+                              ps_to_s(delivered[i])
+                        : 0.0;
+  result.flow_count = flows.size();
+  result.rate_summary = summarize_rates(flows);
   result.aggregate_fraction =
       result.rate_summary.mean / topology_.injection_bandwidth();
   return result;

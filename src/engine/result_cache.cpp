@@ -30,19 +30,15 @@ std::string render_double(double v) {
 
 std::string render_result(const RunResult& result) {
   std::string out = "{\"schema\":" + std::to_string(ResultCache::kSchemaVersion);
-  out += ",\"flows\":[";
-  for (std::size_t i = 0; i < result.flows.size(); ++i) {
-    const flow::Flow& f = result.flows[i];
-    out += (i ? "," : "");
-    out += "[" + std::to_string(f.src) + "," + std::to_string(f.dst) + "," +
-           render_double(f.rate) + "]";
-  }
-  out += "],\"summary\":[";
+  out += ",\"flow_count\":" + std::to_string(result.flow_count);
+  out += ",\"summary\":[";
   const Summary& s = result.rate_summary;
   out += std::to_string(s.n);
   for (double v : {s.mean, s.stddev, s.min, s.p01, s.p25, s.median, s.p75,
-                   s.p99, s.max})
-    out += "," + render_double(v);
+                   s.p99, s.max}) {
+    out += ',';
+    out += render_double(v);
+  }
   out += "]";
   out += ",\"aggregate_fraction\":" + render_double(result.aggregate_fraction);
   out += ",\"completion_s\":" + render_double(result.completion_s);
@@ -51,7 +47,7 @@ std::string render_result(const RunResult& result) {
   out += std::string(",\"numerics_ok\":") +
          (result.numerics_ok ? "true" : "false");
   // Content checksum over everything rendered so far. Verification
-  // catches what JSON parsing cannot: a flipped digit in a rate is still
+  // catches what JSON parsing cannot: a flipped digit in a summary is still
   // valid JSON, but it is not the result that was stored.
   out += std::string(kChecksumMarker) + Fnv1a().update(out).hex() + "\"}\n";
   return out;
@@ -84,16 +80,10 @@ RunResult parse_result(const std::string& text) {
   };
 
   RunResult result;
-  const JsonValue* flows = doc.get("flows");
-  if (!flows || !flows->is_array())
-    throw std::invalid_argument("result cache: missing flows");
-  result.flows.reserve(flows->array.size());
-  for (const JsonValue& f : flows->array) {
-    if (!f.is_array() || f.array.size() != 3 || !f.array[2].is_number())
-      throw std::invalid_argument("result cache: bad flow entry");
-    result.flows.push_back({f.array[0].as_int(), f.array[1].as_int(),
-                            f.array[2].number});
-  }
+  const JsonValue* flow_count = doc.get("flow_count");
+  if (!flow_count)
+    throw std::invalid_argument("result cache: missing flow_count");
+  result.flow_count = flow_count->as_u64();
 
   const JsonValue* summary = doc.get("summary");
   if (!summary || !summary->is_array() || summary->array.size() != 10)
@@ -188,10 +178,6 @@ void ResultCache::quarantine_entry(const std::string& key) {
 
 void ResultCache::store(const std::string& key, const RunResult& result) const {
   write_file_atomic(entry_path(key), render_result(result));
-}
-
-bool ResultCache::blob_checksum_ok(const std::string& text) {
-  return checksum_valid(text);
 }
 
 std::optional<std::string> ResultCache::read_blob(const std::string& key) const {

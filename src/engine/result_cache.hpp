@@ -1,12 +1,14 @@
 // Content-addressed cache of harness RunResults.
 //
 // A grid cell's identity is the FNV-1a hash of (topology spec, engine name,
-// canonical TrafficSpec string, seed, schema version); its RunResult is
-// stored as one JSON file `.hxmesh-cache/<hex>.json`. Re-running a sweep
-// only simulates cells whose key is new — a code change that alters result
-// semantics must bump kSchemaVersion, which invalidates every entry at
-// once. Entries store doubles with %.17g so a reloaded result re-renders
-// the byte-identical harness JSON row of the original run.
+// canonical TrafficSpec string, seed, schema version); its RunResult — the
+// flow count, the ten-field rate summary and the scalar metrics, a few
+// hundred bytes whatever the cell's size — is stored as one JSON file
+// `.hxmesh-cache/<hex>.json`. Re-running a sweep only simulates cells
+// whose key is new — a code change that alters result semantics must bump
+// kSchemaVersion, which invalidates every entry at once. Entries store
+// doubles with %.17g so a reloaded result re-renders the byte-identical
+// harness JSON row of the original run.
 //
 // Concurrency: load()/store() are called from harness worker threads, one
 // cell per call. Distinct cells never share a file and writes are atomic
@@ -38,7 +40,8 @@ class ResultCache {
   /// quarantines corrupt blobs instead of silently recomputing over them.
   /// v4: FlowSolver fills to convergence (no 400-round cap), raising the
   /// flow rates of solves the cap used to truncate.
-  static constexpr int kSchemaVersion = 4;
+  /// v5: entries store `flow_count` in place of the per-flow rate array.
+  static constexpr int kSchemaVersion = 5;
 
   static constexpr const char* kDefaultDir = ".hxmesh-cache";
 
@@ -104,18 +107,15 @@ class ResultCache {
 
   // -- wire blobs (the distributed backend's transfer format) -------------
 
-  /// True when `text` is a complete entry whose trailing FNV-1a checksum
-  /// matches the bytes before it — the admission test every remote blob
-  /// must pass before it may enter this store.
-  static bool blob_checksum_ok(const std::string& text);
-
   /// Raw entry text for `key` (exactly the bytes store() wrote), or
   /// nullopt when absent. This is what an `hxmesh serve` daemon streams
   /// back to the orchestrator; no counters move.
   std::optional<std::string> read_blob(const std::string& key) const;
 
-  /// Verifies and stores a wire blob received from a remote worker.
-  /// Returns false — writing nothing — when the checksum does not match:
+  /// Verifies and stores a wire blob received from a remote worker — the
+  /// one admission test every remote blob must pass before it may enter
+  /// this store. Returns false — writing nothing — when the blob is not a
+  /// complete entry whose trailing checksum matches the bytes before it:
   /// a corrupt wire blob is rejected at the door and the cell is
   /// recomputed by a re-lease, never replayed from the bad bytes. Counts
   /// adopted and rejected blobs for the integrity report.

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -114,23 +113,11 @@ ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
   for (std::size_t c = lo; c < hi; ++c)
     manifest.keys.push_back(plan.cell_key(c));
 
-  // A cell whose entry is already stored only needs its checksum checked
-  // here: the merge decodes every cell anyway, and decoding a large entry
-  // twice is most of a warm replay. The cells from the first to the last
-  // one without a sound entry go through the harness, which loads — or
-  // computes and stores — each of them.
-  std::size_t first = hi, last = lo;
-  for (std::size_t c = lo; c < hi; ++c) {
-    const std::optional<std::string> blob =
-        cache.read_blob(manifest.keys[c - lo]);
-    if (blob && ResultCache::blob_checksum_ok(*blob)) continue;
-    first = std::min(first, c);
-    last = c + 1;
-  }
+  const std::size_t hits_before = cache.hits();
   const std::size_t misses_before = cache.misses();
-  if (first < last) harness.run_cells(plan, first, last, &cache);
+  harness.run_cells(plan, lo, hi, &cache);
+  manifest.hits = cache.hits() - hits_before;
   manifest.computed = cache.misses() - misses_before;
-  manifest.hits = (hi - lo) - manifest.computed;
   return manifest;
 }
 
@@ -465,13 +452,15 @@ std::vector<ShardRun> run_shard_jobs_distributed(
       while (!healthy) {
         if (finished()) return;
         bool up = false;
+        std::string why = "probe failed";
         try {
           up = !probe || probe(h);
-        } catch (const std::exception&) {
+        } catch (const std::exception& e) {
+          why += std::string(": ") + e.what();
         }
         if (up)
           healthy = true;
-        else if (fault("probe failed"))
+        else if (fault(why))
           return;
       }
       unsigned shard = 0;

@@ -67,9 +67,10 @@ ShardManifest parse_manifest(const std::string& text);
 
 /// \brief Executes shard `shard` of `shards` of `plan`: makes sure every
 /// cell of the shard's block (GridPlan::shard_cells) has a sound entry in
-/// `cache` — computing and storing the missing ones through `harness` —
-/// and returns the manifest describing the coverage. A stored entry is
-/// checked by its checksum only; the merge is what decodes it.
+/// `cache` — running the block through `harness`, which loads every
+/// stored cell and computes and stores the rest — and returns the manifest
+/// describing the coverage, with hits and computed cells taken from the
+/// cache's counters.
 ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
                         unsigned shard, unsigned shards, ResultCache& cache);
 
@@ -225,7 +226,8 @@ using RemoteLauncher =
 /// \brief Heartbeat probe: true when `host` answers. Called before a
 /// host's first lease and after every fault, so a dead daemon is noticed
 /// by the probe loop — under reconnect backoff — instead of burning
-/// leases. A probe that throws counts as false.
+/// leases. A probe that throws counts as false, and its what() becomes
+/// the fault text ("probe failed: <what>").
 using HostProbe = std::function<bool(unsigned host)>;
 
 /// \brief Drives every shard over `local_workers` local slots (running

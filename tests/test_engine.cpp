@@ -4,6 +4,10 @@
 // HammingMesh through one shared TrafficSpec.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "engine/factory.hpp"
 #include "engine/flow_engine.hpp"
 #include "engine/packet_engine.hpp"
@@ -95,6 +99,15 @@ TEST(EngineFactory, NewBackendsPlugIn) {
 }
 
 // ------------------------------------------------------------ FlowEngine --
+// Every Summary field, bit for bit (n first, then the nine doubles).
+std::vector<std::uint64_t> summary_bits(const Summary& s) {
+  std::vector<std::uint64_t> bits = {s.n};
+  for (double v : {s.mean, s.stddev, s.min, s.p01, s.p25, s.median, s.p75,
+                   s.p99, s.max})
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
 TEST(FlowEngine, ShiftMatchesDirectSolver) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 4, .y = 4});
   FlowEngine eng(hx);
@@ -102,13 +115,13 @@ TEST(FlowEngine, ShiftMatchesDirectSolver) {
   spec.kind = flow::PatternKind::kShift;
   spec.shift = 3;
   RunResult result = eng.run(spec);
-  ASSERT_EQ(result.flows.size(), static_cast<std::size_t>(64));
+  EXPECT_EQ(result.flow_count, 64u);
 
   flow::FlowSolver solver(hx);  // direct construction allowed in unit tests
   auto flows = flow::shift_pattern(64, 3);
   solver.solve(flows);
-  for (std::size_t i = 0; i < flows.size(); ++i)
-    EXPECT_DOUBLE_EQ(result.flows[i].rate, flows[i].rate);
+  EXPECT_EQ(summary_bits(result.rate_summary),
+            summary_bits(summarize_rates(flows)));
 }
 
 TEST(FlowEngine, PermutationRunsAreSeedDeterministic) {
@@ -119,11 +132,8 @@ TEST(FlowEngine, PermutationRunsAreSeedDeterministic) {
   spec.seed = 99;
   RunResult a = eng.run(spec);
   RunResult b = eng.run(spec);
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    EXPECT_EQ(a.flows[i].dst, b.flows[i].dst);
-    EXPECT_DOUBLE_EQ(a.flows[i].rate, b.flows[i].rate);
-  }
+  EXPECT_EQ(a.flow_count, b.flow_count);
+  EXPECT_EQ(summary_bits(a.rate_summary), summary_bits(b.rate_summary));
 }
 
 TEST(FlowEngine, AllreduceFractionNearPeakForLargeMessages) {
@@ -161,7 +171,7 @@ TEST(PacketEngine, ShiftDeliversAllMessages) {
   RunResult result = eng.run(spec);
   EXPECT_TRUE(result.numerics_ok);
   EXPECT_GT(result.completion_s, 0.0);
-  for (const auto& f : result.flows) EXPECT_GT(f.rate, 0.0);
+  EXPECT_GT(result.rate_summary.min, 0.0);  // every message delivered
 }
 
 TEST(PacketEngine, AllreduceVerifiesNumerics) {
@@ -192,7 +202,7 @@ TEST(CrossValidation, FlowAndPacketAgreeOnRing) {
   RunResult flow_result = FlowEngine(hx).run(spec);
   RunResult packet_result = PacketEngine(hx).run(spec);
   ASSERT_TRUE(packet_result.numerics_ok);
-  ASSERT_EQ(flow_result.flows.size(), packet_result.flows.size());
+  ASSERT_EQ(flow_result.flow_count, packet_result.flow_count);
 
   // The packet simulator includes serialization pipelines and ramp-up;
   // agreement within 25% on the mean validates both models (same bound as

@@ -3,8 +3,12 @@
 // harness rows, corrupt-entry fallback, and the cached run_grid path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
+#include <vector>
 
 #include "core/fsio.hpp"
 #include "engine/harness.hpp"
@@ -95,16 +99,45 @@ TEST(ResultCache, MissThenHitRoundTripsExactRows) {
     // Byte-identical rows whether computed, stored, or reloaded.
     EXPECT_EQ(engine::row_json(first[i]), engine::row_json(uncached[i])) << i;
     EXPECT_EQ(engine::row_json(second[i]), engine::row_json(uncached[i])) << i;
-    // The reloaded result also reproduces non-JSON fields like per-flow
-    // rates (fig12 pools these).
-    ASSERT_EQ(second[i].result.flows.size(), uncached[i].result.flows.size());
-    for (std::size_t f = 0; f < uncached[i].result.flows.size(); ++f) {
-      EXPECT_EQ(second[i].result.flows[f].src, uncached[i].result.flows[f].src);
-      EXPECT_EQ(second[i].result.flows[f].dst, uncached[i].result.flows[f].dst);
-      EXPECT_EQ(second[i].result.flows[f].rate,
-                uncached[i].result.flows[f].rate);
-    }
+    // The reloaded result also reproduces the fields the row does not
+    // print (the summary's spread and tail quantiles, which fig12 reads),
+    // bit for bit.
+    const auto bits = [](const engine::RunResult& r) {
+      const Summary& s = r.rate_summary;
+      std::vector<std::uint64_t> out = {r.flow_count, s.n, r.numerics_ok};
+      for (double v : {s.mean, s.stddev, s.min, s.p01, s.p25, s.median, s.p75,
+                       s.p99, s.max, r.aggregate_fraction, r.completion_s,
+                       r.alpha_s, r.fraction_of_peak})
+        out.push_back(std::bit_cast<std::uint64_t>(v));
+      return out;
+    };
+    EXPECT_EQ(bits(second[i].result), bits(uncached[i].result)) << i;
   }
+}
+
+TEST(ResultCache, EntrySizeDoesNotGrowWithFlowCount) {
+  // An entry is the cell's summary, so a 1,024-flow permutation stores as
+  // few bytes as a 16-flow one.
+  const std::string dir = fresh_dir("cache_entry_size");
+  engine::SweepConfig sweep;
+  sweep.topologies = {"hx2mesh:2x2", "hx2mesh:16x16"};
+  sweep.patterns = {flow::parse_traffic("perm:msg=256KiB")};
+  engine::ExperimentHarness harness(2);
+  ResultCache cache(dir);
+  const auto rows = harness.run_grid(sweep, {}, &cache);
+  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ(rows[1].result.flow_count, 1024u);
+
+  std::vector<std::uint64_t> sizes;
+  for (const engine::SweepRow& row : rows) {
+    const auto blob = cache.read_blob(
+        ResultCache::cell_key(row.topology, row.engine, row.pattern, row.seed));
+    ASSERT_TRUE(blob.has_value()) << row.topology;
+    EXPECT_LT(blob->size(), 1024u) << row.topology;
+    sizes.push_back(blob->size());
+  }
+  const auto [small, large] = std::minmax(sizes[0], sizes[1]);
+  EXPECT_LT(large - small, 64u);
 }
 
 TEST(ResultCache, CorruptEntryFallsBackToRecompute) {
@@ -176,8 +209,8 @@ TEST(ResultCache, TamperedEntryIsQuarantinedAndHealedByRecompute) {
   const std::string dir = fresh_dir("cache_quarantine");
   ResultCache cache(dir);
   engine::RunResult result;
-  result.flows = {{0, 1, 2.5}};
-  result.rate_summary = engine::summarize_rates(result.flows);
+  result.flow_count = 1;
+  result.rate_summary = summarize({2.5});
   result.completion_s = 1.25;
   const std::string key = ResultCache::cell_key(
       "hx2mesh:2x2", "flow", flow::parse_traffic("shift:1"), 1);
@@ -192,13 +225,14 @@ TEST(ResultCache, TamperedEntryIsQuarantinedAndHealedByRecompute) {
   EXPECT_EQ(cache.verified_hits(), 1u);
   EXPECT_EQ(cache.quarantined(), 0u);
 
-  // Flip one digit of the stored rate: still perfectly valid JSON of the
-  // current schema — only the checksum can tell it is not the result that
-  // was stored.
-  const auto pos = text->find("[0,1,2.5]");
+  // Flip one digit of the stored mean rate: still perfectly valid JSON of
+  // the current schema — only the checksum can tell it is not the result
+  // that was stored.
+  const std::string mean = "\"summary\":[1,2.5,";
+  const auto pos = text->find(mean);
   ASSERT_NE(pos, std::string::npos);
   std::string tampered = *text;
-  tampered[pos + 5] = '3';  // 2.5 -> 3.5
+  tampered[pos + mean.size() - 4] = '3';  // 2.5 -> 3.5
   write_file_atomic(path, tampered);
 
   EXPECT_FALSE(cache.load(key).has_value());  // miss, never a wrong hit
@@ -211,7 +245,7 @@ TEST(ResultCache, TamperedEntryIsQuarantinedAndHealedByRecompute) {
   cache.store(key, result);
   const auto healed = cache.load(key);
   ASSERT_TRUE(healed.has_value());
-  EXPECT_EQ(healed->flows[0].rate, 2.5);
+  EXPECT_EQ(healed->rate_summary.mean, 2.5);
   EXPECT_EQ(cache.verified_hits(), 2u);
 
   // clear() reclaims the quarantined blobs along with the entries.
@@ -237,12 +271,12 @@ TEST(ResultCache, TruncatedEntryIsQuarantined) {
   EXPECT_TRUE(fs::exists(cache.quarantine_dir() + "/abcd.json"));
 }
 
-TEST(ResultCache, NonNumericFlowRateIsAMiss) {
+TEST(ResultCache, NonNumericSummaryValueIsAMiss) {
   const std::string dir = fresh_dir("cache_bad_rate");
   ResultCache cache(dir);
   engine::RunResult result;
-  result.flows = {{0, 1, 2.5}};
-  result.rate_summary = engine::summarize_rates(result.flows);
+  result.flow_count = 1;
+  result.rate_summary = summarize({2.5});
   const std::string key = ResultCache::cell_key(
       "hx2mesh:2x2", "flow", flow::parse_traffic("shift:1"), 1);
   cache.store(key, result);
@@ -251,10 +285,10 @@ TEST(ResultCache, NonNumericFlowRateIsAMiss) {
   const std::string path = dir + "/" + key + ".json";
   auto text = read_file(path);
   ASSERT_TRUE(text.has_value());
-  const std::string marker = "[0,1,2.5]";
+  const std::string marker = "\"summary\":[1,2.5,";
   const auto pos = text->find(marker);
   ASSERT_NE(pos, std::string::npos);
-  text->replace(pos, marker.size(), "[0,1,null]");
+  text->replace(pos, marker.size(), "\"summary\":[1,null,");
   write_file_atomic(path, *text);
   EXPECT_FALSE(cache.load(key).has_value());  // not a silent 0.0 rate
 }
@@ -350,7 +384,6 @@ TEST(ResultCacheWire, BlobsRoundTripThroughAdoption) {
 
   const auto blob = source.read_blob("feedfacefeedface");
   ASSERT_TRUE(blob.has_value());
-  EXPECT_TRUE(ResultCache::blob_checksum_ok(*blob));
   EXPECT_EQ(source.read_blob("0000000000000000"), std::nullopt);
 
   ResultCache sink(fresh_dir("wire_sink"));
@@ -375,7 +408,6 @@ TEST(ResultCacheWire, CorruptBlobsAreRejectedAtTheDoor) {
   const auto pos = blob.find("\"schema\"");
   ASSERT_NE(pos, std::string::npos);
   blob[pos + 1] = 'x';
-  EXPECT_FALSE(ResultCache::blob_checksum_ok(blob));
 
   ResultCache sink(fresh_dir("wire_corrupt_sink"));
   EXPECT_FALSE(sink.adopt_blob("feedfacefeedface", blob));
@@ -386,10 +418,14 @@ TEST(ResultCacheWire, CorruptBlobsAreRejectedAtTheDoor) {
   EXPECT_EQ(sink.read_blob("feedfacefeedface"), std::nullopt);
 
   // Truncated and trivially short blobs fail the same admission test.
-  EXPECT_FALSE(ResultCache::blob_checksum_ok(""));
-  EXPECT_FALSE(ResultCache::blob_checksum_ok("{}"));
+  EXPECT_FALSE(sink.adopt_blob("feedfacefeedface", ""));
+  EXPECT_FALSE(sink.adopt_blob("feedfacefeedface", "{}"));
   const std::string good = *source.read_blob("feedfacefeedface");
-  EXPECT_FALSE(ResultCache::blob_checksum_ok(good.substr(0, good.size() / 2)));
+  EXPECT_FALSE(
+      sink.adopt_blob("feedfacefeedface", good.substr(0, good.size() / 2)));
+  EXPECT_EQ(sink.rejected_blobs(), 4u);
+  EXPECT_EQ(sink.adopted_blobs(), 0u);
+  EXPECT_EQ(sink.read_blob("feedfacefeedface"), std::nullopt);
 }
 
 TEST(ResultCache, PruneAgesOutQuarantinedBlobs) {

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -795,6 +796,34 @@ TEST(DistributedOrchestrator, UnreachableHostsDegradeToLocalOnly) {
     EXPECT_EQ(report.dispatched, 0u);  // never got a lease
   }
   EXPECT_EQ(remote_calls.load(), 0);  // a dead host is never leased to
+}
+
+TEST(DistributedOrchestrator, ThrowingProbeKeepsItsReason) {
+  // A probe that throws is a failed heartbeat like any other, but the
+  // host report must say why, not just that it failed.
+  std::atomic<int> probes{0};
+  auto probe = [&](unsigned) -> bool {
+    ++probes;
+    throw std::runtime_error("boom");
+  };
+  auto local = [](unsigned, int) {
+    // Keep the queue alive until the host has crossed its threshold.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return exited(0);
+  };
+  auto remote = [](unsigned, unsigned, int) { return exited(0); };
+  std::vector<engine::HostReport> reports;
+  const auto runs = engine::run_shard_jobs_distributed(
+      4, 1, attempts_policy(1), local, 1, remote, probe, hosts_policy(3),
+      &reports);
+  for (const auto& run : runs) EXPECT_TRUE(run.ok()) << run.shard;
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].faults, 3u);
+  EXPECT_EQ(probes.load(), 3);
+  EXPECT_TRUE(reports[0].blacklisted);
+  EXPECT_EQ(reports[0].dispatched, 0u);
+  EXPECT_NE(reports[0].last_error.find("boom"), std::string::npos)
+      << reports[0].last_error;
 }
 
 TEST(DistributedOrchestrator, RemoteSuccessesAndJobFailuresAreTallied) {
