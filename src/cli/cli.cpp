@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/chaos.hpp"
+#include "core/counters.hpp"
 #include "core/fsio.hpp"
 #include "core/parse_num.hpp"
 #include "core/json_parse.hpp"
@@ -17,7 +18,6 @@
 #include "engine/harness.hpp"
 #include "engine/sharded_sweep.hpp"
 #include "flow/patterns.hpp"
-#include "topo/routing_oracle.hpp"
 
 namespace hxmesh::cli {
 
@@ -72,8 +72,7 @@ subcommands:
   cache  stats|clear|prune [--cache-dir DIR]
          inspect, empty, or age/LRU-evict the result cache
          (prune: --max-age AGE[s|m|h|d] and/or --max-entries N;
-         stats also reports quarantined-entry counts and this
-         process's routing-oracle counters)
+         stats reports the store: entries, bytes, quarantined blobs)
 
 environment:
   HXMESH_CHAOS      deterministic fault injection. kill:<p> and hang:<p>
@@ -262,44 +261,27 @@ void emit_rows(const std::vector<engine::SweepRow>& rows,
   err << "wrote " << rows.size() << " rows to " << json_path << "\n";
 }
 
-// One line of routing-oracle observability (process-wide counters): how
-// distance fields were produced this session. On structured topologies
-// the hot path must show "0 bfs fills" — the closed-form oracles carry
-// all of it.
-void report_routing(std::ostream& out) {
-  const topo::RoutingCounters c = topo::routing_counters();
-  out << "routing: " << c.oracle_fills << " oracle fills, " << c.bfs_fills
-      << " bfs fills, " << c.dist_cache_hits
-      << " dist-cache hits (this process)\n";
-}
-
-// Batched-execution observability: how much per-cell setup the topology
-// groups amortized (builds + engine setup reused by co-scheduled cells;
-// the dist-cache hits of the routing line are the amortized fills/route
-// tables).
-void report_batching(std::ostream& out) {
-  const engine::BatchCounters b = engine::batch_counters();
-  out << "batch: " << b.topo_groups << " topology groups, "
-      << b.topo_builds_saved << " builds saved, " << b.engines_saved
-      << " engine setups reused, " << b.cells_executed
-      << " cells executed (this process)\n";
-}
-
-void report_cache(const engine::ResultCache& cache, std::ostream& err) {
-  const std::size_t hits = cache.hits();
-  const std::size_t misses = cache.misses();
-  const std::size_t total = hits + misses;
-  const double pct =
-      total == 0 ? 0.0 : 100.0 * static_cast<double>(hits) / total;
-  err << "cache: " << hits << " hits, " << misses << " misses (" << fmt(pct, 1)
-      << "% hit rate) in " << cache.dir() << "\n";
-  err << "integrity: " << cache.verified_hits() << " verified hits, "
-      << cache.quarantined() << " quarantined (this process)\n";
-  report_routing(err);
-  report_batching(err);
+// The cache's hit rate, then every registered counter's growth since
+// `before`: this command's work, with a sharded sweep's children folded in.
+void report(const std::optional<engine::ResultCache>& cache,
+            const counters::Map& before, std::ostream& err) {
+  if (cache) {
+    const std::size_t hits = cache->hits();
+    const std::size_t total = hits + cache->misses();
+    const double pct =
+        total == 0 ? 0.0 : 100.0 * static_cast<double>(hits) / total;
+    err << "cache: " << hits << " hits, " << cache->misses() << " misses ("
+        << fmt(pct, 1) << "% hit rate) in " << cache->dir() << "\n";
+  }
+  const counters::Map now = counters::snapshot();
+  err << "counters:";
+  for (const auto& [name, value] : counters::delta(before, now))
+    err << ' ' << name << '=' << value;
+  err << "\n";
 }
 
 int do_sweep(SweepOptions opt, std::ostream& out, std::ostream& err) {
+  const counters::Map before = counters::snapshot();
   engine::ShardedSweepOptions& sharding = opt.sharding;
   if (opt.attempt != 0)
     usage_error("sweep: --attempt applies to the shard subcommand");
@@ -336,7 +318,7 @@ int do_sweep(SweepOptions opt, std::ostream& out, std::ostream& err) {
     rows = harness.run_grids(grids, cache ? &*cache : nullptr);
   }
   emit_rows(rows, opt.json_path, out, err);
-  if (cache) report_cache(*cache, err);
+  report(cache, before, err);
   return 0;
 }
 
@@ -402,6 +384,7 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
 // `run` is a one-cell sweep sharing the whole cached pipeline; the only
 // difference is output shape (one object, not an array).
 int do_run(SweepOptions opt, std::ostream& out, std::ostream& err) {
+  const counters::Map before = counters::snapshot();
   const engine::ShardedSweepOptions& sharding = opt.sharding;
   if (sharding.shards != 0 || opt.shard_index >= 0 ||
       sharding.shard_timeout_s > 0 || opt.attempt != 0 ||
@@ -432,7 +415,7 @@ int do_run(SweepOptions opt, std::ostream& out, std::ostream& err) {
   } else {
     out << engine::row_json(rows.at(0)) << "\n";
   }
-  if (cache) report_cache(*cache, err);
+  report(cache, before, err);
   return 0;
 }
 
@@ -585,12 +568,6 @@ int do_cache(const std::vector<std::string>& args, std::size_t start,
         << "entries: " << stats.entries << "\n"
         << "bytes: " << stats.bytes << "\n"
         << "quarantined: " << stats.quarantined << "\n";
-    report_routing(out);
-    report_batching(out);
-    const topo::RoutingCounters c = topo::routing_counters();
-    if (c.oracle_fills + c.bfs_fills + c.dist_cache_hits == 0)
-      out << "  (counters are per-process: run or sweep in the same "
-             "process to populate them)\n";
     return 0;
   }
   if (action == "clear") {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/hash.hpp"
+#include "core/parse_num.hpp"
 
 namespace hxmesh {
 
@@ -12,17 +13,6 @@ namespace {
 
 [[noreturn]] void bad_spec(const std::string& text, const std::string& why) {
   throw std::invalid_argument("HXMESH_CHAOS: bad spec '" + text + "': " + why);
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i)
-    if (i == text.size() || text[i] == sep) {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  return out;
 }
 
 double parse_probability(const std::string& spec, const std::string& token) {

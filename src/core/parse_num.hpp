@@ -1,5 +1,6 @@
-// Strict unsigned-integer token parsing, shared by every spec-string and
-// config parser (patterns, CLI flags, JSON readers).
+// Token helpers shared by every spec-string and config parser (patterns,
+// topology and fault specs, CLI flags, JSON readers): strict
+// unsigned-integer parsing and separator splitting.
 //
 // std::stoull is the wrong tool for untrusted tokens: it skips whitespace,
 // accepts a minus sign (wrapping the value), and ignores trailing junk
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace hxmesh {
 
@@ -27,6 +29,20 @@ inline std::optional<std::uint64_t> parse_u64_strict(const std::string& token) {
     v = v * 10 + digit;
   }
   return v;
+}
+
+/// Splits `text` at every `sep`, keeping empty parts: "a::b" gives
+/// {"a", "", "b"}, a trailing separator gives a trailing "", and "" gives
+/// {""}.
+inline std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= text.size(); ++i)
+    if (i == text.size() || text[i] == sep) {
+      out.push_back(text.substr(start, i - start));
+      start = i + 1;
+    }
+  return out;
 }
 
 }  // namespace hxmesh

@@ -1,12 +1,12 @@
 // Distributed sweep fabric: the `hxmesh serve` daemon and the
 // orchestrator-side client it speaks to.
 //
-// Protocol (version 2): length-prefixed frames (core/net) carrying JSON
+// Protocol (version 3): length-prefixed frames (core/net) carrying JSON
 // documents. Three request ops:
 //
-//   {"op":"ping"}      -> {"ok":true,"proto":2}
+//   {"op":"ping"}      -> {"ok":true,"proto":3}
 //   {"op":"shutdown"}  -> {"ok":true}            (daemon exits afterwards)
-//   {"op":"job", "proto":2, "fingerprint":F, "grid":G, "shards":N,
+//   {"op":"job", "proto":3, "fingerprint":F, "grid":G, "shards":N,
 //    "shard":I, "attempt":A, "timeout_s":T}
 //     -> on a job that ran and succeeded:
 //        {"ok":true,"status":"exited","exit_code":0,
@@ -45,9 +45,10 @@ namespace hxmesh::engine {
 
 /// \brief Fabric protocol version; bumped when request/response fields
 /// change meaning (2: the partition is always GridPlan::shard_cells, so
-/// jobs no longer carry a partition flag). A daemon answering a
+/// jobs no longer carry a partition flag; 3: the manifest a job returns
+/// is schema 2 and carries the child's counters). A daemon answering a
 /// mismatched version fails its probe and is never leased to.
-constexpr int kFabricProto = 2;
+constexpr int kFabricProto = 3;
 
 /// \brief Knobs of the `hxmesh serve` daemon.
 struct ServeOptions {

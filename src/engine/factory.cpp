@@ -5,6 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/parse_num.hpp"
 #include "engine/flow_engine.hpp"
 #include "engine/packet_engine.hpp"
 #include "topo/dragonfly.hpp"
@@ -31,21 +32,6 @@ std::map<std::string, EngineBuilder>& engine_registry() {
        }},
   };
   return registry;
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(sep, start);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(start));
-      break;
-    }
-    parts.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return parts;
 }
 
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {

@@ -7,23 +7,12 @@
 
 #include "core/hash.hpp"
 #include "core/json.hpp"
+#include "core/parse_num.hpp"
 #include "engine/result_cache.hpp"
 
 namespace hxmesh::engine {
 
 namespace {
-
-// Splits "a:b:c" on ':' (the factory's spec-group separator).
-std::vector<std::string> split_colon(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i)
-    if (i == text.size() || text[i] == ':') {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  return out;
-}
 
 // "16x16" -> 256, "48" -> 48; nullopt on anything else. Only used for the
 // cost estimate, so it is deliberately stricter than the factory parser:
@@ -68,7 +57,7 @@ std::uint64_t pattern_cost_factor(const flow::TrafficSpec& pattern) {
 
 std::uint64_t GridPlan::estimate_endpoints(const std::string& spec) {
   constexpr std::uint64_t kFallback = 64;
-  const std::vector<std::string> groups = split_colon(spec);
+  const std::vector<std::string> groups = split(spec, ':');
   if (groups.empty()) return kFallback;
   std::string family = groups[0];
   std::transform(family.begin(), family.end(), family.begin(),

@@ -1,29 +1,24 @@
 #include "engine/harness.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <mutex>
 #include <stdexcept>
 
+#include "core/counters.hpp"
 #include "core/json.hpp"
 
 namespace hxmesh::engine {
 
 namespace {
-std::atomic<std::uint64_t> g_topo_groups{0};
-std::atomic<std::uint64_t> g_topo_builds_saved{0};
-std::atomic<std::uint64_t> g_engine_groups{0};
-std::atomic<std::uint64_t> g_engines_saved{0};
-std::atomic<std::uint64_t> g_cells_executed{0};
+// Setup the batched groups amortized, and the cells actually simulated.
+Counter g_topo_groups("batch.topo_groups");
+Counter g_topo_builds_saved("batch.topo_builds_saved");
+Counter g_engine_groups("batch.engine_groups");
+Counter g_engines_saved("batch.engines_saved");
+Counter g_cells_executed("batch.cells_executed");
 }  // namespace
-
-BatchCounters batch_counters() {
-  return {g_topo_groups.load(), g_topo_builds_saved.load(),
-          g_engine_groups.load(), g_engines_saved.load(),
-          g_cells_executed.load()};
-}
 
 std::vector<SweepRow> ExperimentHarness::run_grid(
     const SweepConfig& config, const std::vector<std::string>& labels,
@@ -156,7 +151,6 @@ std::vector<SweepRow> ExperimentHarness::run_cells(const GridPlan& plan,
   };
   std::vector<CellError> errors;
   std::mutex error_mutex;
-  std::atomic<std::uint64_t> executed{0};
 
   pool_.parallel_for(groups.size(), [&](std::size_t k) {
     const Group& group = groups[k];
@@ -178,16 +172,15 @@ std::vector<SweepRow> ExperimentHarness::run_cells(const GridPlan& plan,
           errors.push_back({c, e.what(), false});
           continue;
         }
-        executed.fetch_add(1, std::memory_order_relaxed);
+        g_cells_executed.add();
       }
     }
   });
 
-  g_topo_groups.fetch_add(batches.size());
-  g_topo_builds_saved.fetch_add(slots_needed - batches.size());
-  g_engine_groups.fetch_add(groups.size());
-  g_engines_saved.fetch_add(exec_jobs.size() - groups.size());
-  g_cells_executed.fetch_add(executed.load());
+  g_topo_groups.add(batches.size());
+  g_topo_builds_saved.add(slots_needed - batches.size());
+  g_engine_groups.add(groups.size());
+  g_engines_saved.add(exec_jobs.size() - groups.size());
 
   if (!errors.empty()) {
     std::sort(errors.begin(), errors.end(),

@@ -28,31 +28,6 @@
 
 namespace hxmesh::engine {
 
-/// \brief Process-wide counters of batched cell execution (since process
-/// start), mirroring topo::RoutingCounters: they make "setup work is
-/// amortized across co-scheduled cells" observable (`hxmesh cache stats`
-/// and sweep stderr), not assumed.
-struct BatchCounters {
-  /// Topology groups built: one shared graph build + oracle install (and
-  /// one dist-field/route-table cache) per distinct topology spec that had
-  /// cells to execute.
-  std::uint64_t topo_groups = 0;
-  /// Duplicate topology builds avoided: (grid, topology) slots that
-  /// reused another slot's built topology instead of building their own.
-  std::uint64_t topo_builds_saved = 0;
-  /// Engine instances constructed (one per executed (topology, engine)
-  /// group).
-  std::uint64_t engine_groups = 0;
-  /// Jobs that reused a sibling job's engine instance — and with it the
-  /// engine's per-topology setup (e.g. the flow engine's measured ring).
-  std::uint64_t engines_saved = 0;
-  /// Cells actually simulated (cache misses executed by a group).
-  std::uint64_t cells_executed = 0;
-};
-
-/// \brief Snapshot of the process-wide batch counters.
-BatchCounters batch_counters();
-
 /// \brief Runs sweep grids over a fixed-width thread pool.
 ///
 /// One harness owns one ThreadPool; construct it once and reuse it for

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "core/fsio.hpp"
 #include "core/hash.hpp"
 #include "core/json_parse.hpp"
@@ -19,6 +20,12 @@ namespace {
 // The checksum field is always the last one; the digest covers every byte
 // before the marker.
 constexpr const char* kChecksumMarker = ",\"checksum\":\"";
+
+// Integrity of the store and of the wire: corrupt entries moved to
+// quarantine, and remote blobs adopted or rejected by adopt_blob().
+Counter g_quarantined("cache.quarantined");
+Counter g_wire_adopted("wire.adopted");
+Counter g_wire_rejected("wire.rejected");
 
 // %.17g: enough digits that parsing the decimal form reproduces the exact
 // double, which is what makes cached rows byte-identical on re-render.
@@ -142,7 +149,6 @@ std::optional<RunResult> ResultCache::load(const std::string& key) {
     try {
       RunResult result = parse_result(*text);
       hits_.fetch_add(1);
-      verified_hits_.fetch_add(1);
       // Mark the entry as recently used so prune()'s max-entries bound
       // evicts in LRU order. Best effort: a read-only store still hits.
       touch_file(entry_path(key));
@@ -172,8 +178,10 @@ std::optional<RunResult> ResultCache::load(const std::string& key) {
 }
 
 void ResultCache::quarantine_entry(const std::string& key) {
-  if (rename_file(entry_path(key), quarantine_dir() + "/" + key + ".json"))
+  if (rename_file(entry_path(key), quarantine_dir() + "/" + key + ".json")) {
     quarantined_.fetch_add(1);
+    g_quarantined.add();
+  }
 }
 
 void ResultCache::store(const std::string& key, const RunResult& result) const {
@@ -186,11 +194,11 @@ std::optional<std::string> ResultCache::read_blob(const std::string& key) const 
 
 bool ResultCache::adopt_blob(const std::string& key, const std::string& text) {
   if (!checksum_valid(text)) {
-    rejected_blobs_.fetch_add(1);
+    g_wire_rejected.add();
     return false;
   }
   write_file_atomic(entry_path(key), text);
-  adopted_blobs_.fetch_add(1);
+  g_wire_adopted.add();
   return true;
 }
 

@@ -117,22 +117,16 @@ class ResultCache {
   /// this store. Returns false — writing nothing — when the blob is not a
   /// complete entry whose trailing checksum matches the bytes before it:
   /// a corrupt wire blob is rejected at the door and the cell is
-  /// recomputed by a re-lease, never replayed from the bad bytes. Counts
-  /// adopted and rejected blobs for the integrity report.
+  /// recomputed by a re-lease, never replayed from the bad bytes. Bumps
+  /// the `wire.adopted` or `wire.rejected` counter.
   bool adopt_blob(const std::string& key, const std::string& text);
 
   // -- session counters (since construction) ------------------------------
   std::size_t hits() const { return hits_.load(); }
   std::size_t misses() const { return misses_.load(); }
-  /// Hits whose checksum was verified (every hit, since v3 — the counter
-  /// makes "verification actually ran" observable in stats output).
-  std::size_t verified_hits() const { return verified_hits_.load(); }
-  /// Corrupt entries moved to quarantine by this process.
+  /// Corrupt entries this instance moved to quarantine (the process-wide
+  /// `cache.quarantined` counter sums every instance).
   std::size_t quarantined() const { return quarantined_.load(); }
-  /// Remote wire blobs verified and written by adopt_blob().
-  std::size_t adopted_blobs() const { return adopted_blobs_.load(); }
-  /// Remote wire blobs rejected by adopt_blob() (checksum mismatch).
-  std::size_t rejected_blobs() const { return rejected_blobs_.load(); }
 
   // -- maintenance (the CLI's `cache` subcommand) -------------------------
   struct Stats {
@@ -181,10 +175,7 @@ class ResultCache {
   std::string dir_;
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> verified_hits_{0};
   std::atomic<std::size_t> quarantined_{0};
-  std::atomic<std::size_t> adopted_blobs_{0};
-  std::atomic<std::size_t> rejected_blobs_{0};
 };
 
 }  // namespace hxmesh::engine

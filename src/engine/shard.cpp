@@ -11,20 +11,22 @@
 
 #include "core/hash.hpp"
 #include "core/json_parse.hpp"
+#include "core/parse_num.hpp"
 
 namespace hxmesh::engine {
 
 namespace {
 
-std::vector<std::string> split_list(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i)
-    if (i == text.size() || text[i] == sep) {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  return out;
+// Multiplicative jitter in [0.5, 1.0] on min(max, base * 2^(n-1)), taken
+// from `digest` — hashed, not drawn — so the same inputs always wait the
+// same time.
+double jittered_backoff_s(double base_s, double max_s, unsigned n,
+                          std::uint64_t digest) {
+  double delay = base_s;
+  for (unsigned i = 1; i < n && delay < max_s; ++i) delay *= 2.0;
+  delay = std::min(delay, std::max(max_s, 0.0));
+  const double u = static_cast<double>(digest >> 11) * 0x1.0p-53;
+  return delay * (0.5 + 0.5 * u);
 }
 
 }  // namespace
@@ -44,7 +46,7 @@ std::string render_manifest(const ShardManifest& manifest) {
     out += (i ? "," : "");
     out += "\"" + manifest.keys[i] + "\"";
   }
-  out += "]}\n";
+  out += "],\"counters\":" + counters::to_json(manifest.counters) + "}\n";
   return out;
 }
 
@@ -92,6 +94,9 @@ ShardManifest parse_manifest(const std::string& text) {
   }
   if (manifest.keys.size() != manifest.cell_hi - manifest.cell_lo)
     throw std::invalid_argument("shard manifest: key count mismatches range");
+  const JsonValue* counts = doc.get("counters");
+  if (!counts) throw std::invalid_argument("shard manifest: missing counters");
+  manifest.counters = counters::from_json(*counts);
   // NOTE: duplicate *keys* are legal here — a multi-grid sweep may carry
   // the same (topology, engine, pattern, seed) cell under two labels.
   // Duplicate *coverage* (two manifests claiming one shard index, ranges
@@ -115,9 +120,11 @@ ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
 
   const std::size_t hits_before = cache.hits();
   const std::size_t misses_before = cache.misses();
+  const counters::Map counters_before = counters::snapshot();
   harness.run_cells(plan, lo, hi, &cache);
   manifest.hits = cache.hits() - hits_before;
   manifest.computed = cache.misses() - misses_before;
+  manifest.counters = counters::delta(counters_before, counters::snapshot());
   return manifest;
 }
 
@@ -198,23 +205,17 @@ std::string history_names(const ShardRun& run) {
 double retry_backoff_s(const RetryPolicy& policy, unsigned shard,
                        int attempt) {
   if (policy.backoff_base_s <= 0.0 || attempt < 1) return 0.0;
-  double delay = policy.backoff_base_s;
-  for (int i = 1; i < attempt && delay < policy.backoff_max_s; ++i)
-    delay *= 2.0;
-  delay = std::min(delay, std::max(policy.backoff_max_s, 0.0));
-  // Multiplicative jitter in [0.5, 1.0], hashed — not drawn — so the
-  // same (seed, shard, attempt) always waits the same time.
   Fnv1a hash;
   hash.update(policy.seed)
       .update(static_cast<std::uint64_t>(shard))
       .update(attempt);
-  const double u = static_cast<double>(hash.digest() >> 11) * 0x1.0p-53;
-  return delay * (0.5 + 0.5 * u);
+  return jittered_backoff_s(policy.backoff_base_s, policy.backoff_max_s,
+                            static_cast<unsigned>(attempt), hash.digest());
 }
 
 std::vector<HostSpec> parse_hosts(const std::string& text) {
   std::vector<HostSpec> hosts;
-  for (const std::string& entry : split_list(text, ',')) {
+  for (const std::string& entry : split(text, ',')) {
     const auto bad = [&](const std::string& why) {
       throw std::invalid_argument("--hosts: bad entry '" + entry + "': " +
                                   why);
@@ -252,19 +253,15 @@ std::vector<HostSpec> parse_hosts(const std::string& text) {
 double reconnect_backoff_s(const HostPolicy& policy, unsigned host,
                            unsigned fault) {
   if (policy.reconnect_base_s <= 0.0 || fault < 1) return 0.0;
-  double delay = policy.reconnect_base_s;
-  for (unsigned i = 1; i < fault && delay < policy.reconnect_max_s; ++i)
-    delay *= 2.0;
-  delay = std::min(delay, std::max(policy.reconnect_max_s, 0.0));
-  // Same jitter construction as retry_backoff_s, domain-separated by the
-  // tag so a host's reconnect waits never correlate with shard retries.
+  // Domain-separated by the tag so a host's reconnect waits never
+  // correlate with shard retries.
   Fnv1a hash;
   hash.update(policy.seed)
       .update(std::string_view("reconnect"))
       .update(static_cast<std::uint64_t>(host))
       .update(static_cast<std::uint64_t>(fault));
-  const double u = static_cast<double>(hash.digest() >> 11) * 0x1.0p-53;
-  return delay * (0.5 + 0.5 * u);
+  return jittered_backoff_s(policy.reconnect_base_s, policy.reconnect_max_s,
+                            fault, hash.digest());
 }
 
 std::vector<ShardRun> run_shard_jobs_distributed(

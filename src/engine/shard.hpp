@@ -37,16 +37,19 @@
 #include <string>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "engine/grid_plan.hpp"
 #include "engine/harness.hpp"
 
 namespace hxmesh::engine {
 
-/// \brief What one shard covered: the cell range, its cache keys, and the
-/// session hit/computed split. Serialized as one JSON file per shard.
+/// \brief What one shard covered: the cell range, its cache keys, the
+/// session hit/computed split, and the counters its run bumped.
+/// Serialized as one JSON file per shard.
 struct ShardManifest {
   /// Manifest format version; bump when fields change meaning.
-  static constexpr int kSchemaVersion = 1;
+  /// v2: carries `counters`.
+  static constexpr int kSchemaVersion = 2;
 
   std::string fingerprint;        ///< GridPlan::fingerprint of the grid
   unsigned shard = 0;             ///< this shard's index, in [0, shards)
@@ -56,6 +59,9 @@ struct ShardManifest {
   std::uint64_t hits = 0;         ///< cells served from the cache
   std::uint64_t computed = 0;     ///< cells simulated and stored
   std::vector<std::string> keys;  ///< cache key of every covered cell
+  /// Registry delta (core/counters.hpp) across the shard's run; the
+  /// orchestrator folds it into its own registry.
+  counters::Map counters;
 };
 
 /// \brief Renders a manifest as its canonical JSON document.
@@ -70,7 +76,8 @@ ShardManifest parse_manifest(const std::string& text);
 /// `cache` — running the block through `harness`, which loads every
 /// stored cell and computes and stores the rest — and returns the manifest
 /// describing the coverage, with hits and computed cells taken from the
-/// cache's counters.
+/// cache's counters and `counters` from the registry delta across the
+/// run (other threads of this process bumping meanwhile land in it too).
 ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
                         unsigned shard, unsigned shards, ResultCache& cache);
 

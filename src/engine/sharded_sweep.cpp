@@ -58,8 +58,7 @@ void report_runs(const std::vector<ShardRun>& runs, std::ostream& err) {
 }
 
 void report_hosts(const std::vector<HostSpec>& hosts,
-                  const std::vector<HostReport>& reports,
-                  const ResultCache& cache, std::ostream& err) {
+                  const std::vector<HostReport>& reports, std::ostream& err) {
   std::size_t blacklisted = 0;
   for (std::size_t h = 0; h < hosts.size(); ++h) {
     const HostReport& rep = reports[h];
@@ -76,8 +75,6 @@ void report_hosts(const std::vector<HostSpec>& hosts,
   if (blacklisted == hosts.size())
     err << "hosts: all " << hosts.size()
         << " blacklisted — degraded to local-only execution\n";
-  err << "wire: " << cache.adopted_blobs() << " adopted, "
-      << cache.rejected_blobs() << " rejected remote blob(s)\n";
 }
 
 }  // namespace
@@ -257,7 +254,7 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
       shards, workers, policy, launch, static_cast<unsigned>(hosts.size()),
       remote, probe, host_policy, &host_reports, progress, order);
   report_runs(runs, err);
-  if (!hosts.empty()) report_hosts(hosts, host_reports, cache, err);
+  if (!hosts.empty()) report_hosts(hosts, host_reports, err);
   const auto failed = std::count_if(runs.begin(), runs.end(),
                                     [](const ShardRun& r) { return !r.ok(); });
   if (failed > 0)
@@ -277,10 +274,13 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
       !problem.empty())
     throw std::runtime_error("sweep: shard merge failed: " + problem);
 
+  // The children's counters join this process's registry, so the sweep's
+  // report shows fleet totals.
   std::uint64_t hits = 0, computed = 0;
   for (const ShardManifest& m : manifests) {
     hits += m.hits;
     computed += m.computed;
+    counters::fold(m.counters);
   }
   err << "shards: " << shards << " ok over " << workers << " worker(s)";
   if (!hosts.empty()) err << " + " << hosts.size() << " host(s)";

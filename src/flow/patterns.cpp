@@ -136,21 +136,6 @@ std::string format_size(std::uint64_t bytes) {
   return std::to_string(bytes);
 }
 
-std::vector<std::string> split_tokens(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(sep, start);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(start));
-      break;
-    }
-    parts.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return parts;
-}
-
 }  // namespace
 
 std::string pattern_spec(const TrafficSpec& spec) {
@@ -172,7 +157,7 @@ std::string pattern_spec(const TrafficSpec& spec) {
 }
 
 TrafficSpec parse_traffic(const std::string& text) {
-  auto tokens = split_tokens(text, ':');
+  auto tokens = split(text, ':');
   const std::string head = tokens.front();
   tokens.erase(tokens.begin());
 
@@ -216,7 +201,7 @@ TrafficSpec parse_traffic(const std::string& text) {
         if (spec.kind != PatternKind::kRing)
           bad_token(text, token, "ranks= only applies to ring, got");
         spec.ranks.clear();
-        for (const std::string& r : split_tokens(value, ','))
+        for (const std::string& r : split(value, ','))
           spec.ranks.push_back(parse_int_token(text, r));
       } else {
         bad_token(text, token, "unknown option");

@@ -16,21 +16,6 @@ constexpr const char* kLinksHead = "faults=links";
   throw std::invalid_argument("FaultSpec: bad spec '" + text + "': " + why);
 }
 
-std::vector<std::string> split_colon(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(':', start);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(start));
-      break;
-    }
-    parts.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return parts;
-}
-
 // %g gives the shortest exact-round-trip form for the fractions the sweeps
 // use (0.01, 0.02, 0.05); 17 significant digits would also round-trip but
 // would make cache keys and CLI output unreadable.
@@ -53,7 +38,7 @@ std::string FaultSpec::spec() const {
 }
 
 FaultSpec FaultSpec::parse(const std::string& text) {
-  auto tokens = split_colon(text);
+  auto tokens = split(text, ':');
   if (tokens.empty() || tokens[0] != kLinksHead)
     bad_faults(text, "expected '" + std::string(kLinksHead) + ":<p|n>'");
   if (tokens.size() < 2 || tokens[1].empty())

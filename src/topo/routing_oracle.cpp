@@ -1,32 +1,6 @@
 #include "topo/routing_oracle.hpp"
 
-#include <atomic>
-
 namespace hxmesh::topo {
-
-namespace {
-std::atomic<std::uint64_t> g_oracle_fills{0};
-std::atomic<std::uint64_t> g_bfs_fills{0};
-std::atomic<std::uint64_t> g_dist_cache_hits{0};
-}  // namespace
-
-RoutingCounters routing_counters() {
-  RoutingCounters c;
-  c.oracle_fills = g_oracle_fills.load(std::memory_order_relaxed);
-  c.bfs_fills = g_bfs_fills.load(std::memory_order_relaxed);
-  c.dist_cache_hits = g_dist_cache_hits.load(std::memory_order_relaxed);
-  return c;
-}
-
-namespace detail {
-void count_fill(bool closed_form) {
-  (closed_form ? g_oracle_fills : g_bfs_fills)
-      .fetch_add(1, std::memory_order_relaxed);
-}
-void count_dist_cache_hit() {
-  g_dist_cache_hits.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
 
 void RoutingOracle::fill(NodeId dst_node,
                          std::vector<std::int32_t>& out) const {

@@ -20,8 +20,7 @@
 
 /// \file
 /// \brief RoutingOracle — closed-form hop distances, O(V) dist-field
-/// fills, and ordered minimal next-hop enumeration, with a BFS fallback
-/// and process-wide observability counters.
+/// fills, and ordered minimal next-hop enumeration, with a BFS fallback.
 
 #include <cstdint>
 #include <vector>
@@ -29,28 +28,6 @@
 #include "topo/graph.hpp"
 
 namespace hxmesh::topo {
-
-/// \brief Process-wide counters of who computed distance fields how.
-///
-/// `oracle_fills` counts closed-form fills, `bfs_fills` counts reverse-BFS
-/// fills (fallback oracles and non-endpoint destinations), and
-/// `dist_cache_hits` counts Topology::dist_field cache hits that avoided
-/// any fill at all. They exist to make "BFS never runs on structured
-/// topologies in the hot path" observable (`hxmesh cache stats`), not
-/// assumed.
-struct RoutingCounters {
-  std::uint64_t oracle_fills = 0;
-  std::uint64_t bfs_fills = 0;
-  std::uint64_t dist_cache_hits = 0;
-};
-
-/// \brief Snapshot of the process-wide routing counters.
-RoutingCounters routing_counters();
-
-namespace detail {
-void count_fill(bool closed_form);
-void count_dist_cache_hit();
-}  // namespace detail
 
 /// \brief Answers minimal-hop routing queries toward endpoint nodes.
 ///

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <mutex>
 
+#include "core/counters.hpp"
+
 namespace hxmesh::topo {
 
 namespace {
@@ -13,7 +15,13 @@ constexpr std::size_t kDistCacheCap = 2048;
 // consumption disjoint from the per-flow substreams even when a sweep
 // reuses one seed for both axes.
 constexpr std::uint64_t kFaultStream = 0x0fa0'17ed;
-}
+
+// Who produced distance fields: they make "BFS never runs on structured
+// topologies in the hot path" observable, not assumed.
+Counter g_oracle_fills("routing.oracle_fills");
+Counter g_bfs_fills("routing.bfs_fills");
+Counter g_dist_cache_hits("routing.dist_cache_hits");
+}  // namespace
 
 const char* route_mode_name(RouteMode mode) {
   switch (mode) {
@@ -123,7 +131,7 @@ Topology::DistField Topology::dist_field(NodeId dst_node) const {
     std::shared_lock lock(dist_mutex_);
     auto it = dist_cache_.find(dst_node);
     if (it != dist_cache_.end()) {
-      detail::count_dist_cache_hit();
+      g_dist_cache_hits.add();
       return it->second;
     }
   }
@@ -136,7 +144,7 @@ Topology::DistField Topology::dist_field(NodeId dst_node) const {
   if (graph_.kind(dst_node) == NodeKind::kEndpoint) {
     const RoutingOracle& oracle = routing_oracle();
     oracle.fill(dst_node, *field);
-    detail::count_fill(oracle.closed_form());
+    (oracle.closed_form() ? g_oracle_fills : g_bfs_fills).add();
     if (graph_.has_failed_links()) {
       // Faults may partition the fabric; surface that as a typed error at
       // fill time instead of letting -1 distances silently poison route
@@ -150,7 +158,7 @@ Topology::DistField Topology::dist_field(NodeId dst_node) const {
     }
   } else {
     *field = graph_.dist_to(dst_node);
-    detail::count_fill(false);
+    g_bfs_fills.add();
   }
   std::unique_lock lock(dist_mutex_);
   auto it = dist_cache_.find(dst_node);

@@ -14,12 +14,12 @@
 
 #include "cli/cli.hpp"
 #include "core/chaos.hpp"
+#include "core/counters.hpp"
 #include "core/fsio.hpp"
 #include "core/net.hpp"
 #include "engine/grid_plan.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/shard.hpp"
-#include "topo/routing_oracle.hpp"
 
 namespace hxmesh {
 namespace {
@@ -44,6 +44,17 @@ std::string fresh_dir(const std::string& name) {
       (std::filesystem::path(::testing::TempDir()) / name).string();
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// Value of counter `name` on the `counters:` line of a command's stderr,
+// or -1 when the line or the name is missing.
+long long counter(const std::string& err, const std::string& name) {
+  const std::size_t line = err.find("counters:");
+  if (line == std::string::npos) return -1;
+  const std::string text = err.substr(line, err.find('\n', line) - line);
+  const std::size_t at = text.find(" " + name + "=");
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + name.size() + 2));
 }
 
 TEST(Cli, NoArgsPrintsUsageAndFails) {
@@ -382,34 +393,39 @@ TEST(Cli, CacheStatsAndClear) {
   EXPECT_EQ(run({"cache", "defrag"}).code, 2);
 }
 
-TEST(Cli, CacheStatsExposeRoutingOracleCounters) {
-  const std::string dir = fresh_dir("cli_routing_counters");
+TEST(Cli, RunsAndSweepsReportRoutingOracleCounters) {
+  const std::string dir = fresh_dir("cli_routing_report");
   // A packet run builds route tables — distance fields must come from the
   // closed-form oracle, never BFS, on a structured topology.
-  const topo::RoutingCounters before = topo::routing_counters();
-  ASSERT_EQ(run({"run", "--topo", "hx2mesh:2x2", "--engine", "packet",
-                 "--pattern", "shift:1:msg=64KiB", "--threads", "1",
-                 "--cache-dir", dir})
-                .code,
-            0);
-  const topo::RoutingCounters after = topo::routing_counters();
-  EXPECT_GT(after.oracle_fills, before.oracle_fills);
-  EXPECT_EQ(after.bfs_fills, before.bfs_fills)
+  const counters::Map before = counters::snapshot();
+  auto packet = run({"run", "--topo", "hx2mesh:2x2", "--engine", "packet",
+                     "--pattern", "shift:1:msg=64KiB", "--threads", "1",
+                     "--cache-dir", dir});
+  ASSERT_EQ(packet.code, 0) << packet.err;
+  const counters::Map after = counters::snapshot();
+  EXPECT_GT(after.at("routing.oracle_fills"),
+            before.at("routing.oracle_fills"));
+  EXPECT_EQ(after.at("routing.bfs_fills"), before.at("routing.bfs_fills"))
       << "a structured topology fell back to BFS on the hot path";
 
-  auto stats = run({"cache", "stats", "--cache-dir", dir});
-  EXPECT_EQ(stats.code, 0);
-  EXPECT_NE(stats.out.find("routing: "), std::string::npos) << stats.out;
-  EXPECT_NE(stats.out.find("oracle fills"), std::string::npos) << stats.out;
-  EXPECT_NE(stats.out.find("batch: "), std::string::npos) << stats.out;
+  // The run's counters line says the same, and names the batch counters.
+  EXPECT_GT(counter(packet.err, "routing.oracle_fills"), 0) << packet.err;
+  EXPECT_EQ(counter(packet.err, "routing.bfs_fills"), 0) << packet.err;
+  EXPECT_EQ(counter(packet.err, "batch.topo_groups"), 1) << packet.err;
 
   // Sweeps report the same counters next to the cache summary.
   auto sweep = run({"sweep", "--topo", "hx2mesh:2x2", "--pattern",
                     "shift:1:msg=64KiB", "--threads", "1", "--cache-dir",
                     dir});
   EXPECT_EQ(sweep.code, 0);
-  EXPECT_NE(sweep.err.find("routing: "), std::string::npos) << sweep.err;
-  EXPECT_NE(sweep.err.find("topology groups"), std::string::npos) << sweep.err;
+  EXPECT_GE(counter(sweep.err, "routing.oracle_fills"), 0) << sweep.err;
+  EXPECT_EQ(counter(sweep.err, "batch.topo_groups"), 1) << sweep.err;
+
+  // cache stats reports the store, not a fresh process's zero counters.
+  auto stats = run({"cache", "stats", "--cache-dir", dir});
+  EXPECT_EQ(stats.code, 0);
+  EXPECT_NE(stats.out.find("entries: 2"), std::string::npos) << stats.out;
+  EXPECT_EQ(stats.out.find("oracle"), std::string::npos) << stats.out;
 }
 
 TEST(Cli, RobustnessFlagsAreValidated) {
@@ -508,6 +524,64 @@ TEST(Cli, ShardedSweepSplitsByCostAndMatchesSingleProcess) {
   }
   EXPECT_TRUE(uneven) << "4 cells in 4 shards of one cell each: split by "
                          "count, not by cost";
+}
+
+TEST(Cli, ShardedSweepReportsFleetCounters) {
+  const char* exe = std::getenv("HXMESH_EXE");
+  if (!exe || !*exe || !std::filesystem::exists(exe))
+    GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
+
+  // The work of a sharded sweep runs in its children; their manifests
+  // carry their counters home, so the orchestrator's line shows the same
+  // totals a single process would.
+  const std::string config =
+      std::string(HXMESH_SOURCE_DIR) + "/bench/baselines/chaos_grid.json";
+  const std::string dir = fresh_dir("cli_fleet_counters");
+  auto single = run({"sweep", "--config", config, "--threads", "1",
+                     "--cache-dir", dir + "/single"});
+  ASSERT_EQ(single.code, 0) << single.err;
+  auto sharded = run({"sweep", "--config", config, "--shards", "4",
+                      "--workers", "2", "--threads", "1", "--cache-dir",
+                      dir + "/sharded"});
+  ASSERT_EQ(sharded.code, 0) << sharded.err;
+  EXPECT_EQ(sharded.out, single.out);
+  EXPECT_EQ(counter(single.err, "batch.cells_executed"), 13) << single.err;
+  EXPECT_EQ(counter(sharded.err, "batch.cells_executed"), 13) << sharded.err;
+  EXPECT_GT(counter(sharded.err, "routing.oracle_fills"), 0) << sharded.err;
+  EXPECT_EQ(counter(sharded.err, "routing.bfs_fills"), 0) << sharded.err;
+}
+
+TEST(Cli, ShardedSweepReportsChildQuarantine) {
+  const char* exe = std::getenv("HXMESH_EXE");
+  if (!exe || !*exe || !std::filesystem::exists(exe))
+    GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
+
+  const std::string config =
+      std::string(HXMESH_SOURCE_DIR) + "/bench/baselines/chaos_grid.json";
+  const std::string cache_dir = fresh_dir("cli_child_quarantine") + "/cache";
+  const std::vector<std::string> args = {
+      "sweep",     "--config", config,      "--shards", "4",
+      "--threads", "1",        "--workers", "2",        "--cache-dir",
+      cache_dir};
+  auto cold = run(args);
+  ASSERT_EQ(cold.code, 0) << cold.err;
+
+  // Truncate one entry: the child whose block holds it quarantines it and
+  // recomputes, and the orchestrator must say so.
+  std::vector<std::string> entries;
+  for (const std::string& path : list_files(cache_dir))
+    if (path.size() > 5 && path.compare(path.size() - 5, 5, ".json") == 0)
+      entries.push_back(path);
+  ASSERT_FALSE(entries.empty());
+  const auto text = read_file(entries.front());
+  ASSERT_TRUE(text.has_value());
+  write_file_atomic(entries.front(), text->substr(0, text->size() / 2));
+
+  auto healed = run(args);
+  ASSERT_EQ(healed.code, 0) << healed.err;
+  EXPECT_EQ(healed.out, cold.out);
+  EXPECT_EQ(counter(healed.err, "cache.quarantined"), 1) << healed.err;
+  EXPECT_EQ(counter(healed.err, "batch.cells_executed"), 1) << healed.err;
 }
 
 // Sets HXMESH_CHAOS for one test; shard children inherit it through the
@@ -650,19 +724,19 @@ TEST(Cli, CacheStatsReportQuarantineAndSweepsReportIntegrity) {
                      "shift:1:msg=64KiB", "--threads", "1", "--cache-dir",
                      dir});
   ASSERT_EQ(healed.code, 0) << healed.err;
-  EXPECT_NE(healed.err.find("1 quarantined (this process)"),
-            std::string::npos)
-      << healed.err;
+  EXPECT_EQ(counter(healed.err, "cache.quarantined"), 1) << healed.err;
 
   auto stats = run({"cache", "stats", "--cache-dir", dir});
   EXPECT_EQ(stats.code, 0);
   EXPECT_NE(stats.out.find("quarantined: 1"), std::string::npos) << stats.out;
 
-  // A clean hit verifies the checksum and reports it.
+  // A clean hit verifies the checksum (every hit does) and reports it.
   auto warm = run({"run", "--topo", "hx2mesh:2x2", "--pattern",
                    "shift:1:msg=64KiB", "--threads", "1", "--cache-dir",
                    dir});
-  EXPECT_NE(warm.err.find("1 verified hits"), std::string::npos) << warm.err;
+  EXPECT_NE(warm.err.find("cache: 1 hits, 0 misses"), std::string::npos)
+      << warm.err;
+  EXPECT_EQ(counter(warm.err, "cache.quarantined"), 0) << warm.err;
 
   // clear() reclaims the quarantined evidence too.
   ASSERT_EQ(run({"cache", "clear", "--cache-dir", dir}).code, 0);
@@ -770,8 +844,8 @@ TEST(Cli, DistributedLoopbackSweepMatchesLocalRows) {
   EXPECT_NE(dist.err.find("host " + host + ":"), std::string::npos)
       << dist.err;
   EXPECT_NE(dist.err.find("+ 1 host(s)"), std::string::npos) << dist.err;
-  EXPECT_NE(dist.err.find("adopted"), std::string::npos) << dist.err;
-  EXPECT_EQ(dist.err.find("rejected 1"), std::string::npos) << dist.err;
+  EXPECT_GE(counter(dist.err, "wire.adopted"), 0) << dist.err;
+  EXPECT_EQ(counter(dist.err, "wire.rejected"), 0) << dist.err;
   // The daemon saw real jobs and exited on request.
   EXPECT_NE(daemon.log().find("serve: shard"), std::string::npos)
       << daemon.log();

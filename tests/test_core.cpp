@@ -1,10 +1,12 @@
 // Core utilities: units, RNG determinism/uniformity, statistics, tables,
 // the HyperX topology class added for the Table II reproduction, the
-// watchdog subprocess runner, and deterministic chaos injection.
+// watchdog subprocess runner, deterministic chaos injection, token
+// splitting, and the counter registry.
 #include <gtest/gtest.h>
 #include <sys/prctl.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -13,7 +15,10 @@
 #include <thread>
 
 #include "core/chaos.hpp"
+#include "core/counters.hpp"
 #include "core/fsio.hpp"
+#include "core/json_parse.hpp"
+#include "core/parse_num.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/subprocess.hpp"
@@ -467,6 +472,66 @@ TEST(Fsio, RenameFileMovesAcrossDirectoriesCreatingParents) {
 
   // Renaming something that is not there reports failure, not a throw.
   EXPECT_FALSE(rename_file(src, dst + ".2"));
+}
+
+// ------------------------------------------------------------- split -----
+TEST(Split, KeepsEmptyParts) {
+  using Parts = std::vector<std::string>;
+  EXPECT_EQ(split("", ':'), Parts{""});
+  EXPECT_EQ(split("a", ':'), Parts{"a"});
+  EXPECT_EQ(split("a::b", ':'), (Parts{"a", "", "b"}));
+  EXPECT_EQ(split("a,b,", ','), (Parts{"a", "b", ""}));
+  EXPECT_EQ(split(":", ':'), (Parts{"", ""}));
+}
+
+// ---------------------------------------------------------- counters -----
+TEST(Counters, SnapshotIsSortedAndSharesValuesByName) {
+  Counter zeta("test.zeta");
+  Counter alpha("test.alpha");
+  Counter alpha_too("test.alpha");
+  const counters::Map before = counters::snapshot();
+  alpha.add();
+  alpha_too.add(2);
+  zeta.add(5);
+  const counters::Map after = counters::snapshot();
+  EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
+  EXPECT_LT(std::distance(after.begin(), after.find("test.alpha")),
+            std::distance(after.begin(), after.find("test.zeta")));
+  EXPECT_EQ(after.at("test.alpha") - before.at("test.alpha"), 3u);
+  EXPECT_EQ(after.at("test.zeta") - before.at("test.zeta"), 5u);
+}
+
+TEST(Counters, DeltaAndFold) {
+  const counters::Map before = {{"a", 2}, {"b", 7}};
+  const counters::Map after = {{"a", 5}, {"b", 7}, {"c", 4}};
+  // Every name of `after`, a name new since `before` counting from 0.
+  EXPECT_EQ(counters::delta(before, after),
+            (counters::Map{{"a", 3}, {"b", 0}, {"c", 4}}));
+
+  // Folding adds into the registry and registers unknown names.
+  Counter known("test.fold_known");
+  known.add(10);
+  const counters::Map start = counters::snapshot();
+  EXPECT_EQ(start.count("test.fold_new"), 0u);
+  counters::fold({{"test.fold_known", 5}, {"test.fold_new", 3}});
+  const counters::Map moved = counters::delta(start, counters::snapshot());
+  EXPECT_EQ(moved.at("test.fold_known"), 5u);
+  EXPECT_EQ(moved.at("test.fold_new"), 3u);
+  known.add();
+  EXPECT_EQ(counters::snapshot().at("test.fold_known"),
+            start.at("test.fold_known") + 6);
+}
+
+TEST(Counters, JsonRoundTripRejectsNonIntegers) {
+  const counters::Map map = {{"batch.cells_executed", 13},
+                             {"wire.adopted", 0}};
+  EXPECT_EQ(counters::to_json(map),
+            "{\"batch.cells_executed\":13,\"wire.adopted\":0}");
+  EXPECT_EQ(counters::from_json(parse_json(counters::to_json(map))), map);
+  EXPECT_EQ(counters::to_json({}), "{}");
+  for (const char* bad : {"[]", "{\"a\":1.5}", "{\"a\":-1}", "{\"a\":null}"})
+    EXPECT_THROW(counters::from_json(parse_json(bad)), std::invalid_argument)
+        << bad;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <set>
 #include <thread>
 
+#include "core/counters.hpp"
 #include "core/thread_pool.hpp"
 #include "engine/harness.hpp"
 #include "engine/result_cache.hpp"
@@ -183,18 +184,18 @@ TEST(Harness, BatchedDuplicateSpecsBuildOnce) {
   b.patterns = {flow::parse_traffic("shift:3:msg=256KiB")};
   b.seeds = {1};
 
-  const engine::BatchCounters before = engine::batch_counters();
+  const counters::Map before = counters::snapshot();
   engine::ExperimentHarness harness(2);
   auto rows = harness.run_grids({{a, {}}, {b, {}}});
-  const engine::BatchCounters after = engine::batch_counters();
+  const counters::Map moved = counters::delta(before, counters::snapshot());
 
   // 3 (grid, topology) slots but 2 distinct specs: one build saved; the
   // duplicate's job also reuses the group's engine instance.
-  EXPECT_EQ(after.topo_groups - before.topo_groups, 2u);
-  EXPECT_EQ(after.topo_builds_saved - before.topo_builds_saved, 1u);
-  EXPECT_EQ(after.engine_groups - before.engine_groups, 2u);
-  EXPECT_EQ(after.engines_saved - before.engines_saved, 1u);
-  EXPECT_EQ(after.cells_executed - before.cells_executed, rows.size());
+  EXPECT_EQ(moved.at("batch.topo_groups"), 2u);
+  EXPECT_EQ(moved.at("batch.topo_builds_saved"), 1u);
+  EXPECT_EQ(moved.at("batch.engine_groups"), 2u);
+  EXPECT_EQ(moved.at("batch.engines_saved"), 1u);
+  EXPECT_EQ(moved.at("batch.cells_executed"), rows.size());
 
   auto rows_a = engine::ExperimentHarness(1).run_grid(a);
   auto rows_b = engine::ExperimentHarness(1).run_grid(b);

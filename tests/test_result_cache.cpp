@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "core/fsio.hpp"
 #include "engine/harness.hpp"
 #include "engine/result_cache.hpp"
@@ -222,7 +223,7 @@ TEST(ResultCache, TamperedEntryIsQuarantinedAndHealedByRecompute) {
   ASSERT_TRUE(text.has_value());
   EXPECT_NE(text->find("\"checksum\":\""), std::string::npos);
   ASSERT_TRUE(cache.load(key).has_value());
-  EXPECT_EQ(cache.verified_hits(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.quarantined(), 0u);
 
   // Flip one digit of the stored mean rate: still perfectly valid JSON of
@@ -246,7 +247,7 @@ TEST(ResultCache, TamperedEntryIsQuarantinedAndHealedByRecompute) {
   const auto healed = cache.load(key);
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(healed->rate_summary.mean, 2.5);
-  EXPECT_EQ(cache.verified_hits(), 2u);
+  EXPECT_EQ(cache.hits(), 2u);
 
   // clear() reclaims the quarantined blobs along with the entries.
   EXPECT_EQ(cache.clear(), 1u);
@@ -387,9 +388,11 @@ TEST(ResultCacheWire, BlobsRoundTripThroughAdoption) {
   EXPECT_EQ(source.read_blob("0000000000000000"), std::nullopt);
 
   ResultCache sink(fresh_dir("wire_sink"));
+  const counters::Map before = counters::snapshot();
   EXPECT_TRUE(sink.adopt_blob("feedfacefeedface", *blob));
-  EXPECT_EQ(sink.adopted_blobs(), 1u);
-  EXPECT_EQ(sink.rejected_blobs(), 0u);
+  const counters::Map moved = counters::delta(before, counters::snapshot());
+  EXPECT_EQ(moved.at("wire.adopted"), 1u);
+  EXPECT_EQ(moved.at("wire.rejected"), 0u);
   const auto loaded = sink.load("feedfacefeedface");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->completion_s, result.completion_s);
@@ -410,9 +413,8 @@ TEST(ResultCacheWire, CorruptBlobsAreRejectedAtTheDoor) {
   blob[pos + 1] = 'x';
 
   ResultCache sink(fresh_dir("wire_corrupt_sink"));
+  const counters::Map before = counters::snapshot();
   EXPECT_FALSE(sink.adopt_blob("feedfacefeedface", blob));
-  EXPECT_EQ(sink.rejected_blobs(), 1u);
-  EXPECT_EQ(sink.adopted_blobs(), 0u);
   // Nothing was written: the corrupt bytes can never be replayed.
   EXPECT_EQ(sink.load("feedfacefeedface"), std::nullopt);
   EXPECT_EQ(sink.read_blob("feedfacefeedface"), std::nullopt);
@@ -423,8 +425,9 @@ TEST(ResultCacheWire, CorruptBlobsAreRejectedAtTheDoor) {
   const std::string good = *source.read_blob("feedfacefeedface");
   EXPECT_FALSE(
       sink.adopt_blob("feedfacefeedface", good.substr(0, good.size() / 2)));
-  EXPECT_EQ(sink.rejected_blobs(), 4u);
-  EXPECT_EQ(sink.adopted_blobs(), 0u);
+  const counters::Map moved = counters::delta(before, counters::snapshot());
+  EXPECT_EQ(moved.at("wire.rejected"), 4u);
+  EXPECT_EQ(moved.at("wire.adopted"), 0u);
   EXPECT_EQ(sink.read_blob("feedfacefeedface"), std::nullopt);
 }
 

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
 #include "topo/hammingmesh.hpp"
@@ -221,15 +222,17 @@ TEST(RoutingOracle, BfsFallbackMatchesClosedFormOracle) {
 // process-wide counters, and closed-form topologies must not add BFS
 // fills through the dist_field hot path.
 TEST(RoutingOracle, CountersObserveFillsAndCacheHits) {
-  const RoutingCounters before = routing_counters();
+  const counters::Map before = counters::snapshot();
   HammingMesh hx({.a = 2, .b = 2, .x = 3, .y = 3});
   const NodeId goal = hx.endpoint_node(5);
   hx.dist_field(goal);  // miss: one closed-form fill
   hx.dist_field(goal);  // hit
-  const RoutingCounters after = routing_counters();
-  EXPECT_GE(after.oracle_fills, before.oracle_fills + 1);
-  EXPECT_GE(after.dist_cache_hits, before.dist_cache_hits + 1);
-  EXPECT_EQ(after.bfs_fills, before.bfs_fills);
+  const counters::Map after = counters::snapshot();
+  EXPECT_GE(after.at("routing.oracle_fills"),
+            before.at("routing.oracle_fills") + 1);
+  EXPECT_GE(after.at("routing.dist_cache_hits"),
+            before.at("routing.dist_cache_hits") + 1);
+  EXPECT_EQ(after.at("routing.bfs_fills"), before.at("routing.bfs_fills"));
 }
 
 // ---------------------------------------------------- degraded fabrics --

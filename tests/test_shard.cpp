@@ -182,6 +182,8 @@ TEST(ShardExecution, PartiallyWarmShardRecomputesOnlyUnsoundCells) {
   warm = engine::run_shard(harness, plan, 0, 2, cache);
   EXPECT_EQ(warm.computed, 2u);
   EXPECT_EQ(warm.hits, 7u);
+  // The manifest carries the registry delta of exactly this run.
+  EXPECT_EQ(warm.counters.at("batch.cells_executed"), 2u);
 
   // The repaired block merges byte-identically to a single-process run.
   std::vector<ShardManifest> manifests = {
@@ -201,6 +203,9 @@ TEST(ShardManifestTest, RendersAndParsesRoundTrip) {
   manifest.hits = 1;
   manifest.computed = 1;
   manifest.keys = {"0123456789abcdef", "fedcba9876543210"};
+  manifest.counters = {{"batch.cells_executed", 1},
+                       {"routing.oracle_fills", 12},
+                       {"wire.rejected", 0}};
 
   const ShardManifest parsed =
       engine::parse_manifest(engine::render_manifest(manifest));
@@ -212,6 +217,7 @@ TEST(ShardManifestTest, RendersAndParsesRoundTrip) {
   EXPECT_EQ(parsed.hits, manifest.hits);
   EXPECT_EQ(parsed.computed, manifest.computed);
   EXPECT_EQ(parsed.keys, manifest.keys);
+  EXPECT_EQ(parsed.counters, manifest.counters);
 
   EXPECT_THROW(engine::parse_manifest("[]"), std::invalid_argument);
   EXPECT_THROW(engine::parse_manifest("{\"schema\":99}"),
@@ -220,6 +226,35 @@ TEST(ShardManifestTest, RendersAndParsesRoundTrip) {
   manifest.keys.pop_back();
   EXPECT_THROW(engine::parse_manifest(engine::render_manifest(manifest)),
                std::invalid_argument);
+}
+
+TEST(ShardManifestTest, RejectsSchemaOneAndBadCounters) {
+  ShardManifest manifest;
+  manifest.fingerprint = "00ff00ff00ff00ff";
+  manifest.cell_hi = 1;
+  manifest.keys = {"0123456789abcdef"};
+  const std::string text = engine::render_manifest(manifest);
+  ASSERT_NO_THROW(engine::parse_manifest(text));
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string edited = text;
+    const std::size_t at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return edited.replace(at, from.size(), to);
+  };
+
+  // A schema-1 manifest (no counters) comes from a stale child.
+  EXPECT_THROW(engine::parse_manifest(with("\"schema\":2", "\"schema\":1")),
+               std::invalid_argument);
+  EXPECT_THROW(engine::parse_manifest(with(",\"counters\":{}", "")),
+               std::invalid_argument);
+  // Counters are non-negative integers in an object.
+  for (const char* bad : {"{\"a\":1.5}", "{\"a\":-1}", "{\"a\":\"1\"}",
+                          "[1]"})
+    EXPECT_THROW(
+        engine::parse_manifest(with("\"counters\":{}",
+                                    std::string("\"counters\":") + bad)),
+        std::invalid_argument)
+        << bad;
 }
 
 TEST(ShardMerge, RejectsIncompleteOrForeignManifests) {
@@ -386,6 +421,32 @@ TEST(RetryBackoff, DeterministicBoundedAndGrowing) {
   // Zero base disables the delay entirely.
   other.backoff_base_s = 0.0;
   EXPECT_EQ(engine::retry_backoff_s(other, 0, 3), 0.0);
+}
+
+// Exact values of both backoffs, recorded before they shared one jitter
+// body: the shared helper must reproduce them bit for bit.
+TEST(JitteredBackoff, ExactValuesArePinned) {
+  engine::RetryPolicy retry;
+  retry.backoff_base_s = 0.25;
+  retry.backoff_max_s = 2.0;
+  retry.seed = 42;
+  EXPECT_EQ(engine::retry_backoff_s(retry, 0, 1), 0x1.846ef6ab6c332p-3);
+  EXPECT_EQ(engine::retry_backoff_s(retry, 0, 2), 0x1.3eadf0c42a04p-2);
+  EXPECT_EQ(engine::retry_backoff_s(retry, 0, 5), 0x1.36c5a93519c76p+0);
+  EXPECT_EQ(engine::retry_backoff_s(retry, 3, 1), 0x1.8761dfb45bb62p-3);
+  EXPECT_EQ(engine::retry_backoff_s(retry, 3, 2), 0x1.1acc3311f0512p-2);
+  EXPECT_EQ(engine::retry_backoff_s(retry, 3, 5), 0x1.39b8923e094a6p+0);
+
+  engine::HostPolicy host;
+  host.reconnect_base_s = 0.1;
+  host.reconnect_max_s = 1.0;
+  host.seed = 42;
+  EXPECT_EQ(engine::reconnect_backoff_s(host, 0, 1), 0x1.ed3af69d97305p-5);
+  EXPECT_EQ(engine::reconnect_backoff_s(host, 0, 2), 0x1.4d7b9f03ee4f7p-3);
+  EXPECT_EQ(engine::reconnect_backoff_s(host, 0, 6), 0x1.ee83d43b3c4fp-1);
+  EXPECT_EQ(engine::reconnect_backoff_s(host, 2, 1), 0x1.924924beea5e2p-4);
+  EXPECT_EQ(engine::reconnect_backoff_s(host, 2, 2), 0x1.5a7b866c4f054p-3);
+  EXPECT_EQ(engine::reconnect_backoff_s(host, 2, 6), 0x1.fec3b57db5324p-1);
 }
 
 TEST(ShardPartition, CoversExactlyAndBalancesCost) {
