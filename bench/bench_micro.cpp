@@ -1,6 +1,7 @@
-// google-benchmark microbenchmarks of the core engines: event queue,
-// packet engine, flow engine, routing/BFS, allocator, the
-// Hamiltonian-ring construction, and a full harness grid.
+// google-benchmark microbenchmarks of the core engines: event queue
+// (steady hold model and same-time bursts), packet engine, flow engine,
+// routing/BFS, allocator, the Hamiltonian-ring construction, and a full
+// harness grid.
 #include <benchmark/benchmark.h>
 
 #include "alloc/experiments.hpp"
@@ -42,6 +43,35 @@ static void BM_EventQueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPops);
 }
 BENCHMARK(BM_EventQueue);
+
+static void BM_EventQueueTies(benchmark::State& state) {
+  // Synchronized-step hold model — the collectives' access pattern: 1024
+  // ranks finish a ring step at the same picosecond, each step event
+  // schedules a zero-delay receive, and each receive schedules its rank's
+  // next step one fixed delay later. Every step is a burst of 2048
+  // same-time events in one calendar bucket.
+  constexpr std::uint32_t kRanks = 1024;
+  constexpr std::uint64_t kPops = 100000;
+  constexpr picoseconds kStep = 4096;
+  for (auto _ : state) {
+    sim::EventQueue q;
+    for (std::uint32_t i = 0; i < kRanks; ++i)
+      q.schedule(0, sim::EventKind::kUserCallback, i, /*b=step*/ 1);
+    std::uint64_t pops = 0, sum = 0;
+    while (!q.empty()) {
+      sim::Event e = q.pop();
+      sum += e.a;
+      if (++pops >= kPops) continue;
+      if (e.b == 1)
+        q.schedule_in(0, sim::EventKind::kUserCallback, e.a, 0);
+      else
+        q.schedule_in(kStep, sim::EventKind::kUserCallback, e.a, 1);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kPops);
+}
+BENCHMARK(BM_EventQueueTies);
 
 static void BM_PacketEnginePermutation(benchmark::State& state) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 4, .y = 4});

@@ -12,6 +12,9 @@ using sim::MiniMpi;
 
 int mod(int a, int m) { return ((a % m) + m) % m; }
 
+// Value of every float `rank` sends in run_alltoall.
+float alltoall_fill(int rank) { return static_cast<float>(rank + 1); }
+
 // Pipelined ring phase over one element range [lo, hi) of the data buffers.
 // Every ring position must be activate()d exactly once — immediately for a
 // standalone collective, or when the rank finishes its previous phase in a
@@ -81,9 +84,10 @@ class RingOp : public std::enable_shared_from_this<RingOp> {
     return lo_ + (hi_ - lo_) * static_cast<std::size_t>(c) / p_;
   }
   std::size_t chunk_end(int c) const { return chunk_begin(c + 1); }
-  std::vector<float> chunk_copy(int rank, int c) const {
+  MiniMpi::SharedPayload chunk_copy(int rank, int c) const {
     const auto& v = (*data_)[rank];
-    return {v.begin() + chunk_begin(c), v.begin() + chunk_end(c)};
+    return std::make_shared<const std::vector<float>>(
+        v.begin() + chunk_begin(c), v.begin() + chunk_end(c));
   }
 
   bool do_reduce() const { return kind_ != Kind::kAllGather; }
@@ -101,12 +105,12 @@ class RingOp : public std::enable_shared_from_this<RingOp> {
     int prev = mod(pos - 1, p_);
     auto self = shared_from_this();
     mpi_->recv(ring_[pos], ring_[prev], tag_base_ + round,
-               [self, pos, round](std::vector<float> payload) {
-                 self->on_reduce_recv(pos, round, std::move(payload));
+               [self, pos, round](const std::vector<float>& payload) {
+                 self->on_reduce_recv(pos, round, payload);
                });
   }
 
-  void on_reduce_recv(int pos, int round, std::vector<float> payload) {
+  void on_reduce_recv(int pos, int round, const std::vector<float>& payload) {
     int c = mod(pos - round - 1, p_);
     auto& v = (*data_)[ring_[pos]];
     std::size_t b = chunk_begin(c);
@@ -129,12 +133,12 @@ class RingOp : public std::enable_shared_from_this<RingOp> {
     int prev = mod(pos - 1, p_);
     auto self = shared_from_this();
     mpi_->recv(ring_[pos], ring_[prev], gather_tag(g),
-               [self, pos, g](std::vector<float> payload) {
-                 self->on_gather_recv(pos, g, std::move(payload));
+               [self, pos, g](const std::vector<float>& payload) {
+                 self->on_gather_recv(pos, g, payload);
                });
   }
 
-  void on_gather_recv(int pos, int g, std::vector<float> payload) {
+  void on_gather_recv(int pos, int g, const std::vector<float>& payload) {
     int c = mod(pos - g, p_);
     auto& v = (*data_)[ring_[pos]];
     std::size_t b = chunk_begin(c);
@@ -244,15 +248,32 @@ picoseconds run_allreduce_torus2d(sim::MiniMpi& mpi,
 }
 
 picoseconds run_alltoall(sim::MiniMpi& mpi, const std::vector<int>& ranks,
-                         int elems_per_pair) {
+                         int elems_per_pair, bool* blocks_ok) {
   const int p = static_cast<int>(ranks.size());
-  for (int j = 0; j < p; ++j)
+  // Shared with the handlers: a receive that never matched stays posted
+  // in `mpi` after this call returns.
+  auto ok = std::make_shared<bool>(true);
+  for (int j = 0; j < p; ++j) {
+    // One block per sender, shared by the messages to all its peers.
+    const auto block = std::make_shared<const std::vector<float>>(
+        elems_per_pair, alltoall_fill(ranks[j]));
     for (int r = 1; r < p; ++r) {
-      mpi.send(ranks[j], ranks[(j + r) % p], r,
-               std::vector<float>(elems_per_pair, 1.0f));
-      mpi.recv(ranks[j], ranks[mod(j - r, p)], r, [](std::vector<float>) {});
+      mpi.send(ranks[j], ranks[(j + r) % p], r, block);
+      const int from = ranks[mod(j - r, p)];
+      mpi.recv(ranks[j], from, r,
+               [ok, from, elems_per_pair](const std::vector<float>& got) {
+                 const float want = alltoall_fill(from);
+                 // A branch-free count (no early exit) vectorizes.
+                 std::size_t wrong = 0;
+                 for (float v : got) wrong += v != want;
+                 *ok = *ok && wrong == 0 &&
+                       got.size() == static_cast<std::size_t>(elems_per_pair);
+               });
     }
-  return mpi.run();
+  }
+  const picoseconds end = mpi.run();
+  if (blocks_ok) *blocks_ok = *ok;
+  return end;
 }
 
 }  // namespace hxmesh::collectives

@@ -46,7 +46,11 @@ picoseconds run_allreduce_torus2d(sim::MiniMpi& mpi,
 
 /// Balanced-shift alltoall among `ranks`: in round r, ranks[j] sends
 /// `elems_per_pair` floats to ranks[(j+r) % n]. Returns completion time.
+/// Each rank sends one block, shared by all its messages, whose floats all
+/// equal rank + 1; each receiver checks its blocks against that value, and
+/// `blocks_ok`, when given, is set to whether every block received held
+/// its sender's value.
 picoseconds run_alltoall(sim::MiniMpi& mpi, const std::vector<int>& ranks,
-                         int elems_per_pair);
+                         int elems_per_pair, bool* blocks_ok = nullptr);
 
 }  // namespace hxmesh::collectives

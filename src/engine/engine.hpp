@@ -48,8 +48,8 @@ struct RunResult {
   /// kAllreduce: achieved bandwidth S/T as a fraction of the optimum
   /// (injection/2) — the "% of peak" metric of Table II and Figs. 13/17.
   double fraction_of_peak = 0.0;
-  /// Packet engine: all messages delivered and (for kAllreduce) the float
-  /// payload sums verified. Flow engine: always true.
+  /// Packet engine: all messages delivered and (for kAllreduce and
+  /// kAlltoall) the float payloads verified. Flow engine: always true.
   bool numerics_ok = true;
 };
 

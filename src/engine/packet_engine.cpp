@@ -119,10 +119,11 @@ RunResult PacketEngine::run_alltoall(const flow::TrafficSpec& spec) {
   std::vector<int> ranks(n);
   std::iota(ranks.begin(), ranks.end(), 0);
   mpi.sim().prebuild_routes(ranks);  // every rank receives in an alltoall
-  picoseconds t = collectives::run_alltoall(mpi, ranks, elems);
+  bool blocks_ok = false;
+  picoseconds t = collectives::run_alltoall(mpi, ranks, elems, &blocks_ok);
   RunResult result;
   result.completion_s = ps_to_s(t);
-  result.numerics_ok = mpi.sim().unfinished_messages() == 0;
+  result.numerics_ok = mpi.sim().unfinished_messages() == 0 && blocks_ok;
   double sent_per_rank =
       static_cast<double>(n - 1) * elems * sizeof(float);
   if (result.completion_s > 0) {

@@ -10,13 +10,20 @@
 //
 // The structure is a calendar queue (Brown 1988): a power-of-two array of
 // time buckets of power-of-two width, so schedule() is O(1) (shift, mask,
-// append) and pop() scans one short bucket instead of sifting a binary
-// heap — the classic O(1) discrete-event core, 2-4x faster than a heap at
-// simulator event counts. Events beyond the current calendar year wait in
+// append) and pop() takes the next entry of one bucket. Pops drain the
+// current bucket in sorted (time, seq) order from a head index: the
+// bucket is sorted once when pop() reaches it, and later pushes into it
+// insert from the back. Sorting matters because the simulator schedules
+// bursts of events at one picosecond (synchronized ring steps,
+// zero-delay receives): a burst shares one bucket whatever its width, and
+// rescanning that bucket for its minimum on every pop made a burst
+// quadratic. A burst arrives in seq order, so the sort finds it already
+// sorted, and a same-time push carries the largest seq yet, so it appends
+// without moving anything. Events beyond the current calendar year wait in
 // an overflow list and are migrated when the year advances; bucket count
 // and width adapt to the pending-event density on amortized-O(1)
 // rebuilds. Pop order is exactly ascending (time, seq) — the same total
-// order a heap yields — because the popped bucket's minimum is the global
+// order a heap yields — because the current bucket's head is the global
 // minimum: earlier buckets are empty, later buckets hold strictly later
 // times, and overflow events lie beyond the year boundary.
 #pragma once
@@ -92,17 +99,22 @@ class EventQueue {
         // slots per cache line instead of one vector header each.
         if (occupancy_[cur_] == 0) {
           ++cur_;
+          cur_sorted_ = false;
           continue;
         }
+        // Every entry of this bucket precedes every other pending event,
+        // so once sorted its head is the global minimum.
         std::vector<Event>& b = buckets_[cur_];
-        // All entries of this bucket precede every other pending event,
-        // so its (time, seq) minimum is the global minimum.
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < b.size(); ++i)
-          if (b[i] < b[best]) best = i;
-        Event e = b[best];
-        b[best] = b.back();
-        b.pop_back();
+        if (!cur_sorted_) {
+          if (!std::is_sorted(b.begin(), b.end()))
+            std::sort(b.begin(), b.end());
+          cur_sorted_ = true;
+        }
+        const Event e = b[head_++];
+        if (head_ == b.size()) {
+          b.clear();
+          head_ = 0;
+        }
         --occupancy_[cur_];
         --size_;
         now_ = e.time;
@@ -116,6 +128,7 @@ class EventQueue {
       // events that now fall inside the year.
       year_start_ += year_;
       cur_ = 0;
+      cur_sorted_ = false;
       if (size_ == far_.size()) {
         assert(!far_.empty() && "pop: pending events lost");
         picoseconds mn = far_.front().time;
@@ -147,7 +160,16 @@ class EventQueue {
       far_.push_back(e);
     } else {
       const std::size_t slot = slot_of(e.time);
-      buckets_[slot].push_back(e);
+      std::vector<Event>& b = buckets_[slot];
+      b.push_back(e);
+      if (slot == cur_ && cur_sorted_) {
+        // Insertion step from the back. `e` has the largest seq yet, so
+        // it goes after every entry of equal time, and it never passes
+        // an already popped entry (none is later than now).
+        std::size_t i = b.size() - 1;
+        for (; i > 0 && b[i - 1].time > e.time; --i) b[i] = b[i - 1];
+        b[i] = e;
+      }
       ++occupancy_[slot];
     }
     ++size_;
@@ -162,10 +184,16 @@ class EventQueue {
   void rebuild(std::size_t nbuckets, picoseconds time_hint = 0) {
     scratch_.clear();
     scratch_.reserve(size_);
-    for (std::vector<Event>& b : buckets_) {
-      scratch_.insert(scratch_.end(), b.begin(), b.end());
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      std::vector<Event>& b = buckets_[i];
+      // Only the current bucket has popped entries.
+      const std::size_t first = i == cur_ ? head_ : 0;
+      scratch_.insert(scratch_.end(),
+                      b.begin() + static_cast<std::ptrdiff_t>(first), b.end());
       b.clear();
     }
+    head_ = 0;
+    cur_sorted_ = false;
     scratch_.insert(scratch_.end(), far_.begin(), far_.end());
     far_.clear();
 
@@ -235,6 +263,8 @@ class EventQueue {
   int width_log2_ = 0;          // log2 of bucket width in picoseconds
   std::uint64_t year_ = 0;      // bucket count * width
   std::size_t cur_ = 0;         // current in-year slot
+  std::size_t head_ = 0;        // first unpopped entry of bucket cur_
+  bool cur_sorted_ = false;     // bucket cur_ is sorted
   picoseconds year_start_ = 0;  // multiple of year_
   picoseconds now_ = 0;
   std::uint64_t seq_ = 0;

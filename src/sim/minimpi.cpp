@@ -1,46 +1,52 @@
 #include "sim/minimpi.hpp"
 
-#include <memory>
-
 namespace hxmesh::sim {
 
-void MiniMpi::send(int src, int dst, int tag, Payload data) {
-  auto bytes = static_cast<std::uint64_t>(data.size()) * sizeof(float);
+void MiniMpi::send(int src, int dst, int tag, SharedPayload data) {
+  auto bytes = static_cast<std::uint64_t>(data->size()) * sizeof(float);
   // The payload rides along with the message and is handed to the receiver
   // when the final packet arrives.
-  auto holder = std::make_shared<Payload>(std::move(data));
-  sim_.send_message(src, dst, bytes, [this, src, dst, tag, holder]() mutable {
-    deliver(dst, src, tag, std::move(*holder));
-  });
+  sim_.send_message(src, dst, bytes,
+                    [this, src, dst, tag, data = std::move(data)]() mutable {
+                      deliver(dst, src, tag, std::move(data));
+                    });
 }
+
+namespace {
+
+// The oldest entry of `map` under `key`, or end().
+template <class Map>
+typename Map::iterator oldest(Map& map, const typename Map::key_type& key) {
+  const auto it = map.lower_bound(key);
+  return it != map.end() && it->first == key ? it : map.end();
+}
+
+}  // namespace
 
 void MiniMpi::recv(int rank, int src, int tag, RecvHandler handler) {
-  Key key{rank, src, tag};
-  auto it = unexpected_.find(key);
-  if (it != unexpected_.end() && !it->second.empty()) {
-    Payload data = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) unexpected_.erase(it);
+  const Key key{rank, src, tag};
+  const auto it = oldest(unexpected_, key);
+  if (it != unexpected_.end()) {
+    SharedPayload data = std::move(it->second);
+    unexpected_.erase(it);
     // Fire "now" but from a fresh event, keeping callback discipline.
-    auto holder = std::make_shared<Payload>(std::move(data));
-    auto h = std::make_shared<RecvHandler>(std::move(handler));
-    sim_.schedule_in(0, [holder, h]() mutable { (*h)(std::move(*holder)); });
+    sim_.schedule_in(0, [data = std::move(data),
+                         handler = std::move(handler)] { handler(*data); });
     return;
   }
-  pending_[key].push_back(std::move(handler));
+  pending_.emplace(key, std::move(handler));
 }
 
-void MiniMpi::deliver(int rank, int src, int tag, Payload data) {
-  Key key{rank, src, tag};
-  auto it = pending_.find(key);
-  if (it != pending_.end() && !it->second.empty()) {
-    RecvHandler handler = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) pending_.erase(it);
-    handler(std::move(data));
+void MiniMpi::deliver(int rank, int src, int tag, SharedPayload data) {
+  const Key key{rank, src, tag};
+  const auto it = oldest(pending_, key);
+  if (it != pending_.end()) {
+    const RecvHandler handler = std::move(it->second);
+    pending_.erase(it);
+    handler(*data);
     return;
   }
-  unexpected_[key].push_back(std::move(data));
+  unexpected_.emplace(key, std::move(data));
 }
 
 }  // namespace hxmesh::sim

@@ -1,7 +1,9 @@
 #include "sim/packet_sim.hpp"
 
+#include <bit>
 #include <cassert>
 
+#include "core/counters.hpp"
 #include "core/thread_pool.hpp"
 #include "topo/routing_oracle.hpp"
 
@@ -14,6 +16,10 @@ namespace {
 // Fixed substream of the intermediate-endpoint draws, disjoint from the
 // per-flow path-sampling substreams that share the sweep seed.
 constexpr std::uint64_t kViaStream = 0x71a0'57ed;
+
+// Packet work, bumped once per run() rather than per event.
+Counter g_events("sim.events");
+Counter g_packet_hops("sim.packet_hops");
 }  // namespace
 
 PacketSim::PacketSim(const topo::Topology& topology, PacketSimConfig config)
@@ -40,9 +46,19 @@ PacketSim::PacketSim(const topo::Topology& topology, PacketSimConfig config)
   input_.resize(g.num_links() * total_vcs_);
   rr_.assign(g.num_nodes(), 0);
   in_links_.resize(g.num_nodes());
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    in_links_[g.link(static_cast<LinkId>(l)).dst].push_back(
-        static_cast<LinkId>(l));
+  in_slot_.resize(g.num_links());
+  for (std::size_t l = 0; l < g.num_links(); ++l) {
+    std::vector<LinkId>& ins = in_links_[g.link(static_cast<LinkId>(l)).dst];
+    in_slot_[l] = static_cast<std::uint32_t>(ins.size()) * total_vcs_;
+    ins.push_back(static_cast<LinkId>(l));
+  }
+  ready_offset_.resize(g.num_nodes() + 1, 0);
+  for (std::size_t n = 0; n < g.num_nodes(); ++n) {
+    const std::size_t slots = in_links_[n].size() * total_vcs_;
+    ready_offset_[n + 1] =
+        ready_offset_[n] + static_cast<std::uint32_t>((slots + 63) / 64);
+  }
+  ready_.assign(ready_offset_.back(), 0);
   inject_queue_.resize(topology_.num_endpoints());
 }
 
@@ -312,6 +328,8 @@ void PacketSim::on_packet_arrive(std::uint32_t packet_id, LinkId link) {
   }
   input_[static_cast<std::size_t>(link) * total_vcs_ + pkt.vc]
       .queue.push_back(packet_id);
+  const std::uint32_t slot = in_slot_[link] + pkt.vc;
+  ready_[ready_offset_[lnk.dst] + slot / 64] |= std::uint64_t{1} << slot % 64;
   try_forward(lnk.dst);
 }
 
@@ -327,14 +345,15 @@ void PacketSim::try_forward(NodeId node) {
   if (ins.empty()) return;
   const std::uint32_t slots =
       static_cast<std::uint32_t>(ins.size()) * total_vcs_;
-  std::uint32_t start = rr_[node] % slots;
-  for (std::uint32_t off = 0; off < slots; ++off) {
-    std::uint32_t slot = (start + off) % slots;
+  std::uint64_t* ready = ready_.data() + ready_offset_[node];
+
+  // Serves the head of (in-link, VC) slot `slot` if some minimal next hop
+  // is free and has credit for it.
+  auto serve = [&](std::uint32_t slot) {
     LinkId in_link = ins[slot / total_vcs_];
     int in_vc = static_cast<int>(slot % total_vcs_);
     auto& buf =
         input_[static_cast<std::size_t>(in_link) * total_vcs_ + in_vc];
-    if (buf.queue.empty()) continue;
     std::uint32_t pid = buf.queue.front();
     Packet& p = packets_[pid];
     const RouteTable& rt = route_to(
@@ -353,9 +372,10 @@ void PacketSim::try_forward(NodeId node) {
         best_credit = credits(l, vc);
       }
     }
-    if (best == topo::kInvalidLink) continue;  // head blocked on this buffer
+    if (best == topo::kInvalidLink) return;  // head blocked on this buffer
 
     buf.queue.pop_front();
+    if (buf.queue.empty()) ready[slot / 64] &= ~(std::uint64_t{1} << slot % 64);
     rr_[node] = slot + 1;  // fairness: resume after the serviced buffer
     // Return the input-buffer credit to the upstream sender.
     const topo::Link& in = topology_.graph().link(in_link);
@@ -363,10 +383,28 @@ void PacketSim::try_forward(NodeId node) {
                         static_cast<std::uint32_t>(in_vc), p.bytes);
     p.vc = static_cast<std::uint8_t>(best_vc);
     start_transmission(pid, best);
-  }
+  };
+  // Visits the non-empty slots of [lo, hi) in ascending order. Only
+  // served slots can drain, and each is visited once, so iterating over
+  // a copy of each mask word sees exactly the slots a full sweep would.
+  auto serve_range = [&](std::uint32_t lo, std::uint32_t hi) {
+    for (std::uint32_t w = lo / 64; w * 64 < hi; ++w) {
+      std::uint64_t bits = ready[w];
+      if (w == lo / 64) bits &= ~std::uint64_t{0} << (lo % 64);
+      if (hi - w * 64 < 64) bits &= (std::uint64_t{1} << (hi - w * 64)) - 1;
+      for (; bits != 0; bits &= bits - 1)
+        serve(w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+    }
+  };
+  // Round-robin: one pass over the slots, starting at the cursor.
+  const std::uint32_t start = rr_[node] % slots;
+  serve_range(start, slots);
+  serve_range(0, start);
 }
 
 picoseconds PacketSim::run() {
+  const std::uint64_t events_before = events_.events_processed();
+  const std::uint64_t hops_before = stats_.packet_hops;
   while (!events_.empty()) {
     const Event e = events_.pop();
     switch (e.kind) {
@@ -385,6 +423,8 @@ picoseconds PacketSim::run() {
         break;
     }
   }
+  g_events.add(events_.events_processed() - events_before);
+  g_packet_hops.add(stats_.packet_hops - hops_before);
   return events_.now();
 }
 

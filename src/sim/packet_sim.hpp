@@ -14,15 +14,17 @@
 // Hot-path design: the event queue carries typed tagged-union events
 // (nothing heap-allocates per packet), routing decisions walk precomputed
 // per-destination next-hop candidate tables instead of filtering all
-// out-links through a distance field, and the per-link VC escalation rule
-// is a flat bool array. All of it is observationally identical to the
-// straightforward implementation — same event order, same tie-breaks,
-// same delivered-byte sequence — only faster.
+// out-links through a distance field, the per-link VC escalation rule
+// is a flat bool array, and arbitration visits only the input buffers a
+// per-node occupancy bitmask marks non-empty. All of it is observationally
+// identical to the straightforward implementation — same event order,
+// same tie-breaks, same delivered-byte sequence — only faster.
 //
 // Messages are sequences of packets; the caller gets a callback when the
 // last byte of a message arrives. Payload bytes are not simulated — timing
-// is bandwidth/latency-accurate, contents travel with the message object
-// (see MiniMpi).
+// is bandwidth/latency-accurate, and the completion callback owns whatever
+// the message carries (MiniMpi captures a shared, immutable payload in it,
+// so one buffer can ride many messages).
 #pragma once
 
 #include <cstdint>
@@ -207,8 +209,16 @@ class PacketSim {
   std::vector<InputBuffer> input_;
   // Per-node round-robin cursor over (in-link, vc) pairs.
   std::vector<std::uint32_t> rr_;
-  // In-links per node (cached from the graph).
+  // In-links per node (cached from the graph). A node's arbitration slot
+  // of (in-link i, vc) is i * total_vcs_ + vc.
   std::vector<std::vector<topo::LinkId>> in_links_;
+  // Per link: arbitration slot of its VC 0 at the link's downstream node.
+  std::vector<std::uint32_t> in_slot_;
+  // Per node: bitmask of the slots whose input buffer holds a packet, so
+  // arbitration visits occupied buffers only. A node's words start at
+  // ready_[ready_offset_[node]]; a switch can have more than 64 slots.
+  std::vector<std::uint64_t> ready_;
+  std::vector<std::uint32_t> ready_offset_;
   // Injection queues: per endpoint, messages waiting to emit packets.
   std::vector<std::deque<std::uint32_t>> inject_queue_;
   int unfinished_ = 0;

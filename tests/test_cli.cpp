@@ -549,6 +549,10 @@ TEST(Cli, ShardedSweepReportsFleetCounters) {
   EXPECT_EQ(counter(sharded.err, "batch.cells_executed"), 13) << sharded.err;
   EXPECT_GT(counter(sharded.err, "routing.oracle_fills"), 0) << sharded.err;
   EXPECT_EQ(counter(sharded.err, "routing.bfs_fills"), 0) << sharded.err;
+  // The grid's packet cell runs in one child; its packet work comes home.
+  EXPECT_GT(counter(single.err, "sim.packet_hops"), 0) << single.err;
+  for (const char* name : {"sim.events", "sim.packet_hops"})
+    EXPECT_EQ(counter(sharded.err, name), counter(single.err, name)) << name;
 }
 
 TEST(Cli, ShardedSweepReportsChildQuarantine) {

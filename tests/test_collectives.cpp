@@ -3,6 +3,7 @@
 // packet simulator, and sanity of the alpha-beta models.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <set>
 
@@ -255,9 +256,30 @@ TEST(RuntimeCollectives, AlltoallCompletes) {
   sim::MiniMpi mpi(hx);
   std::vector<int> ranks(hx.num_endpoints());
   std::iota(ranks.begin(), ranks.end(), 0);
-  picoseconds t = run_alltoall(mpi, ranks, 512);
+  bool blocks_ok = false;
+  picoseconds t = run_alltoall(mpi, ranks, 512, &blocks_ok);
   EXPECT_GT(t, 0u);
   EXPECT_EQ(mpi.sim().unfinished_messages(), 0);
+  EXPECT_TRUE(blocks_ok);
+}
+
+// A block that does not hold its sender's value fails the verdict even
+// though every message is delivered: rank 1's first receive from rank 0
+// matches a corrupted message that arrived before the alltoall started.
+TEST(RuntimeCollectives, AlltoallCorruptedBlockFailsVerdict) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
+  sim::MiniMpi mpi(hx);
+  std::vector<int> ranks(hx.num_endpoints());
+  std::iota(ranks.begin(), ranks.end(), 0);
+  std::vector<float> corrupt(512, 1.0f);  // rank 0 sends 1.0f ...
+  corrupt[100] = 7.0f;                     // ... except here
+  mpi.send(0, 1, /*tag=*/1,
+           std::make_shared<const std::vector<float>>(std::move(corrupt)));
+  mpi.run();
+  bool blocks_ok = true;
+  run_alltoall(mpi, ranks, 512, &blocks_ok);
+  EXPECT_EQ(mpi.sim().unfinished_messages(), 0);
+  EXPECT_FALSE(blocks_ok);
 }
 
 // -------------------------------------------------------- alpha-beta -----

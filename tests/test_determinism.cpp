@@ -7,24 +7,30 @@
 //    filling, run to convergence, to 1e-9 relative (the event-driven
 //    filling visits the same levels but sums rates in a different order),
 //  - both engines together must reproduce the committed regression-grid
-//    baselines byte for byte when run through ExperimentHarness.
+//    baselines byte for byte when run through ExperimentHarness, and the
+//    packet engine its committed packet-grid row on wide switches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <queue>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/fsio.hpp"
 #include "core/json_parse.hpp"
 #include "core/rng.hpp"
+#include "engine/factory.hpp"
 #include "engine/harness.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/packet_sim.hpp"
 #include "topo/fattree.hpp"
 #include "topo/hammingmesh.hpp"
 #include "topo/torus.hpp"
@@ -93,6 +99,58 @@ TEST(EventQueueDeterminism, EmptyRefillCycles) {
     EXPECT_TRUE(q.empty());
   }
   EXPECT_EQ(q.events_processed(), 15u);
+}
+
+// Synchronized ring steps and zero-delay receives schedule thousands of
+// events at one picosecond, all in one calendar bucket. Mixed with a
+// spread of nearby events (which keeps buckets wider than one
+// picosecond), pushes just ahead of the current time (which land in the
+// bucket being drained, before its later entries), grow/shrink rebuilds
+// and far-future pushes, the pop sequence must still be exactly a binary
+// heap's.
+TEST(EventQueueDeterminism, TieStormMatchesPriorityQueue) {
+  Rng rng(7);
+  sim::EventQueue q;
+  using Ref = std::pair<picoseconds, std::uint32_t>;  // (time, FIFO id)
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+  std::uint32_t next_id = 0;
+  auto push = [&](picoseconds t) {
+    q.schedule(t, sim::EventKind::kUserCallback, next_id);
+    ref.push({t, next_id});
+    ++next_id;
+  };
+  std::size_t pops = 0;
+  // Pops both queues; false, with the mismatch reported, if they differ.
+  auto pop_matches = [&] {
+    const sim::Event e = q.pop();
+    const Ref want = ref.top();
+    ref.pop();
+    ++pops;
+    EXPECT_EQ(e.time, want.first) << "pop " << pops;
+    EXPECT_EQ(e.a, want.second) << "pop " << pops;
+    return e.time == want.first && e.a == want.second;
+  };
+  for (int i = 0; i < 4000; ++i) push(rng.uniform(4000));
+  for (int step = 0; step < 40; ++step) {
+    const picoseconds at = q.now() + rng.uniform(3) * 1000;
+    for (int i = 0; i < 2000; ++i) push(at);  // one synchronized step
+    for (int i = 0; i < 1500; ++i) {
+      ASSERT_TRUE(pop_matches());
+      const std::uint64_t r = rng.uniform(8);
+      if (r < 2) {
+        push(q.now());  // zero-delay receive
+      } else if (r < 4) {
+        push(q.now() + rng.uniform(8));
+      } else if (r < 7) {
+        push(q.now() + rng.uniform(4000));
+      } else {
+        push(q.now() + 1'000'000'000 + rng.uniform(1'000'000'000));
+      }
+    }
+  }
+  while (!ref.empty()) ASSERT_TRUE(pop_matches());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(pops, next_id);
 }
 
 // ------------------------------------------------------------ FlowSolver --
@@ -324,6 +382,51 @@ TEST(RegressionGridDeterminism, HarnessReproducesCommittedBaselineByteExact) {
   ASSERT_TRUE(baseline) << "cannot open " << base << "/bench_regression.json";
   EXPECT_EQ(rendered.str(), *baseline)
       << "harness rows diverged from bench/baselines/bench_regression.json";
+}
+
+// The regression grid's packet cells all run on switches with at most 64
+// (in-link, VC) arbitration slots, one mask word. The packet grid's
+// Dragonfly Valiant cell (six VCs per link) arbitrates switches with more,
+// so its committed row pins the multi-word occupancy masks.
+TEST(PacketGridDeterminism, WideSwitchValiantRowMatchesCommittedRow) {
+  const auto topology = engine::make_topology("dragonfly:small");
+  const topo::Graph& g = topology->graph();
+  std::vector<int> in_degree(g.num_nodes(), 0);
+  for (std::size_t l = 0; l < g.num_links(); ++l)
+    ++in_degree[g.link(static_cast<topo::LinkId>(l)).dst];
+  const int kValiantVcs = 2 * sim::PacketSimConfig{}.num_vcs;
+  ASSERT_GT(*std::max_element(in_degree.begin(), in_degree.end()) *
+                kValiantVcs,
+            64);
+
+  engine::GridSpec spec;
+  spec.config.topologies = {"dragonfly:small"};
+  spec.config.engines = {"packet"};
+  spec.config.patterns = {
+      flow::parse_traffic("perm:msg=256KiB:route=valiant")};
+  spec.config.seeds = {1};
+  engine::ExperimentHarness harness;
+  std::ostringstream rendered;
+  engine::write_json(rendered, harness.run_grids({spec}));
+  const std::string row =
+      rendered.str().substr(2, rendered.str().size() - 5);  // "[\n" .. "\n]\n"
+
+  const std::string path =
+      std::string(HXMESH_SOURCE_DIR) + "/bench/baselines/bench_packet.json";
+  const std::optional<std::string> baseline = read_file(path);
+  ASSERT_TRUE(baseline) << "cannot open " << path;
+  std::istringstream lines(*baseline);
+  std::string line;
+  bool found = false;
+  while (std::getline(lines, line)) {
+    if (line.find("\"dragonfly:small\"") == std::string::npos ||
+        line.find("route=valiant") == std::string::npos)
+      continue;
+    if (line.back() == ',') line.pop_back();
+    EXPECT_EQ(row, line);
+    found = true;
+  }
+  EXPECT_TRUE(found) << "bench_packet.json lost its Dragonfly Valiant row";
 }
 #endif  // HXMESH_SOURCE_DIR
 

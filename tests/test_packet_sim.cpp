@@ -3,9 +3,11 @@
 // buffers, and deadlock-free completion on HammingMesh.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "sim/minimpi.hpp"
 #include "sim/packet_sim.hpp"
 #include "topo/fattree.hpp"
@@ -14,6 +16,10 @@
 
 namespace hxmesh::sim {
 namespace {
+
+MiniMpi::SharedPayload payload(std::vector<float> values) {
+  return std::make_shared<const std::vector<float>>(std::move(values));
+}
 
 TEST(PacketSim, SinglePacketLatencyMatchesAnalytic) {
   topo::FatTree ft({.num_endpoints = 64, .radix = 64, .taper = 1.0});
@@ -157,15 +163,29 @@ TEST(PacketSim, ZeroByteMessageStillDelivers) {
   EXPECT_TRUE(got);
 }
 
+// A run adds its packet work to the process-wide counters: every hop is
+// one link-free, one arrival and one credit-return event.
+TEST(PacketSim, RunBumpsPacketWorkCounters) {
+  topo::FatTree ft({.num_endpoints = 64});
+  PacketSim sim(ft);
+  for (int i = 0; i < 8; ++i) sim.send_message(i, 63 - i, 64 * KiB, nullptr);
+  const counters::Map before = counters::snapshot();
+  sim.run();
+  const counters::Map moved = counters::delta(before, counters::snapshot());
+  EXPECT_GT(sim.stats().packet_hops, 0u);
+  EXPECT_EQ(moved.at("sim.packet_hops"), sim.stats().packet_hops);
+  EXPECT_EQ(moved.at("sim.events"), 3 * sim.stats().packet_hops);
+}
+
 // --------------------------------------------------------------- MiniMpi --
 TEST(MiniMpi, SendRecvMatchesByTagAndSource) {
   topo::FatTree ft({.num_endpoints = 64});
   MiniMpi mpi(ft);
   std::vector<float> got_a, got_b;
-  mpi.recv(5, 1, 7, [&](std::vector<float> v) { got_a = std::move(v); });
-  mpi.recv(5, 2, 7, [&](std::vector<float> v) { got_b = std::move(v); });
-  mpi.send(1, 5, 7, {1.0f, 2.0f});
-  mpi.send(2, 5, 7, {3.0f});
+  mpi.recv(5, 1, 7, [&](const std::vector<float>& v) { got_a = v; });
+  mpi.recv(5, 2, 7, [&](const std::vector<float>& v) { got_b = v; });
+  mpi.send(1, 5, 7, payload({1.0f, 2.0f}));
+  mpi.send(2, 5, 7, payload({3.0f}));
   mpi.run();
   EXPECT_EQ(got_a, (std::vector<float>{1.0f, 2.0f}));
   EXPECT_EQ(got_b, (std::vector<float>{3.0f}));
@@ -174,12 +194,36 @@ TEST(MiniMpi, SendRecvMatchesByTagAndSource) {
 TEST(MiniMpi, UnexpectedMessageBuffered) {
   topo::FatTree ft({.num_endpoints = 64});
   MiniMpi mpi(ft);
-  mpi.send(0, 1, 42, {9.0f});
+  mpi.send(0, 1, 42, payload({9.0f}));
   mpi.run();  // message arrives with no receiver posted
   std::vector<float> got;
-  mpi.recv(1, 0, 42, [&](std::vector<float> v) { got = std::move(v); });
+  mpi.recv(1, 0, 42, [&](const std::vector<float>& v) { got = v; });
   mpi.run();
   EXPECT_EQ(got, std::vector<float>{9.0f});
+}
+
+// One payload sent to every other rank arrives intact at each of them,
+// whether its receive was posted before arrival or after, and the sender
+// keeps the only reference once every message has been consumed.
+TEST(MiniMpi, SharedPayloadReachesManyRanksIntact) {
+  topo::FatTree ft({.num_endpoints = 64});
+  MiniMpi mpi(ft);
+  std::vector<float> values(3000);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = static_cast<float>(i) * 0.5f;
+  const MiniMpi::SharedPayload block = payload(values);
+  std::vector<std::vector<float>> got(64);
+  for (int r = 1; r < 64; ++r) {
+    mpi.send(0, r, 3, block);
+    if (r % 2 == 0)
+      mpi.recv(r, 0, 3, [&got, r](const std::vector<float>& v) { got[r] = v; });
+  }
+  mpi.run();  // odd ranks' copies wait as unexpected messages
+  for (int r = 1; r < 64; r += 2)
+    mpi.recv(r, 0, 3, [&got, r](const std::vector<float>& v) { got[r] = v; });
+  mpi.run();
+  for (int r = 1; r < 64; ++r) EXPECT_EQ(got[r], values) << "rank " << r;
+  EXPECT_EQ(block.use_count(), 1);
 }
 
 TEST(MiniMpi, ComputeDelaysCallback) {
