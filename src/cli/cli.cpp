@@ -14,8 +14,8 @@
 #include "core/parse_num.hpp"
 #include "core/json_parse.hpp"
 #include "core/stats.hpp"
-#include "engine/fabric.hpp"
 #include "engine/harness.hpp"
+#include "engine/shard.hpp"
 #include "engine/sharded_sweep.hpp"
 #include "flow/patterns.hpp"
 
@@ -34,7 +34,6 @@ subcommands:
          [--label L]* [--config FILE.json] [--json PATH]
          [--shards N] [--workers K] [--retries R]
          [--shard-timeout SEC] [--retry-backoff SEC] [--progress]
-         [--hosts H1:P1,H2:P2] [--lease-timeout SEC] [--blacklist-after N]
          run the full topology x engine x pattern x seed grid
          (no --seed: each pattern's own seed= applies, default 1).
          With --shards: split the grid into N contiguous blocks of
@@ -47,21 +46,6 @@ subcommands:
          --shard-timeout arms a watchdog: a shard past its deadline gets
          SIGTERM, then SIGKILL after a grace period, and reports
          'timed-out'. --progress reports each shard attempt (stderr).
-         --hosts adds remote 'hxmesh serve' daemons as extra worker
-         slots: shards lease to them over TCP, results stream back as
-         checksum-verified cache blobs, and a host is blacklisted after
-         --blacklist-after consecutive faults (default 3) — the sweep
-         then degrades to the local workers and still completes.
-         --lease-timeout bounds one remote job exchange (default:
-         --shard-timeout + 6s, else 30s)
-  serve  [--port N] [--bind ADDR] [--cache-dir DIR] [--threads N]
-         [--max-jobs N] [--port-file PATH]
-         run a shard-execution daemon: accepts job leases from a
-         'sweep --hosts' orchestrator, runs each as a watched local
-         'hxmesh shard' child, and streams back the coverage manifest
-         plus the result blobs (port 0 = pick one and print it;
-         --max-jobs N exits after N jobs and --port-file writes the
-         bound port to PATH, both for harnesses)
   shard  --shards N --shard I [grid flags as for sweep] [--manifest PATH]
          [--attempt A]
          run one cost-balanced block of the grid: simulate its cells,
@@ -76,12 +60,10 @@ subcommands:
 
 environment:
   HXMESH_CHAOS      deterministic fault injection. kill:<p> and hang:<p>
-                    make 'hxmesh shard' workers self-SIGKILL or hang;
-                    drop:<p> and delay:<p> make the --hosts dispatcher
-                    drop or delay the network exchange of a (host,
-                    shard, attempt) lease. All decisions are pure
-                    functions of the spec (plus seed=S), so a fixed
-                    seed replays the same fault schedule
+                    make 'hxmesh shard' workers self-SIGKILL or hang.
+                    Every decision is a pure function of the spec (plus
+                    seed=S), so a fixed seed replays the same fault
+                    schedule
 
 common options:
   --json PATH       write rows as a JSON array to PATH ('-' = stdout)
@@ -287,11 +269,6 @@ int do_sweep(SweepOptions opt, std::ostream& out, std::ostream& err) {
     usage_error("sweep: --attempt applies to the shard subcommand");
   if (sharding.shards == 0 && sharding.shard_timeout_s > 0)
     usage_error("sweep: --shard-timeout needs --shards");
-  if (sharding.shards == 0 && !sharding.hosts.empty())
-    usage_error("sweep: --hosts needs --shards");
-  if (sharding.hosts.empty() &&
-      (sharding.lease_timeout_s > 0 || sharding.blacklist_after))
-    usage_error("sweep: --lease-timeout/--blacklist-after need --hosts");
   const auto grids = final_grids(opt);
 
   std::optional<engine::ResultCache> cache;
@@ -301,17 +278,6 @@ int do_sweep(SweepOptions opt, std::ostream& out, std::ostream& err) {
     if (!cache)
       usage_error("sweep: --shards needs the result cache (drop --no-cache)");
     sharding.threads = opt.threads;
-    // Network chaos acts in the remote dispatcher. Lenient on purpose: the
-    // shard children validate the spec and turn a malformed one into their
-    // exit-2 permanent config error, which is the report the user should
-    // see — not an orchestrator-side throw before any shard has run.
-    if (const char* env = std::getenv("HXMESH_CHAOS");
-        env && *env && !sharding.hosts.empty()) {
-      try {
-        sharding.net_chaos = parse_chaos(env);
-      } catch (const std::exception&) {
-      }
-    }
     rows = engine::run_sharded_sweep(grids, sharding, *cache, err);
   } else {
     engine::ExperimentHarness harness(opt.threads);
@@ -337,9 +303,6 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
   if (sharding.progress || sharding.shard_timeout_s > 0)
     usage_error("shard: --progress/--shard-timeout apply to the sweep "
                 "orchestrator");
-  if (!sharding.hosts.empty() || sharding.lease_timeout_s > 0 ||
-      sharding.blacklist_after)
-    usage_error("shard: --hosts flags apply to the sweep orchestrator");
   const int attempt = opt.attempt > 0 ? opt.attempt : 1;
 
   // Deterministic fault injection: a malformed spec is a config error
@@ -387,9 +350,7 @@ int do_run(SweepOptions opt, std::ostream& out, std::ostream& err) {
   const counters::Map before = counters::snapshot();
   const engine::ShardedSweepOptions& sharding = opt.sharding;
   if (sharding.shards != 0 || opt.shard_index >= 0 ||
-      sharding.shard_timeout_s > 0 || opt.attempt != 0 ||
-      !sharding.hosts.empty() || sharding.lease_timeout_s > 0 ||
-      sharding.blacklist_after)
+      sharding.shard_timeout_s > 0 || opt.attempt != 0)
     usage_error("run: sharding flags apply to sweep and shard only");
   if (sharding.progress)
     usage_error("run: --progress applies to the sweep orchestrator");
@@ -472,13 +433,6 @@ SweepOptions parse_grid_flags(const std::vector<std::string>& args,
       sharding.shard_timeout_s = parse_seconds(flag, need_value(args, i));
     else if (flag == "--retry-backoff")
       sharding.retry_backoff_s = parse_seconds(flag, need_value(args, i));
-    else if (flag == "--hosts")
-      sharding.hosts = engine::parse_hosts(need_value(args, i));
-    else if (flag == "--lease-timeout")
-      sharding.lease_timeout_s = parse_seconds(flag, need_value(args, i));
-    else if (flag == "--blacklist-after")
-      sharding.blacklist_after = static_cast<unsigned>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
     else if (flag == "--attempt")
       opt.attempt = static_cast<int>(
           parse_bounded(flag, need_value(args, i), 1 << 20));
@@ -487,32 +441,6 @@ SweepOptions parse_grid_flags(const std::vector<std::string>& args,
   }
   if (!config_path.empty()) merge_config_file(config_path, &opt);
   return opt;
-}
-
-int do_serve(const std::vector<std::string>& args, std::size_t start,
-             std::ostream& err) {
-  engine::ServeOptions opt;
-  for (std::size_t i = start; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--port")
-      opt.port =
-          static_cast<int>(parse_bounded(flag, need_value(args, i), 65535));
-    else if (flag == "--bind")
-      opt.bind = need_value(args, i);
-    else if (flag == "--cache-dir")
-      opt.cache_dir = need_value(args, i);
-    else if (flag == "--threads")
-      opt.threads = static_cast<int>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
-    else if (flag == "--max-jobs")
-      opt.max_jobs = static_cast<unsigned>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
-    else if (flag == "--port-file")
-      opt.port_file = need_value(args, i);
-    else
-      usage_error("serve: unknown flag '" + flag + "'");
-  }
-  return engine::serve_daemon(opt, err);
 }
 
 int do_ls(const std::vector<std::string>& args, std::size_t start,
@@ -601,7 +529,6 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
   if (cmd == "run") return do_run(parse_grid_flags(args, 1), out, err);
   if (cmd == "sweep") return do_sweep(parse_grid_flags(args, 1), out, err);
   if (cmd == "shard") return do_shard(parse_grid_flags(args, 1), out, err);
-  if (cmd == "serve") return do_serve(args, 1, err);
   if (cmd == "ls") return do_ls(args, 1, out);
   if (cmd == "cache") return do_cache(args, 1, out);
   usage_error("unknown subcommand '" + cmd + "'");

@@ -1,6 +1,7 @@
 #include "core/chaos.hpp"
 
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -29,11 +30,9 @@ double parse_probability(const std::string& spec, const std::string& token) {
 std::uint64_t parse_seed(const std::string& spec, const std::string& token) {
   const std::string digits = token.substr(5);  // past "seed="
   if (digits.empty()) bad_spec(spec, "empty seed");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(digits.c_str(), &end, 10);
-  if (end != digits.c_str() + digits.size())
-    bad_spec(spec, "bad seed '" + digits + "'");
-  return v;
+  const std::optional<std::uint64_t> v = parse_u64_strict(digits);
+  if (!v) bad_spec(spec, "bad seed '" + digits + "'");
+  return *v;
 }
 
 // Uniform value in [0, 1) from the hash of (seed, tag, shard, attempt):
@@ -49,19 +48,6 @@ double chaos_uniform(const ChaosSpec& spec, const char* tag, unsigned shard,
   return static_cast<double>(hash.digest() >> 11) * 0x1.0p-53;
 }
 
-// The network classes fold the host index in as well: two hosts leasing
-// the same (shard, attempt) draw independently.
-double chaos_net_uniform(const ChaosSpec& spec, const char* tag,
-                         unsigned host, unsigned shard, int attempt) {
-  Fnv1a hash;
-  hash.update(spec.seed)
-      .update(std::string_view(tag))
-      .update(static_cast<std::uint64_t>(host))
-      .update(static_cast<std::uint64_t>(shard))
-      .update(attempt);
-  return static_cast<double>(hash.digest() >> 11) * 0x1.0p-53;
-}
-
 }  // namespace
 
 ChaosSpec parse_chaos(const std::string& text) {
@@ -70,18 +56,10 @@ ChaosSpec parse_chaos(const std::string& text) {
   for (const std::string& group : split(text, ',')) {
     const std::vector<std::string> tokens = split(group, ':');
     std::size_t next = 0;
-    if (tokens[0] == "kill" || tokens[0] == "hang" || tokens[0] == "drop" ||
-        tokens[0] == "delay") {
+    if (tokens[0] == "kill" || tokens[0] == "hang") {
       if (tokens.size() < 2) bad_spec(text, tokens[0] + " needs a probability");
       const double p = parse_probability(text, tokens[1]);
-      if (tokens[0] == "kill")
-        spec.kill_p = p;
-      else if (tokens[0] == "hang")
-        spec.hang_p = p;
-      else if (tokens[0] == "drop")
-        spec.drop_p = p;
-      else
-        spec.delay_p = p;
+      (tokens[0] == "kill" ? spec.kill_p : spec.hang_p) = p;
       next = 2;
     }
     for (; next < tokens.size(); ++next) {
@@ -111,26 +89,6 @@ ChaosAction chaos_action(const ChaosSpec& spec, unsigned shard, int attempt) {
       chaos_uniform(spec, "hang", shard, attempt) < spec.hang_p)
     return ChaosAction::kHang;
   return ChaosAction::kNone;
-}
-
-const char* net_chaos_action_name(NetChaosAction action) {
-  switch (action) {
-    case NetChaosAction::kNone: return "none";
-    case NetChaosAction::kDrop: return "drop";
-    case NetChaosAction::kDelay: return "delay";
-  }
-  return "unknown";
-}
-
-NetChaosAction chaos_net_action(const ChaosSpec& spec, unsigned host,
-                                unsigned shard, int attempt) {
-  if (spec.drop_p > 0.0 &&
-      chaos_net_uniform(spec, "drop", host, shard, attempt) < spec.drop_p)
-    return NetChaosAction::kDrop;
-  if (spec.delay_p > 0.0 &&
-      chaos_net_uniform(spec, "delay", host, shard, attempt) < spec.delay_p)
-    return NetChaosAction::kDelay;
-  return NetChaosAction::kNone;
 }
 
 }  // namespace hxmesh

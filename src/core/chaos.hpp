@@ -1,24 +1,19 @@
 // Deterministic fault injection for the sharded sweep orchestrator.
 //
-// `HXMESH_CHAOS=kill:<p>[:seed=S][,hang:<p>][,drop:<p>][,delay:<p>]`
-// makes `hxmesh shard` workers self-SIGKILL or sleep forever, and the
-// distributed dispatcher drop or delay remote exchanges, with the given
-// probabilities. Every decision is a pure function of its identity tuple
-// — (spec, shard, attempt) for the process classes, (spec, host, shard,
-// attempt) for the network classes — no RNG state, no clock — so a test
-// can precompute exactly which attempts die, which hang, which remote
-// dispatches drop, and on which attempt each shard finally succeeds, and
-// a CI soak with a fixed seed replays the identical fault schedule every
-// run. This is how the retry/watchdog/re-lease path stays testable: the
-// chaos layer produces real dead processes, real hung processes, and
-// real closed sockets, and the orchestrator must survive them while
-// keeping merged rows byte-identical.
+// `HXMESH_CHAOS=kill:<p>[:seed=S][,hang:<p>]` makes `hxmesh shard`
+// workers self-SIGKILL or sleep forever with the given probabilities.
+// Every decision is a pure function of (spec, shard, attempt) — no RNG
+// state, no clock — so a test can precompute exactly which attempts die,
+// which hang, and on which attempt each shard finally succeeds, and a CI
+// soak with a fixed seed replays the identical fault schedule every run.
+// This is how the retry/watchdog path stays testable: the chaos layer
+// produces real dead processes and real hung processes, and the
+// orchestrator must survive them while keeping merged rows byte-identical.
 #pragma once
 
 /// \file
 /// \brief Deterministic chaos injection: parse `HXMESH_CHAOS` specs and
-/// decide kill/hang per (shard, attempt) — and drop/delay per (host,
-/// shard, attempt) — as pure functions.
+/// decide kill/hang per (shard, attempt) as a pure function.
 
 #include <cstdint>
 #include <string>
@@ -26,24 +21,20 @@
 namespace hxmesh {
 
 /// \brief Parsed `HXMESH_CHAOS` spec: independent fault-class
-/// probabilities plus the seed that fixes the fault schedule. The process
-/// classes (kill, hang) execute inside `hxmesh shard` workers; the
-/// network classes (drop, delay) execute in the `--hosts` dispatcher.
+/// probabilities plus the seed that fixes the fault schedule. Both
+/// classes execute inside `hxmesh shard` workers.
 struct ChaosSpec {
   double kill_p = 0.0;    ///< P(self-SIGKILL) per (shard, attempt)
   double hang_p = 0.0;    ///< P(sleep forever) per (shard, attempt)
-  double drop_p = 0.0;    ///< P(connection drop) per (host, shard, attempt)
-  double delay_p = 0.0;   ///< P(network delay) per (host, shard, attempt)
   std::uint64_t seed = 0; ///< schedule seed (seed=S in the spec)
 
   bool enabled() const { return kill_p > 0.0 || hang_p > 0.0; }
-  bool net_enabled() const { return drop_p > 0.0 || delay_p > 0.0; }
 };
 
 /// \brief Parses a chaos spec string: comma-separated groups, each
-/// `kill:<p>`, `hang:<p>`, `drop:<p>`, `delay:<p>`, or `seed=<n>`
-/// (probabilities in [0, 1]).
-/// Examples: "kill:0.25", "kill:0.25:seed=7,hang:0.1,drop:0.5".
+/// `kill:<p>`, `hang:<p>`, or `seed=<n>` (probabilities in [0, 1], the
+/// seed a strict unsigned integer).
+/// Examples: "kill:0.25", "kill:0.25:seed=7,hang:0.1".
 /// \throws std::invalid_argument on malformed input (the CLI maps this to
 /// exit code 2 — a permanent config error the orchestrator never retries).
 ChaosSpec parse_chaos(const std::string& text);
@@ -66,33 +57,5 @@ const char* chaos_action_name(ChaosAction action);
 /// ShardRun::attempts. The same inputs always produce the same action, in
 /// the worker that executes it and in the test that predicts it.
 ChaosAction chaos_action(const ChaosSpec& spec, unsigned shard, int attempt);
-
-/// \brief What the chaos layer injects into one remote exchange.
-enum class NetChaosAction {
-  kNone,   ///< exchange normally
-  kDrop,   ///< close the connection instead of exchanging (a host fault)
-  kDelay,  ///< sleep kNetChaosDelayS before the exchange (latency only)
-};
-
-/// \brief How long a kDelay injection stalls the exchange. Small enough
-/// that a delayed dispatch still beats any sane lease deadline — delay
-/// tests the latency path, drop tests the fault path.
-constexpr double kNetChaosDelayS = 0.25;
-
-/// \brief Stable name of a NetChaosAction ("none", "drop", "delay").
-const char* net_chaos_action_name(NetChaosAction action);
-
-/// \brief The injected network action for `(host, shard, attempt)` under
-/// `spec`.
-///
-/// Pure: hashes (seed, tag, host, shard, attempt) to a uniform value in
-/// [0, 1) and compares against the probabilities (drop is decided first;
-/// an exchange never both drops and delays). `attempt` is the shard's
-/// 1-based job attempt number, so a dropped dispatch re-leased to the
-/// *same* host deterministically drops again — which is exactly what
-/// drives that host's consecutive-fault count up to the blacklist
-/// threshold — while a re-lease to a different host draws fresh.
-NetChaosAction chaos_net_action(const ChaosSpec& spec, unsigned host,
-                                unsigned shard, int attempt);
 
 }  // namespace hxmesh

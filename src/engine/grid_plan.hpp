@@ -206,8 +206,8 @@ class GridPlan {
 };
 
 /// \brief Canonical "grids" config document for `grids` — what a sharded
-/// sweep hands its shard workers (as a file, or inside a remote job
-/// lease) so that parent and children agree on the plan byte for byte.
+/// sweep hands its shard workers as a file, so that parent and children
+/// agree on the plan byte for byte.
 std::string render_grids_json(const std::vector<GridSpec>& grids);
 
 }  // namespace hxmesh::engine

@@ -21,11 +21,8 @@ namespace {
 // before the marker.
 constexpr const char* kChecksumMarker = ",\"checksum\":\"";
 
-// Integrity of the store and of the wire: corrupt entries moved to
-// quarantine, and remote blobs adopted or rejected by adopt_blob().
+// Integrity of the store: corrupt entries moved to quarantine.
 Counter g_quarantined("cache.quarantined");
-Counter g_wire_adopted("wire.adopted");
-Counter g_wire_rejected("wire.rejected");
 
 // %.17g: enough digits that parsing the decimal form reproduces the exact
 // double, which is what makes cached rows byte-identical on re-render.
@@ -190,16 +187,6 @@ void ResultCache::store(const std::string& key, const RunResult& result) const {
 
 std::optional<std::string> ResultCache::read_blob(const std::string& key) const {
   return read_file(entry_path(key));
-}
-
-bool ResultCache::adopt_blob(const std::string& key, const std::string& text) {
-  if (!checksum_valid(text)) {
-    g_wire_rejected.add();
-    return false;
-  }
-  write_file_atomic(entry_path(key), text);
-  g_wire_adopted.add();
-  return true;
 }
 
 ResultCache::Stats ResultCache::stats() const {

@@ -19,7 +19,7 @@
 /// \file
 /// \brief ResultCache — content-addressed, on-disk memoization of
 /// RunResults, with age/LRU pruning. The shared store doubles as the
-/// wire format of the sharded execution backend.
+/// handoff between a sharded sweep's children and its merge.
 
 #include <atomic>
 #include <cstdint>
@@ -105,21 +105,9 @@ class ResultCache {
   /// entry's FNV-1a content checksum.
   void store(const std::string& key, const RunResult& result) const;
 
-  // -- wire blobs (the distributed backend's transfer format) -------------
-
   /// Raw entry text for `key` (exactly the bytes store() wrote), or
-  /// nullopt when absent. This is what an `hxmesh serve` daemon streams
-  /// back to the orchestrator; no counters move.
+  /// nullopt when absent. No counters move.
   std::optional<std::string> read_blob(const std::string& key) const;
-
-  /// Verifies and stores a wire blob received from a remote worker — the
-  /// one admission test every remote blob must pass before it may enter
-  /// this store. Returns false — writing nothing — when the blob is not a
-  /// complete entry whose trailing checksum matches the bytes before it:
-  /// a corrupt wire blob is rejected at the door and the cell is
-  /// recomputed by a re-lease, never replayed from the bad bytes. Bumps
-  /// the `wire.adopted` or `wire.rejected` counter.
-  bool adopt_blob(const std::string& key, const std::string& text);
 
   // -- session counters (since construction) ------------------------------
   std::size_t hits() const { return hits_.load(); }

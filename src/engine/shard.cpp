@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -11,25 +10,8 @@
 
 #include "core/hash.hpp"
 #include "core/json_parse.hpp"
-#include "core/parse_num.hpp"
 
 namespace hxmesh::engine {
-
-namespace {
-
-// Multiplicative jitter in [0.5, 1.0] on min(max, base * 2^(n-1)), taken
-// from `digest` — hashed, not drawn — so the same inputs always wait the
-// same time.
-double jittered_backoff_s(double base_s, double max_s, unsigned n,
-                          std::uint64_t digest) {
-  double delay = base_s;
-  for (unsigned i = 1; i < n && delay < max_s; ++i) delay *= 2.0;
-  delay = std::min(delay, std::max(max_s, 0.0));
-  const double u = static_cast<double>(digest >> 11) * 0x1.0p-53;
-  return delay * (0.5 + 0.5 * u);
-}
-
-}  // namespace
 
 std::string render_manifest(const ShardManifest& manifest) {
   std::string out =
@@ -185,14 +167,6 @@ const char* outcome_name(ShardOutcome outcome) {
   return "unknown";
 }
 
-ShardAttempt host_fault(std::string error) {
-  ShardAttempt a;
-  a.outcome = ShardOutcome::kSpawnFailed;
-  a.error = std::move(error);
-  a.host_fault = true;
-  return a;
-}
-
 std::string history_names(const ShardRun& run) {
   std::string out;
   for (std::size_t i = 0; i < run.history.size(); ++i) {
@@ -205,101 +179,41 @@ std::string history_names(const ShardRun& run) {
 double retry_backoff_s(const RetryPolicy& policy, unsigned shard,
                        int attempt) {
   if (policy.backoff_base_s <= 0.0 || attempt < 1) return 0.0;
+  double delay = policy.backoff_base_s;
+  for (int i = 1; i < attempt && delay < policy.backoff_max_s; ++i)
+    delay *= 2.0;
+  delay = std::min(delay, std::max(policy.backoff_max_s, 0.0));
+  // Multiplicative jitter in [0.5, 1.0], hashed rather than drawn, so the
+  // same inputs always wait the same time.
   Fnv1a hash;
   hash.update(policy.seed)
       .update(static_cast<std::uint64_t>(shard))
       .update(attempt);
-  return jittered_backoff_s(policy.backoff_base_s, policy.backoff_max_s,
-                            static_cast<unsigned>(attempt), hash.digest());
+  const double u = static_cast<double>(hash.digest() >> 11) * 0x1.0p-53;
+  return delay * (0.5 + 0.5 * u);
 }
 
-std::vector<HostSpec> parse_hosts(const std::string& text) {
-  std::vector<HostSpec> hosts;
-  for (const std::string& entry : split(text, ',')) {
-    const auto bad = [&](const std::string& why) {
-      throw std::invalid_argument("--hosts: bad entry '" + entry + "': " +
-                                  why);
-    };
-    if (entry.empty()) bad("empty entry");
-    HostSpec spec;
-    std::size_t port_at = 0;
-    if (entry.front() == '[') {  // bracketed IPv6 literal: [::1]:9000
-      const std::size_t close = entry.find(']');
-      if (close == std::string::npos) bad("unterminated '['");
-      if (close + 1 >= entry.size() || entry[close + 1] != ':')
-        bad("missing port");
-      spec.host = entry.substr(1, close - 1);
-      port_at = close + 2;
-    } else {
-      const std::size_t colon = entry.rfind(':');
-      if (colon == std::string::npos) bad("missing port");
-      spec.host = entry.substr(0, colon);
-      port_at = colon + 1;
-    }
-    if (spec.host.empty()) bad("empty host");
-    const std::string digits = entry.substr(port_at);
-    if (digits.empty()) bad("missing port");
-    char* end = nullptr;
-    const long port = std::strtol(digits.c_str(), &end, 10);
-    if (end != digits.c_str() + digits.size())
-      bad("bad port '" + digits + "'");
-    if (port < 1 || port > 65535) bad("port out of range");
-    spec.port = static_cast<int>(port);
-    hosts.push_back(std::move(spec));
-  }
-  return hosts;
-}
-
-double reconnect_backoff_s(const HostPolicy& policy, unsigned host,
-                           unsigned fault) {
-  if (policy.reconnect_base_s <= 0.0 || fault < 1) return 0.0;
-  // Domain-separated by the tag so a host's reconnect waits never
-  // correlate with shard retries.
-  Fnv1a hash;
-  hash.update(policy.seed)
-      .update(std::string_view("reconnect"))
-      .update(static_cast<std::uint64_t>(host))
-      .update(static_cast<std::uint64_t>(fault));
-  return jittered_backoff_s(policy.reconnect_base_s, policy.reconnect_max_s,
-                            fault, hash.digest());
-}
-
-std::vector<ShardRun> run_shard_jobs_distributed(
-    unsigned shards, unsigned local_workers, const RetryPolicy& policy,
-    const ShardLauncher& local_launch, unsigned hosts,
-    const RemoteLauncher& remote_launch, const HostProbe& probe,
-    const HostPolicy& host_policy, std::vector<HostReport>* reports,
-    const ShardProgress& progress, const std::vector<unsigned>& order) {
+std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
+                                     const RetryPolicy& policy,
+                                     const ShardLauncher& launch,
+                                     const ShardProgress& progress,
+                                     const std::vector<unsigned>& order) {
   std::vector<ShardRun> runs(shards);
   for (unsigned i = 0; i < shards; ++i) runs[i].shard = i;
-  std::vector<HostReport> tallies(hosts);
-  if (shards == 0) {
-    if (reports) *reports = std::move(tallies);
-    return runs;
-  }
-  if (hosts > 0 && !remote_launch)
-    throw std::invalid_argument(
-        "run_shard_jobs_distributed: hosts without a remote launcher");
-  // The local pool is the degradation floor: even a hosts-only request
-  // keeps one local slot, so a run whose every host is blacklisted still
-  // completes.
-  if (local_workers == 0) local_workers = 1;
-  if (local_workers > shards) local_workers = shards;
+  if (shards == 0) return runs;
+  workers = std::clamp(workers, 1u, shards);
   const unsigned max_attempts = std::max(1u, policy.max_attempts);
   if (!order.empty() && order.size() != shards)
-    throw std::invalid_argument(
-        "run_shard_jobs_distributed: order must list every shard");
+    throw std::invalid_argument("run_shard_jobs: order must list every shard");
 
   std::mutex mutex;
   std::condition_variable cv;
   std::deque<unsigned> queue;
   // Shards leased to a worker or sleeping out a retry backoff: neither
   // queued nor terminal. The run is over only when the queue is empty AND
-  // nothing is in flight — an in-flight shard can re-enter the queue (a
-  // retry, or a host fault re-lease), so an empty queue alone proves
-  // nothing. Workers therefore block on the condition variable instead of
-  // exiting, which is what lets a shard abandoned by a dying host always
-  // find a live worker.
+  // nothing is in flight — an in-flight shard can re-enter the queue as a
+  // retry, so an empty queue alone proves nothing. Workers therefore
+  // block on the condition variable instead of exiting.
   unsigned in_flight = 0;
   unsigned completed = 0;
   bool aborted = false;  // a permanent (exit 2) failure poisons the run
@@ -341,10 +255,10 @@ std::vector<ShardRun> run_shard_jobs_distributed(
     return true;
   };
 
-  // Records one resolved job attempt. Returns true when the shard should
-  // be retried — the caller sleeps the backoff and then requeues;
-  // in_flight stays held across that sleep so no worker exits while the
-  // shard is off-queue.
+  // Records one resolved attempt. Returns true when the shard should be
+  // retried — the caller sleeps the backoff and then requeues; in_flight
+  // stays held across that sleep so no worker exits while the shard is
+  // off-queue.
   auto resolve = [&](unsigned shard, int attempt,
                      const ShardAttempt& result) {
     std::lock_guard lock(mutex);
@@ -372,137 +286,42 @@ std::vector<ShardRun> run_shard_jobs_distributed(
     return retrying;
   };
 
-  // Puts an in-flight shard back on the queue. Host-fault re-leases go
-  // to the front — the shard was already scheduled once and should reach
-  // a healthy worker before fresh work; retries go to the back.
-  auto requeue = [&](unsigned shard, bool front) {
+  auto requeue = [&](unsigned shard) {
     std::lock_guard lock(mutex);
     --in_flight;
-    if (front)
-      queue.push_front(shard);
-    else
-      queue.push_back(shard);
+    queue.push_back(shard);
     cv.notify_all();
   };
 
-  auto sleep_s = [](double s) {
-    if (s > 0.0)
-      std::this_thread::sleep_for(std::chrono::duration<double>(s));
-  };
-
-  auto finished = [&] {
-    std::lock_guard lock(mutex);
-    return completed == shards;
-  };
-
-  auto local_worker = [&] {
+  auto worker = [&] {
     unsigned shard = 0;
     int attempt = 0;
     while (lease(shard, attempt)) {
       ShardAttempt result;
       try {
-        result = local_launch(shard, attempt);
+        result = launch(shard, attempt);
       } catch (const std::exception& e) {
         result.outcome = ShardOutcome::kSpawnFailed;
         result.exit_code = -1;
         result.error = e.what();
       }
-      result.host_fault = false;  // the local path has no transport to blame
       if (resolve(shard, attempt, result)) {
         // Seeded exponential backoff between attempts; sleeping outside
         // the lock keeps the other workers scheduling. The shard re-joins
         // the queue only after the delay, so a crashing dependency gets
         // breathing room instead of a retry stampede.
-        sleep_s(retry_backoff_s(policy, shard, attempt));
-        requeue(shard, /*front=*/false);
-      }
-    }
-  };
-
-  // One dispatcher thread per host runs the health state machine:
-  // probe until healthy -> lease -> (job outcome | host fault). A host
-  // fault re-leases the shard without consuming its attempt, charges the
-  // host's streak, and sends the host back to probing under reconnect
-  // backoff; blacklist_after consecutive faults quarantine the host.
-  auto host_worker = [&](unsigned h) {
-    HostReport& tally = tallies[h];
-    unsigned streak = 0;  // consecutive host faults
-    bool healthy = false;
-    // Charges one fault. Returns true when the host just crossed the
-    // blacklist threshold (the thread must exit); otherwise sleeps the
-    // jittered reconnect backoff and leaves the host unhealthy.
-    auto fault = [&](const std::string& why) {
-      ++tally.faults;
-      ++streak;
-      tally.last_error = why;
-      healthy = false;
-      if (streak >= std::max(1u, host_policy.blacklist_after)) {
-        tally.blacklisted = true;
-        return true;
-      }
-      sleep_s(reconnect_backoff_s(host_policy, h, streak));
-      return false;
-    };
-    for (;;) {
-      // A host that cannot even heartbeat must not lease work it would
-      // only lose.
-      while (!healthy) {
-        if (finished()) return;
-        bool up = false;
-        std::string why = "probe failed";
-        try {
-          up = !probe || probe(h);
-        } catch (const std::exception& e) {
-          why += std::string(": ") + e.what();
-        }
-        if (up)
-          healthy = true;
-        else if (fault(why))
-          return;
-      }
-      unsigned shard = 0;
-      int attempt = 0;
-      if (!lease(shard, attempt)) return;
-      ++tally.dispatched;
-      ShardAttempt result;
-      try {
-        result = remote_launch(h, shard, attempt);
-      } catch (const std::exception& e) {
-        result.outcome = ShardOutcome::kSpawnFailed;
-        result.exit_code = -1;
-        result.error = e.what();
-        result.host_fault = true;  // the exchange, not the job, blew up
-      }
-      if (result.host_fault) {
-        // Transport failure: the job may not even have started. Re-lease
-        // the shard to the healthy workers without consuming one of its
-        // attempts, and charge this host instead.
-        requeue(shard, /*front=*/true);
-        if (fault(result.error.empty() ? "host fault" : result.error))
-          return;
-        continue;
-      }
-      streak = 0;
-      if (result.ok()) {
-        ++tally.completed;
-      } else {
-        ++tally.job_failures;
-        tally.last_error = result.error;
-      }
-      if (resolve(shard, attempt, result)) {
-        sleep_s(retry_backoff_s(policy, shard, attempt));
-        requeue(shard, /*front=*/false);
+        const double delay = retry_backoff_s(policy, shard, attempt);
+        if (delay > 0.0)
+          std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+        requeue(shard);
       }
     }
   };
 
   std::vector<std::thread> threads;
-  threads.reserve(local_workers + hosts);
-  for (unsigned w = 0; w < local_workers; ++w)
-    threads.emplace_back(local_worker);
-  for (unsigned h = 0; h < hosts; ++h) threads.emplace_back(host_worker, h);
+  threads.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w) threads.emplace_back(worker);
   for (std::thread& t : threads) t.join();
-  if (reports) *reports = std::move(tallies);
   return runs;
 }
 

@@ -4,7 +4,7 @@
 // space (GridPlan::shard_cells). Each worker executes its block with
 // ExperimentHarness::run_cells, which stores every computed cell into the
 // shared content-addressed ResultCache, and then writes a small JSON
-// manifest naming the cells it covered. The cache is the wire format:
+// manifest naming the cells it covered. The cache is the handoff:
 // merging is just re-reading the full plan through the cache (every cell
 // hits), so a merged sharded run renders byte-identical rows to a
 // single-process run. The manifest layer
@@ -12,20 +12,11 @@
 // the manifests prove that every cell of this exact grid (by fingerprint)
 // was covered exactly once.
 //
-// The orchestrator half (run_shard_jobs_distributed) is process-agnostic:
-// it drives any launcher callback with a bounded worker pool and
-// per-shard retries. The sweep runner (engine/sharded_sweep.hpp) wires it
-// to watched `hxmesh shard` children locally and to `hxmesh serve`
-// daemons on remote hosts (engine/fabric.hpp), which act as extra worker
-// slots beside the local ones.
-// The distributed layer stays transport-agnostic: remote dispatch and
-// heartbeat probing are callbacks, so the host health state machine
-// (lease → fault → jittered reconnect → blacklist → re-lease to healthy
-// workers) is testable without a single socket. A failure charged to the
-// *host* (connection refused, lease deadline, corrupt wire blob) never
-// burns the shard's retry budget — the shard is simply re-leased — while
-// a failure of the *job itself* (nonzero exit, chaos kill, watchdog
-// timeout) is charged to the shard exactly as in the local path.
+// The orchestrator half (run_shard_jobs) is process-agnostic: it drives
+// any launcher callback with a bounded worker pool and per-shard retries,
+// so its retry and abort discipline is testable without spawning a
+// process. The sweep runner (engine/sharded_sweep.hpp) wires it to
+// watched `hxmesh shard` children of this executable.
 #pragma once
 
 /// \file
@@ -112,18 +103,9 @@ struct ShardAttempt {
   ShardOutcome outcome = ShardOutcome::kSpawnFailed;
   int exit_code = -1;  ///< meaningful when outcome == kExited
   std::string error;   ///< human-readable failure text ("" on success)
-  /// True when the failure belongs to the transport or host, not the job
-  /// (connection refused, lease deadline expired, corrupt wire blob).
-  /// The orchestrator re-leases the shard without consuming one of its
-  /// attempts and charges the host's health instead.
-  bool host_fault = false;
 
   bool ok() const { return outcome == ShardOutcome::kExited && exit_code == 0; }
 };
-
-/// \brief The attempt a remote launcher reports for a transport failure:
-/// kSpawnFailed with `error` as its text and host_fault set.
-ShardAttempt host_fault(std::string error);
 
 /// \brief Outcome of driving one shard through the orchestrator.
 struct ShardRun {
@@ -177,102 +159,26 @@ using ShardProgress =
 /// `workers` invocations run concurrently.
 using ShardLauncher = std::function<ShardAttempt(unsigned shard, int attempt)>;
 
-// -- distributed dispatch: remote hosts as extra worker slots -------------
-
-/// \brief One remote worker endpoint (`host:port` in `--hosts`).
-struct HostSpec {
-  std::string host;  ///< hostname or address literal
-  int port = 0;      ///< TCP port of the `hxmesh serve` daemon
-
-  std::string name() const { return host + ":" + std::to_string(port); }
-};
-
-/// \brief Parses a `--hosts` list: comma-separated `host:port` entries
-/// (an IPv6 literal may be bracketed, `[::1]:9000`).
-/// \throws std::invalid_argument on an empty entry, a missing port, or a
-/// port outside [1, 65535].
-std::vector<HostSpec> parse_hosts(const std::string& text);
-
-/// \brief Health discipline of the host pool.
-struct HostPolicy {
-  /// Consecutive host faults (failed probes, dropped connections,
-  /// expired leases, corrupt blobs) before the host is blacklisted for
-  /// the rest of the sweep. Successes reset the streak.
-  unsigned blacklist_after = 3;
-  double reconnect_base_s = 0.1;  ///< first reconnect delay; 0 = none
-  double reconnect_max_s = 1.0;   ///< exponential growth cap
-  std::uint64_t seed = 0;         ///< jitter seed (deterministic per run)
-};
-
-/// \brief Deterministic jittered backoff before reconnect `fault` (the
-/// 1-based consecutive-fault count) of `host` — same shape as
-/// retry_backoff_s, hashed from (seed, host, fault) so reconnect storms
-/// spread out and a rerun replays the same waits.
-double reconnect_backoff_s(const HostPolicy& policy, unsigned host,
-                           unsigned fault);
-
-/// \brief Per-host tally of one distributed run, for the sweep's host
-/// report.
-struct HostReport {
-  std::string name;          ///< HostSpec::name()
-  unsigned dispatched = 0;   ///< job leases handed to this host
-  unsigned completed = 0;    ///< leases that returned a verified result
-  unsigned job_failures = 0; ///< jobs that ran and failed (shard-charged)
-  unsigned faults = 0;       ///< host faults (probe, connect, lease, blob)
-  bool blacklisted = false;  ///< quarantined for the rest of the run
-  std::string last_error;    ///< most recent fault or failure text
-};
-
-/// \brief Remote launcher: leases shard attempt `attempt` to host
-/// `host` and reports how the exchange ended (ShardAttempt::host_fault
-/// distinguishes transport failures from job failures). Must be
-/// thread-safe; one invocation per host runs at a time.
-using RemoteLauncher =
-    std::function<ShardAttempt(unsigned host, unsigned shard, int attempt)>;
-
-/// \brief Heartbeat probe: true when `host` answers. Called before a
-/// host's first lease and after every fault, so a dead daemon is noticed
-/// by the probe loop — under reconnect backoff — instead of burning
-/// leases. A probe that throws counts as false, and its what() becomes
-/// the fault text ("probe failed: <what>").
-using HostProbe = std::function<bool(unsigned host)>;
-
-/// \brief Drives every shard over `local_workers` local slots (running
-/// `local_launch`) plus `hosts` remote ones (running `remote_launch`),
-/// retrying failures under `policy`.
+/// \brief Drives every shard through `launch` over a pool of `workers`
+/// threads (clamped to [1, shards]), retrying failures under `policy`.
 ///
 /// Failed attempts are retried — after the deterministic retry_backoff_s
-/// delay — until the shard succeeds or has consumed
-/// `policy.max_attempts` launches, with one exception: an attempt that
-/// exits with code 2 (the CLI's usage/config contract) is a *permanent*
-/// error that retrying cannot fix, so it is never retried and the whole
-/// run aborts — every shard still queued is marked kSkipped instead of
-/// burning attempts on the same deterministic failure. A launcher that
-/// throws records kSpawnFailed with the exception's what() as the error.
-/// `order`, when non-empty, fixes the initial dispatch order (it must be
-/// a permutation of 0..shards-1) — the sweep runner enqueues expensive
-/// shards first so no heavy block starts last.
+/// delay, at the back of the queue — until the shard succeeds or has
+/// consumed `policy.max_attempts` launches, with one exception: an
+/// attempt that exits with code 2 (the CLI's usage/config contract) is a
+/// *permanent* error that retrying cannot fix, so it is never retried and
+/// the whole run aborts — every shard still queued is marked kSkipped
+/// instead of burning attempts on the same deterministic failure. A
+/// launcher that throws records kSpawnFailed with the exception's what()
+/// as the error. `order`, when non-empty, fixes the initial dispatch
+/// order (it must be a permutation of 0..shards-1) — the sweep runner
+/// enqueues expensive shards first so no heavy block starts last.
 /// Returns one ShardRun per shard, indexed by shard. `progress`, when
-/// set, observes every attempt (see ShardProgress). With `hosts == 0`
-/// the remote launcher and probe may be null.
-///
-/// Each host gets one dispatcher thread running the health state
-/// machine: probe until healthy (jittered reconnect backoff between
-/// consecutive faults), then lease shards from the shared queue. A host
-/// fault re-leases the in-flight shard to the healthy workers — the
-/// shard's attempt count is NOT consumed — and sends the host back to
-/// probing; `policy.blacklist_after` consecutive faults quarantine the
-/// host for the rest of the run. With every host blacklisted the sweep
-/// degrades to local-only execution and still completes (there is always
-/// at least one local worker). A remote job failure is charged to its
-/// shard exactly like a local one, including the permanent exit-2 abort.
-/// `reports`, when non-null, receives one HostReport per host.
-std::vector<ShardRun> run_shard_jobs_distributed(
-    unsigned shards, unsigned local_workers, const RetryPolicy& policy,
-    const ShardLauncher& local_launch, unsigned hosts,
-    const RemoteLauncher& remote_launch, const HostProbe& probe,
-    const HostPolicy& host_policy, std::vector<HostReport>* reports,
-    const ShardProgress& progress = nullptr,
-    const std::vector<unsigned>& order = {});
+/// set, observes every attempt (see ShardProgress).
+std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
+                                     const RetryPolicy& policy,
+                                     const ShardLauncher& launch,
+                                     const ShardProgress& progress = nullptr,
+                                     const std::vector<unsigned>& order = {});
 
 }  // namespace hxmesh::engine

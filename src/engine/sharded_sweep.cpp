@@ -1,18 +1,17 @@
 #include "engine/sharded_sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/fsio.hpp"
 #include "core/hash.hpp"
 #include "core/subprocess.hpp"
-#include "engine/fabric.hpp"
+#include "engine/shard.hpp"
 
 namespace hxmesh::engine {
 
@@ -57,28 +56,24 @@ void report_runs(const std::vector<ShardRun>& runs, std::ostream& err) {
   }
 }
 
-void report_hosts(const std::vector<HostSpec>& hosts,
-                  const std::vector<HostReport>& reports, std::ostream& err) {
-  std::size_t blacklisted = 0;
-  for (std::size_t h = 0; h < hosts.size(); ++h) {
-    const HostReport& rep = reports[h];
-    err << "host " << hosts[h].name() << ": " << rep.dispatched
-        << " leased, " << rep.completed << " completed, " << rep.job_failures
-        << " job failure(s), " << rep.faults << " fault(s)";
-    if (rep.blacklisted) {
-      err << " — blacklisted";
-      ++blacklisted;
-    }
-    if (!rep.last_error.empty()) err << " (last: " << rep.last_error << ")";
-    err << "\n";
-  }
-  if (blacklisted == hosts.size())
-    err << "hosts: all " << hosts.size()
-        << " blacklisted — degraded to local-only execution\n";
-}
+/// One attempt of one shard, run as a child process.
+struct ShardChildJob {
+  std::string cache_dir;    ///< shared store; holds the grid handoff file
+  std::string fingerprint;  ///< GridPlan fingerprint naming that file
+  unsigned shards = 1;      ///< partition size
+  unsigned shard = 0;       ///< which block of the partition
+  int attempt = 1;          ///< forwarded so chaos schedules line up
+  int threads = 0;          ///< the child's --threads (0 = its default)
+  double timeout_s = 0.0;   ///< watchdog deadline (0 = none)
+};
 
-}  // namespace
-
+/// Runs `job` as a watched `hxmesh shard` child of this executable. The
+/// child reads the grid from ResultCache::shard_grid_path, which the
+/// caller has written, and writes its manifest to
+/// ResultCache::shard_manifest_path (a stale manifest is removed first,
+/// so it can never stand in for this attempt). The child's fate maps one
+/// to one onto ShardOutcome; a failure's error text ends with the child's
+/// last stderr line, where its "hxmesh: <what>" message lands.
 ShardAttempt run_shard_child(const ShardChildJob& job) {
   const ResultCache layout(job.cache_dir);
   const std::string manifest =
@@ -125,6 +120,8 @@ ShardAttempt run_shard_child(const ShardChildJob& job) {
   return a;
 }
 
+}  // namespace
+
 std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
                                         const ShardedSweepOptions& opt,
                                         ResultCache& cache,
@@ -137,11 +134,10 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
 
   // Parent and children must agree on the grid byte for byte, so the
   // runner writes the canonical grids document and every worker parses
-  // that file instead of re-receiving axis flags. The same document rides
-  // inside every remote job lease.
-  const std::string grids_text = render_grids_json(grids);
+  // that file instead of re-receiving axis flags.
   ensure_dir(cache.shard_meta_dir());
-  write_file_atomic(cache.shard_grid_path(fingerprint), grids_text);
+  write_file_atomic(cache.shard_grid_path(fingerprint),
+                    render_grids_json(grids));
 
   std::vector<std::uint64_t> costs(shards, 0);
   for (unsigned i = 0; i < shards; ++i) {
@@ -179,11 +175,10 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
                             child_threads, opt.shard_timeout_s});
   };
 
-  std::mutex err_mutex;  // progress and chaos lines come from worker threads
+  // Progress calls are serialized under the orchestrator's lock.
   ShardProgress progress;
   if (opt.progress)
     progress = [&](const ShardRun& run, unsigned completed, unsigned total) {
-      std::lock_guard lock(err_mutex);
       err << "progress: shard " << run.shard << " " << describe_run(run)
           << " (attempt " << run.attempts << ") — " << completed << "/"
           << total << " shards done\n";
@@ -197,64 +192,9 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
   // the same backoff schedule.
   policy.seed = Fnv1a().update(fingerprint).digest();
 
-  // Remote dispatch: each host is one extra worker slot driven by the
-  // health state machine. Network chaos (drop/delay) applies here, on the
-  // orchestrator side of the wire.
-  const std::vector<HostSpec>& hosts = opt.hosts;
-  const double lease_s =
-      opt.lease_timeout_s > 0
-          ? opt.lease_timeout_s
-          : (opt.shard_timeout_s > 0 ? opt.shard_timeout_s + 6.0 : 30.0);
-  HostPolicy host_policy;
-  if (opt.blacklist_after > 0)
-    host_policy.blacklist_after = opt.blacklist_after;
-  host_policy.seed = policy.seed;
-
-  auto remote = [&](unsigned h, unsigned shard, int attempt) {
-    if (opt.net_chaos.net_enabled()) {
-      const NetChaosAction act =
-          chaos_net_action(opt.net_chaos, h, shard, attempt);
-      if (act != NetChaosAction::kNone) {
-        std::lock_guard lock(err_mutex);
-        err << "chaos: host " << hosts[h].name() << " shard " << shard
-            << " attempt " << attempt << ": " << net_chaos_action_name(act)
-            << "\n";
-        err.flush();
-      }
-      if (act == NetChaosAction::kDrop)
-        return host_fault("chaos: dropped connection");
-      if (act == NetChaosAction::kDelay)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(kNetChaosDelayS));
-    }
-    FabricJob job;
-    job.fingerprint = fingerprint;
-    job.grids_json = grids_text;
-    job.shards = shards;
-    job.shard = shard;
-    job.attempt = attempt;
-    job.timeout_s = opt.shard_timeout_s;
-    FabricResult r = fabric_run_job(hosts[h], job, lease_s);
-    if (!r.attempt.ok()) return r.attempt;
-    // Admission control: every remote blob must re-verify its content
-    // checksum before it may enter the shared store. One bad blob voids
-    // the whole lease — the shard is re-leased and recomputed, never
-    // replayed from the corrupt bytes.
-    for (const auto& [key, text] : r.blobs)
-      if (!cache.adopt_blob(key, text))
-        return host_fault("corrupt wire blob for cell " + key);
-    write_file_atomic(cache.shard_manifest_path(fingerprint, shard, shards),
-                      r.manifest_json);
-    return r.attempt;
-  };
-  auto probe = [&](unsigned h) { return fabric_ping(hosts[h], 2.0); };
-
-  std::vector<HostReport> host_reports;
-  const std::vector<ShardRun> runs = run_shard_jobs_distributed(
-      shards, workers, policy, launch, static_cast<unsigned>(hosts.size()),
-      remote, probe, host_policy, &host_reports, progress, order);
+  const std::vector<ShardRun> runs =
+      run_shard_jobs(shards, workers, policy, launch, progress, order);
   report_runs(runs, err);
-  if (!hosts.empty()) report_hosts(hosts, host_reports, err);
   const auto failed = std::count_if(runs.begin(), runs.end(),
                                     [](const ShardRun& r) { return !r.ok(); });
   if (failed > 0)
@@ -282,9 +222,8 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
     computed += m.computed;
     counters::fold(m.counters);
   }
-  err << "shards: " << shards << " ok over " << workers << " worker(s)";
-  if (!hosts.empty()) err << " + " << hosts.size() << " host(s)";
-  err << "; cells: " << hits << " hits, " << computed << " computed\n";
+  err << "shards: " << shards << " ok over " << workers << " worker(s)"
+      << "; cells: " << hits << " hits, " << computed << " computed\n";
 
   // Merge: re-read the whole plan through the cache the workers filled.
   // Every cell hits, and %.17g entry rendering makes the merged rows

@@ -374,61 +374,23 @@ TEST(ResultCache, ClearAndPruneReclaimShardMetadata) {
   EXPECT_FALSE(fs::exists(cache.shard_meta_dir()));
 }
 
-TEST(ResultCacheWire, BlobsRoundTripThroughAdoption) {
-  // The distributed fabric's transfer path: a daemon read_blob()s the
-  // exact bytes store() wrote; the orchestrator adopt_blob()s them into
-  // its own cache, and a load() there reproduces the result verbatim.
-  ResultCache source(fresh_dir("wire_source"));
+TEST(ResultCache, ReadBlobReturnsTheStoredBytes) {
+  // read_blob() hands back exactly the bytes store() wrote, and those
+  // bytes load() back to the stored result.
+  const std::string dir = fresh_dir("cache_read_blob");
+  ResultCache cache(dir);
   engine::RunResult result;
   result.completion_s = 123.456;
-  source.store("feedfacefeedface", result);
+  cache.store("feedfacefeedface", result);
 
-  const auto blob = source.read_blob("feedfacefeedface");
+  const auto blob = cache.read_blob("feedfacefeedface");
   ASSERT_TRUE(blob.has_value());
-  EXPECT_EQ(source.read_blob("0000000000000000"), std::nullopt);
+  EXPECT_EQ(blob, read_file(dir + "/feedfacefeedface.json"));
+  EXPECT_EQ(cache.read_blob("0000000000000000"), std::nullopt);
 
-  ResultCache sink(fresh_dir("wire_sink"));
-  const counters::Map before = counters::snapshot();
-  EXPECT_TRUE(sink.adopt_blob("feedfacefeedface", *blob));
-  const counters::Map moved = counters::delta(before, counters::snapshot());
-  EXPECT_EQ(moved.at("wire.adopted"), 1u);
-  EXPECT_EQ(moved.at("wire.rejected"), 0u);
-  const auto loaded = sink.load("feedfacefeedface");
+  const auto loaded = cache.load("feedfacefeedface");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->completion_s, result.completion_s);
-  // The adopted file is byte-identical to the source entry — the merge's
-  // byte-identity guarantee rests on exactly this.
-  EXPECT_EQ(sink.read_blob("feedfacefeedface"), blob);
-}
-
-TEST(ResultCacheWire, CorruptBlobsAreRejectedAtTheDoor) {
-  ResultCache source(fresh_dir("wire_corrupt_src"));
-  engine::RunResult result;
-  source.store("feedfacefeedface", result);
-  std::string blob = *source.read_blob("feedfacefeedface");
-
-  // Flip one payload byte: the trailing checksum no longer matches.
-  const auto pos = blob.find("\"schema\"");
-  ASSERT_NE(pos, std::string::npos);
-  blob[pos + 1] = 'x';
-
-  ResultCache sink(fresh_dir("wire_corrupt_sink"));
-  const counters::Map before = counters::snapshot();
-  EXPECT_FALSE(sink.adopt_blob("feedfacefeedface", blob));
-  // Nothing was written: the corrupt bytes can never be replayed.
-  EXPECT_EQ(sink.load("feedfacefeedface"), std::nullopt);
-  EXPECT_EQ(sink.read_blob("feedfacefeedface"), std::nullopt);
-
-  // Truncated and trivially short blobs fail the same admission test.
-  EXPECT_FALSE(sink.adopt_blob("feedfacefeedface", ""));
-  EXPECT_FALSE(sink.adopt_blob("feedfacefeedface", "{}"));
-  const std::string good = *source.read_blob("feedfacefeedface");
-  EXPECT_FALSE(
-      sink.adopt_blob("feedfacefeedface", good.substr(0, good.size() / 2)));
-  const counters::Map moved = counters::delta(before, counters::snapshot());
-  EXPECT_EQ(moved.at("wire.rejected"), 4u);
-  EXPECT_EQ(moved.at("wire.adopted"), 0u);
-  EXPECT_EQ(sink.read_blob("feedfacefeedface"), std::nullopt);
 }
 
 TEST(ResultCache, PruneAgesOutQuarantinedBlobs) {

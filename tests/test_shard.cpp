@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -14,7 +13,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli/cli.hpp"
@@ -205,7 +203,7 @@ TEST(ShardManifestTest, RendersAndParsesRoundTrip) {
   manifest.keys = {"0123456789abcdef", "fedcba9876543210"};
   manifest.counters = {{"batch.cells_executed", 1},
                        {"routing.oracle_fills", 12},
-                       {"wire.rejected", 0}};
+                       {"cache.quarantined", 0}};
 
   const ShardManifest parsed =
       engine::parse_manifest(engine::render_manifest(manifest));
@@ -308,15 +306,13 @@ engine::RetryPolicy attempts_policy(unsigned max_attempts) {
   return policy;
 }
 
-// The orchestrator with local worker slots only (no hosts).
 std::vector<engine::ShardRun> run_local(
     unsigned shards, unsigned workers, const engine::RetryPolicy& policy,
     const engine::ShardLauncher& launch,
     const engine::ShardProgress& progress = nullptr,
     const std::vector<unsigned>& order = {}) {
-  return engine::run_shard_jobs_distributed(
-      shards, workers, policy, launch, /*hosts=*/0, nullptr, nullptr,
-      engine::HostPolicy{}, nullptr, progress, order);
+  return engine::run_shard_jobs(shards, workers, policy, launch, progress,
+                                order);
 }
 
 TEST(ShardOrchestrator, RunsEveryShardAndRetriesFailures) {
@@ -423,9 +419,9 @@ TEST(RetryBackoff, DeterministicBoundedAndGrowing) {
   EXPECT_EQ(engine::retry_backoff_s(other, 0, 3), 0.0);
 }
 
-// Exact values of both backoffs, recorded before they shared one jitter
-// body: the shared helper must reproduce them bit for bit.
-TEST(JitteredBackoff, ExactValuesArePinned) {
+// Exact backoff values: a refactor of the jitter must reproduce them bit
+// for bit, or a seeded soak would stop replaying the same schedule.
+TEST(RetryBackoff, ExactValuesArePinned) {
   engine::RetryPolicy retry;
   retry.backoff_base_s = 0.25;
   retry.backoff_max_s = 2.0;
@@ -436,17 +432,6 @@ TEST(JitteredBackoff, ExactValuesArePinned) {
   EXPECT_EQ(engine::retry_backoff_s(retry, 3, 1), 0x1.8761dfb45bb62p-3);
   EXPECT_EQ(engine::retry_backoff_s(retry, 3, 2), 0x1.1acc3311f0512p-2);
   EXPECT_EQ(engine::retry_backoff_s(retry, 3, 5), 0x1.39b8923e094a6p+0);
-
-  engine::HostPolicy host;
-  host.reconnect_base_s = 0.1;
-  host.reconnect_max_s = 1.0;
-  host.seed = 42;
-  EXPECT_EQ(engine::reconnect_backoff_s(host, 0, 1), 0x1.ed3af69d97305p-5);
-  EXPECT_EQ(engine::reconnect_backoff_s(host, 0, 2), 0x1.4d7b9f03ee4f7p-3);
-  EXPECT_EQ(engine::reconnect_backoff_s(host, 0, 6), 0x1.ee83d43b3c4fp-1);
-  EXPECT_EQ(engine::reconnect_backoff_s(host, 2, 1), 0x1.924924beea5e2p-4);
-  EXPECT_EQ(engine::reconnect_backoff_s(host, 2, 2), 0x1.5a7b866c4f054p-3);
-  EXPECT_EQ(engine::reconnect_backoff_s(host, 2, 6), 0x1.fec3b57db5324p-1);
 }
 
 TEST(ShardPartition, CoversExactlyAndBalancesCost) {
@@ -731,201 +716,7 @@ TEST(ShardPartition, DegenerateInputsStillCoverExactly) {
   }
 }
 
-// -- distributed dispatch ------------------------------------------------
-
-TEST(HostsFlag, ParsesListsAndBracketedV6Literals) {
-  const auto hosts = engine::parse_hosts("alpha:9000,10.0.0.2:1,[::1]:65535");
-  ASSERT_EQ(hosts.size(), 3u);
-  EXPECT_EQ(hosts[0].host, "alpha");
-  EXPECT_EQ(hosts[0].port, 9000);
-  EXPECT_EQ(hosts[0].name(), "alpha:9000");
-  EXPECT_EQ(hosts[1].name(), "10.0.0.2:1");
-  EXPECT_EQ(hosts[2].host, "::1");  // stored unbracketed for connect()
-  EXPECT_EQ(hosts[2].port, 65535);
-
-  for (const char* bad :
-       {"", ",", "alpha", "alpha:", ":9000", "alpha:0", "alpha:65536",
-        "alpha:9x", "alpha:9000,", "[::1]", "[::1]9000"}) {
-    EXPECT_THROW(engine::parse_hosts(bad), std::invalid_argument) << bad;
-  }
-}
-
-TEST(ReconnectBackoff, DeterministicBoundedAndGrowing) {
-  engine::HostPolicy policy;
-  policy.reconnect_base_s = 0.1;
-  policy.reconnect_max_s = 0.8;
-  policy.seed = 9;
-  for (unsigned host = 0; host < 3; ++host) {
-    double prev_cap = 0.0;
-    for (unsigned fault = 1; fault <= 6; ++fault) {
-      const double a = engine::reconnect_backoff_s(policy, host, fault);
-      EXPECT_EQ(a, engine::reconnect_backoff_s(policy, host, fault))
-          << "same fault must wait the same time";
-      const double cap = std::min(
-          policy.reconnect_max_s,
-          policy.reconnect_base_s * static_cast<double>(1u << (fault - 1)));
-      EXPECT_GE(a, cap * 0.5) << host << "/" << fault;
-      EXPECT_LE(a, cap) << host << "/" << fault;
-      EXPECT_GE(cap, prev_cap);
-      prev_cap = cap;
-    }
-  }
-  // Zero base disables the wait (tests spin the probe loop flat out).
-  engine::HostPolicy eager = policy;
-  eager.reconnect_base_s = 0.0;
-  EXPECT_EQ(engine::reconnect_backoff_s(eager, 0, 3), 0.0);
-}
-
-// Fast host policy for unit tests: no reconnect sleeping.
-engine::HostPolicy hosts_policy(unsigned blacklist_after) {
-  engine::HostPolicy policy;
-  policy.blacklist_after = blacklist_after;
-  policy.reconnect_base_s = 0.0;
-  return policy;
-}
-
-// Host-fault launcher attempt (transport problem, charged to the host).
-engine::ShardAttempt faulted(std::string error) {
-  engine::ShardAttempt attempt;
-  attempt.outcome = engine::ShardOutcome::kSpawnFailed;
-  attempt.error = std::move(error);
-  attempt.host_fault = true;
-  return attempt;
-}
-
-TEST(DistributedOrchestrator, HostFaultsReleaseWithoutBurningAttempts) {
-  // A host that drops every exchange: each leased shard must come back to
-  // the queue with its attempt budget intact, finish locally on its FIRST
-  // counted attempt, and the host must blacklist after two faults.
-  std::atomic<int> remote_calls{0}, local_calls{0};
-  auto local = [&](unsigned, int attempt) {
-    ++local_calls;
-    EXPECT_EQ(attempt, 1);  // a re-leased shard is still on attempt 1
-    // Slow enough that the (sleepless) host thread reaches its blacklist
-    // threshold long before the local worker drains the queue.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return exited(0);
-  };
-  auto remote = [&](unsigned, unsigned, int) {
-    ++remote_calls;
-    return faulted("connection dropped");
-  };
-  std::vector<engine::HostReport> reports;
-  const auto runs = engine::run_shard_jobs_distributed(
-      6, 1, attempts_policy(1), local, 1, remote, [](unsigned) { return true; },
-      hosts_policy(2), &reports);
-  ASSERT_EQ(runs.size(), 6u);
-  for (const auto& run : runs) {
-    EXPECT_TRUE(run.ok()) << run.shard;
-    EXPECT_EQ(run.attempts, 1) << run.shard;  // faults consumed nothing
-    EXPECT_EQ(run.history.size(), 1u) << run.shard;
-  }
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_TRUE(reports[0].blacklisted);
-  EXPECT_EQ(reports[0].faults, 2u);  // stopped exactly at the threshold
-  EXPECT_EQ(reports[0].completed, 0u);
-  EXPECT_EQ(reports[0].last_error, "connection dropped");
-  EXPECT_EQ(remote_calls.load(), 2);
-  EXPECT_EQ(local_calls.load(), 6);
-}
-
-TEST(DistributedOrchestrator, UnreachableHostsDegradeToLocalOnly) {
-  // Probes never succeed: with blacklist_after=1 both hosts quarantine on
-  // their first failed probe and the sweep completes on the forced local
-  // worker (local_workers=0 is bumped to the degradation floor of 1).
-  std::atomic<int> remote_calls{0};
-  auto remote = [&](unsigned, unsigned, int) {
-    ++remote_calls;
-    return exited(0);
-  };
-  auto local = [](unsigned, int) {
-    // Keep the queue alive long enough for both hosts to fail their first
-    // probe — otherwise the sweep could finish before they even try.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return exited(0);
-  };
-  std::vector<engine::HostReport> reports;
-  const auto runs = engine::run_shard_jobs_distributed(
-      4, 0, attempts_policy(2), local, 2, remote,
-      [](unsigned) { return false; }, hosts_policy(1), &reports);
-  ASSERT_EQ(runs.size(), 4u);
-  for (const auto& run : runs) EXPECT_TRUE(run.ok()) << run.shard;
-  ASSERT_EQ(reports.size(), 2u);
-  for (const auto& report : reports) {
-    EXPECT_TRUE(report.blacklisted) << report.name;
-    EXPECT_GE(report.faults, 1u);
-    EXPECT_EQ(report.dispatched, 0u);  // never got a lease
-  }
-  EXPECT_EQ(remote_calls.load(), 0);  // a dead host is never leased to
-}
-
-TEST(DistributedOrchestrator, ThrowingProbeKeepsItsReason) {
-  // A probe that throws is a failed heartbeat like any other, but the
-  // host report must say why, not just that it failed.
-  std::atomic<int> probes{0};
-  auto probe = [&](unsigned) -> bool {
-    ++probes;
-    throw std::runtime_error("boom");
-  };
-  auto local = [](unsigned, int) {
-    // Keep the queue alive until the host has crossed its threshold.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return exited(0);
-  };
-  auto remote = [](unsigned, unsigned, int) { return exited(0); };
-  std::vector<engine::HostReport> reports;
-  const auto runs = engine::run_shard_jobs_distributed(
-      4, 1, attempts_policy(1), local, 1, remote, probe, hosts_policy(3),
-      &reports);
-  for (const auto& run : runs) EXPECT_TRUE(run.ok()) << run.shard;
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].faults, 3u);
-  EXPECT_EQ(probes.load(), 3);
-  EXPECT_TRUE(reports[0].blacklisted);
-  EXPECT_EQ(reports[0].dispatched, 0u);
-  EXPECT_NE(reports[0].last_error.find("boom"), std::string::npos)
-      << reports[0].last_error;
-}
-
-TEST(DistributedOrchestrator, RemoteSuccessesAndJobFailuresAreTallied) {
-  // The remote slot fails each shard's first attempt (job failure: charged
-  // to the shard) and succeeds afterwards; the local worker is slow enough
-  // that the host sees most of the queue. Every failure must burn a real
-  // attempt and every run's history must match its attempt count.
-  std::mutex mutex;
-  std::map<unsigned, int> first_seen;
-  auto remote = [&](unsigned, unsigned shard, int attempt) {
-    std::lock_guard lock(mutex);
-    if (++first_seen[shard] == 1) {
-      EXPECT_EQ(attempt, 1);
-      return exited(7, "transient remote failure");
-    }
-    return exited(0);
-  };
-  auto local = [&](unsigned, int) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return exited(0);
-  };
-  std::vector<engine::HostReport> reports;
-  const auto runs = engine::run_shard_jobs_distributed(
-      6, 1, attempts_policy(3), local, 1, remote,
-      [](unsigned) { return true; }, hosts_policy(3), &reports);
-  ASSERT_EQ(runs.size(), 6u);
-  for (const auto& run : runs) {
-    EXPECT_TRUE(run.ok()) << run.shard;
-    EXPECT_EQ(run.history.size(), static_cast<std::size_t>(run.attempts))
-        << run.shard;
-    EXPECT_EQ(run.history.back(), engine::ShardOutcome::kExited) << run.shard;
-  }
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_FALSE(reports[0].blacklisted);  // job failures are not host faults
-  EXPECT_EQ(reports[0].faults, 0u);
-  EXPECT_EQ(reports[0].dispatched,
-            reports[0].completed + reports[0].job_failures);
-  EXPECT_GT(reports[0].completed, 0u);  // the healthy host did real work
-}
-
-TEST(DistributedOrchestrator, HistoryNamesRenderTheRetryReport) {
+TEST(ShardOrchestrator, HistoryNamesRenderTheRetryReport) {
   // One shard, one worker: signaled, then timed-out, then success — the
   // report string the CLI prints must spell out all three classifications.
   auto launch = [](unsigned, int attempt) {
