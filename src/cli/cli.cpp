@@ -1,14 +1,9 @@
 #include "cli/cli.hpp"
 
-#include <signal.h>
-
-#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
-#include "core/chaos.hpp"
 #include "core/counters.hpp"
 #include "core/fsio.hpp"
 #include "core/parse_num.hpp"
@@ -32,38 +27,29 @@ subcommands:
          run one grid cell; prints its JSON row
   sweep  (--topo SPEC)+ (--pattern SPEC)+ [(--engine NAME)+] [(--seed N)+]
          [--label L]* [--config FILE.json] [--json PATH]
-         [--shards N] [--workers K] [--retries R]
-         [--shard-timeout SEC] [--retry-backoff SEC] [--progress]
+         [--shards N] [--workers K] [--shard-timeout SEC]
          run the full topology x engine x pattern x seed grid
          (no --seed: each pattern's own seed= applies, default 1).
          With --shards: split the grid into N contiguous blocks of
          near-equal estimated cost (packet cells weigh more than flow)
-         and run one 'hxmesh shard' worker per block, heaviest first,
-         over K process slots; failed shards retry R extra times with
-         seeded exponential backoff (exit 2 is a permanent config error
-         and fails the sweep at once); the result cache then merges them
-         into the byte-identical single-process row order.
-         --shard-timeout arms a watchdog: a shard past its deadline gets
-         SIGTERM, then SIGKILL after a grace period, and reports
-         'timed-out'. --progress reports each shard attempt (stderr).
-  shard  --shards N --shard I [grid flags as for sweep] [--manifest PATH]
-         [--attempt A]
+         and run one 'hxmesh shard' worker per non-empty block,
+         heaviest first, over K process slots, reporting each shard on
+         stderr as it ends; the result cache then merges them into the
+         byte-identical single-process row order. A failed shard fails
+         the sweep; re-running it recomputes only the cells the cache
+         lacks. --shard-timeout arms a watchdog: a shard past its
+         deadline gets SIGTERM, then SIGKILL after a grace period, and
+         reports 'timed-out'.
+  shard  --shards N --shard I [grid flags as for sweep]
          run one cost-balanced block of the grid: simulate its cells,
          store them as result-cache entries, and write a coverage
-         manifest (honors the HXMESH_CHAOS fault-injection spec, below)
+         manifest next to the cache
   ls     [engines|topologies|patterns]
          list registered engines, topology families, pattern grammar
   cache  stats|clear|prune [--cache-dir DIR]
          inspect, empty, or age/LRU-evict the result cache
          (prune: --max-age AGE[s|m|h|d] and/or --max-entries N;
          stats reports the store: entries, bytes, quarantined blobs)
-
-environment:
-  HXMESH_CHAOS      deterministic fault injection. kill:<p> and hang:<p>
-                    make 'hxmesh shard' workers self-SIGKILL or hang.
-                    Every decision is a pure function of the spec (plus
-                    seed=S), so a fixed seed replays the same fault
-                    schedule
 
 common options:
   --json PATH       write rows as a JSON array to PATH ('-' = stdout)
@@ -149,9 +135,7 @@ struct SweepOptions {
   int threads = 0;
   // sweep --shards and its flags; `shards` is also the shard subcommand's N.
   engine::ShardedSweepOptions sharding;
-  int shard_index = -1;       // shard subcommand only
-  std::string manifest_path;  // shard subcommand output (default derived)
-  int attempt = 0;            // shard: attempt number (0 = unset -> 1)
+  int shard_index = -1;  // shard subcommand only
 };
 
 // Reads one string-array member of a config object into `out` (appending).
@@ -265,8 +249,6 @@ void report(const std::optional<engine::ResultCache>& cache,
 int do_sweep(SweepOptions opt, std::ostream& out, std::ostream& err) {
   const counters::Map before = counters::snapshot();
   engine::ShardedSweepOptions& sharding = opt.sharding;
-  if (opt.attempt != 0)
-    usage_error("sweep: --attempt applies to the shard subcommand");
   if (sharding.shards == 0 && sharding.shard_timeout_s > 0)
     usage_error("sweep: --shard-timeout needs --shards");
   const auto grids = final_grids(opt);
@@ -300,29 +282,8 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
   if (opt.no_cache)
     usage_error("shard: the result cache is the shard's output "
                 "(drop --no-cache)");
-  if (sharding.progress || sharding.shard_timeout_s > 0)
-    usage_error("shard: --progress/--shard-timeout apply to the sweep "
-                "orchestrator");
-  const int attempt = opt.attempt > 0 ? opt.attempt : 1;
-
-  // Deterministic fault injection: a malformed spec is a config error
-  // (exit 2 via invalid_argument — permanent, never retried); a kill or
-  // hang decision executes before any work so the orchestrator's retry
-  // and watchdog paths see a worker that genuinely died or genuinely
-  // hangs, not a simulated flag.
-  if (const char* env = std::getenv("HXMESH_CHAOS"); env && *env) {
-    const ChaosSpec chaos = parse_chaos(env);
-    const ChaosAction action = chaos_action(
-        chaos, static_cast<unsigned>(opt.shard_index), attempt);
-    if (action != ChaosAction::kNone) {
-      err << "chaos: shard " << opt.shard_index << " attempt " << attempt
-          << ": " << chaos_action_name(action) << "\n";
-      err.flush();
-    }
-    if (action == ChaosAction::kKill) ::raise(SIGKILL);
-    if (action == ChaosAction::kHang)
-      for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
-  }
+  if (sharding.shard_timeout_s > 0)
+    usage_error("shard: --shard-timeout applies to the sweep orchestrator");
 
   const auto grids = final_grids(opt);
   const engine::GridPlan plan(grids);
@@ -332,10 +293,8 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
       harness, plan, static_cast<unsigned>(opt.shard_index), sharding.shards,
       cache);
 
-  std::string path = opt.manifest_path;
-  if (path.empty())
-    path = cache.shard_manifest_path(plan.fingerprint(), manifest.shard,
-                                     manifest.shards);
+  const std::string path = cache.shard_manifest_path(
+      plan.fingerprint(), manifest.shard, manifest.shards);
   write_file_atomic(path, engine::render_manifest(manifest));
   err << "shard " << manifest.shard << "/" << manifest.shards << ": cells ["
       << manifest.cell_lo << ", " << manifest.cell_hi << ") — "
@@ -350,10 +309,8 @@ int do_run(SweepOptions opt, std::ostream& out, std::ostream& err) {
   const counters::Map before = counters::snapshot();
   const engine::ShardedSweepOptions& sharding = opt.sharding;
   if (sharding.shards != 0 || opt.shard_index >= 0 ||
-      sharding.shard_timeout_s > 0 || opt.attempt != 0)
+      sharding.shard_timeout_s > 0)
     usage_error("run: sharding flags apply to sweep and shard only");
-  if (sharding.progress)
-    usage_error("run: --progress applies to the sweep orchestrator");
   if (!opt.config_grids.empty())
     usage_error("run: a \"grids\" config applies to sweep only");
   if (opt.config.topologies.size() != 1)
@@ -422,20 +379,8 @@ SweepOptions parse_grid_flags(const std::vector<std::string>& args,
     else if (flag == "--workers")
       sharding.workers = static_cast<unsigned>(
           parse_bounded(flag, need_value(args, i), 1 << 20));
-    else if (flag == "--retries")
-      sharding.retries = static_cast<unsigned>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
-    else if (flag == "--progress")
-      sharding.progress = true;
-    else if (flag == "--manifest")
-      opt.manifest_path = need_value(args, i);
     else if (flag == "--shard-timeout")
       sharding.shard_timeout_s = parse_seconds(flag, need_value(args, i));
-    else if (flag == "--retry-backoff")
-      sharding.retry_backoff_s = parse_seconds(flag, need_value(args, i));
-    else if (flag == "--attempt")
-      opt.attempt = static_cast<int>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
     else
       usage_error("unknown flag '" + flag + "'");
   }

@@ -263,13 +263,6 @@ CommandResult run_command_watched(const std::vector<std::string>& argv,
   return result;
 }
 
-int run_command(const std::vector<std::string>& argv) {
-  const CommandResult result = run_command_watched(argv);
-  if (result.status == CommandStatus::kSpawnFailed)
-    throw std::runtime_error(result.error);
-  return result.shell_code();
-}
-
 std::string self_exe_path() {
   if (const char* env = std::getenv("HXMESH_EXE"); env && *env) return env;
   char buf[4096];

@@ -27,13 +27,13 @@ enum class CommandStatus {
 };
 
 /// \brief Stable lowercase name of a CommandStatus ("exited", "signaled",
-/// "timed-out", "spawn-failed") — used verbatim in retry reports and logs.
+/// "timed-out", "spawn-failed") — used verbatim in shard reports and logs.
 const char* command_status_name(CommandStatus status);
 
 /// \brief Knobs for run_command_watched.
 struct CommandOptions {
   /// Wall-clock deadline in seconds; 0 (the default) disables the
-  /// watchdog and the call waits forever, like classic run_command.
+  /// watchdog and the call waits for the child however long it runs.
   /// A watched child runs in its own process group, and the deadline's
   /// signals go to the whole group, so no descendant outlives it. The
   /// group also keeps the child out of the terminal's Ctrl-C; the child
@@ -62,7 +62,7 @@ struct CommandResult {
 
   bool ok() const { return status == CommandStatus::kExited && exit_code == 0; }
 
-  /// Shell-convention code for legacy callers: the exit code, 128+signal
+  /// Shell-convention code, for one-number reports: the exit code, 128+signal
   /// for kSignaled, 128+SIGKILL for kTimedOut, -1 for kSpawnFailed.
   int shell_code() const;
 };
@@ -83,15 +83,6 @@ struct CommandResult {
 /// multiple threads at once — each call watches its own child.
 CommandResult run_command_watched(const std::vector<std::string>& argv,
                                   const CommandOptions& options = {});
-
-/// \brief Runs `argv` as a child process to completion, inheriting stdio
-/// and the environment.
-///
-/// The legacy unwatched form: equivalent to run_command_watched with no
-/// timeout. Returns the child's exit code; a child killed by a signal
-/// reports 128 plus the signal number (the shell convention).
-/// \throws std::runtime_error when the process cannot be spawned.
-int run_command(const std::vector<std::string>& argv);
 
 /// \brief Absolute path of the currently running executable.
 ///

@@ -1,14 +1,8 @@
 #include "engine/shard.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
+#include <climits>
 #include <stdexcept>
-#include <thread>
 
-#include "core/hash.hpp"
 #include "core/json_parse.hpp"
 
 namespace hxmesh::engine {
@@ -47,14 +41,22 @@ ShardManifest parse_manifest(const std::string& text) {
                                   key);
     return v->as_u64();
   };
+  // shard and shards are unsigned: a wider value must not wrap into range.
+  auto u32 = [&](const char* key) {
+    const std::uint64_t v = u64(key);
+    if (v > UINT_MAX)
+      throw std::invalid_argument(std::string("shard manifest: ") + key +
+                                  " out of range");
+    return static_cast<unsigned>(v);
+  };
 
   ShardManifest manifest;
   const JsonValue* grid = doc.get("grid");
   if (!grid || !grid->is_string())
     throw std::invalid_argument("shard manifest: missing grid fingerprint");
   manifest.fingerprint = grid->str;
-  manifest.shard = static_cast<unsigned>(u64("shard"));
-  manifest.shards = static_cast<unsigned>(u64("shards"));
+  manifest.shard = u32("shard");
+  manifest.shards = u32("shards");
   manifest.cell_lo = u64("cell_lo");
   manifest.cell_hi = u64("cell_hi");
   manifest.hits = u64("hits");
@@ -153,176 +155,6 @@ std::string merge_error(const GridPlan& plan,
         return "shard " + std::to_string(m.shard) + ": key mismatch at cell " +
                std::to_string(c);
   return "";
-}
-
-const char* outcome_name(ShardOutcome outcome) {
-  switch (outcome) {
-    case ShardOutcome::kPending: return "pending";
-    case ShardOutcome::kExited: return "exited";
-    case ShardOutcome::kSignaled: return "signaled";
-    case ShardOutcome::kTimedOut: return "timed-out";
-    case ShardOutcome::kSpawnFailed: return "spawn-failed";
-    case ShardOutcome::kSkipped: return "skipped";
-  }
-  return "unknown";
-}
-
-std::string history_names(const ShardRun& run) {
-  std::string out;
-  for (std::size_t i = 0; i < run.history.size(); ++i) {
-    out += (i ? ", " : "");
-    out += outcome_name(run.history[i]);
-  }
-  return out;
-}
-
-double retry_backoff_s(const RetryPolicy& policy, unsigned shard,
-                       int attempt) {
-  if (policy.backoff_base_s <= 0.0 || attempt < 1) return 0.0;
-  double delay = policy.backoff_base_s;
-  for (int i = 1; i < attempt && delay < policy.backoff_max_s; ++i)
-    delay *= 2.0;
-  delay = std::min(delay, std::max(policy.backoff_max_s, 0.0));
-  // Multiplicative jitter in [0.5, 1.0], hashed rather than drawn, so the
-  // same inputs always wait the same time.
-  Fnv1a hash;
-  hash.update(policy.seed)
-      .update(static_cast<std::uint64_t>(shard))
-      .update(attempt);
-  const double u = static_cast<double>(hash.digest() >> 11) * 0x1.0p-53;
-  return delay * (0.5 + 0.5 * u);
-}
-
-std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
-                                     const RetryPolicy& policy,
-                                     const ShardLauncher& launch,
-                                     const ShardProgress& progress,
-                                     const std::vector<unsigned>& order) {
-  std::vector<ShardRun> runs(shards);
-  for (unsigned i = 0; i < shards; ++i) runs[i].shard = i;
-  if (shards == 0) return runs;
-  workers = std::clamp(workers, 1u, shards);
-  const unsigned max_attempts = std::max(1u, policy.max_attempts);
-  if (!order.empty() && order.size() != shards)
-    throw std::invalid_argument("run_shard_jobs: order must list every shard");
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<unsigned> queue;
-  // Shards leased to a worker or sleeping out a retry backoff: neither
-  // queued nor terminal. The run is over only when the queue is empty AND
-  // nothing is in flight — an in-flight shard can re-enter the queue as a
-  // retry, so an empty queue alone proves nothing. Workers therefore
-  // block on the condition variable instead of exiting.
-  unsigned in_flight = 0;
-  unsigned completed = 0;
-  bool aborted = false;  // a permanent (exit 2) failure poisons the run
-  if (order.empty())
-    for (unsigned i = 0; i < shards; ++i) queue.push_back(i);
-  else
-    for (unsigned i : order) queue.push_back(i);
-
-  // On abort, everything still waiting is marked skipped — retrying
-  // cannot fix the config error that poisoned the run, so burning
-  // attempts on it would only delay the report. Caller holds the lock.
-  auto drain_locked = [&] {
-    while (!queue.empty()) {
-      ShardRun& run = runs[queue.front()];
-      queue.pop_front();
-      run.outcome = ShardOutcome::kSkipped;
-      run.error = "skipped after a permanent shard failure";
-      ++completed;
-      if (progress) progress(run, completed, shards);
-    }
-  };
-
-  // Blocks until a shard can be leased (true) or no work will ever
-  // appear again (false).
-  auto lease = [&](unsigned& shard, int& attempt) {
-    std::unique_lock lock(mutex);
-    cv.wait(lock,
-            [&] { return aborted || !queue.empty() || in_flight == 0; });
-    if (aborted) {
-      drain_locked();
-      cv.notify_all();
-      return false;
-    }
-    if (queue.empty()) return false;  // nothing queued, nothing in flight
-    shard = queue.front();
-    queue.pop_front();
-    attempt = runs[shard].attempts + 1;
-    ++in_flight;
-    return true;
-  };
-
-  // Records one resolved attempt. Returns true when the shard should be
-  // retried — the caller sleeps the backoff and then requeues; in_flight
-  // stays held across that sleep so no worker exits while the shard is
-  // off-queue.
-  auto resolve = [&](unsigned shard, int attempt,
-                     const ShardAttempt& result) {
-    std::lock_guard lock(mutex);
-    ShardRun& run = runs[shard];
-    run.attempts = attempt;
-    run.outcome = result.outcome;
-    run.exit_code = result.exit_code;
-    run.error = result.error;
-    run.history.push_back(result.outcome);
-    // Exit code 2 is the CLI's usage/config contract: deterministic,
-    // so no retry can succeed — fail the whole run fast instead.
-    const bool permanent =
-        result.outcome == ShardOutcome::kExited && result.exit_code == 2;
-    if (permanent) aborted = true;
-    const bool retrying = !result.ok() && !permanent && !aborted &&
-                          static_cast<unsigned>(attempt) < max_attempts;
-    if (!retrying) {
-      ++completed;  // success, exhausted, or permanent
-      --in_flight;
-    }
-    // Progress fires under the lock so observers see a serialized,
-    // monotonically completing sequence.
-    if (progress) progress(run, completed, shards);
-    cv.notify_all();
-    return retrying;
-  };
-
-  auto requeue = [&](unsigned shard) {
-    std::lock_guard lock(mutex);
-    --in_flight;
-    queue.push_back(shard);
-    cv.notify_all();
-  };
-
-  auto worker = [&] {
-    unsigned shard = 0;
-    int attempt = 0;
-    while (lease(shard, attempt)) {
-      ShardAttempt result;
-      try {
-        result = launch(shard, attempt);
-      } catch (const std::exception& e) {
-        result.outcome = ShardOutcome::kSpawnFailed;
-        result.exit_code = -1;
-        result.error = e.what();
-      }
-      if (resolve(shard, attempt, result)) {
-        // Seeded exponential backoff between attempts; sleeping outside
-        // the lock keeps the other workers scheduling. The shard re-joins
-        // the queue only after the delay, so a crashing dependency gets
-        // breathing room instead of a retry stampede.
-        const double delay = retry_backoff_s(policy, shard, attempt);
-        if (delay > 0.0)
-          std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-        requeue(shard);
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-  return runs;
 }
 
 }  // namespace hxmesh::engine

@@ -12,19 +12,16 @@
 // the manifests prove that every cell of this exact grid (by fingerprint)
 // was covered exactly once.
 //
-// The orchestrator half (run_shard_jobs) is process-agnostic: it drives
-// any launcher callback with a bounded worker pool and per-shard retries,
-// so its retry and abort discipline is testable without spawning a
-// process. The sweep runner (engine/sharded_sweep.hpp) wires it to
-// watched `hxmesh shard` children of this executable.
+// The sweep runner (engine/sharded_sweep.hpp) runs each block as a
+// watched `hxmesh shard` child of this executable; a failed child fails
+// the sweep, and re-running it recomputes only what the cache lacks.
 #pragma once
 
 /// \file
 /// \brief Sharded grid execution: shard manifests, single-shard
-/// execution, merge verification, and the retrying shard orchestrator.
+/// execution and merge verification.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -83,102 +80,5 @@ ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
 /// sound, else a human-readable reason.
 std::string merge_error(const GridPlan& plan,
                         const std::vector<ShardManifest>& manifests);
-
-/// \brief How one shard (or one launch attempt) terminated.
-enum class ShardOutcome {
-  kPending,      ///< never launched (initial state)
-  kExited,       ///< ran to an exit code (0 = success)
-  kSignaled,     ///< killed by a signal (e.g. a chaos SIGKILL)
-  kTimedOut,     ///< the watchdog deadline reaped it
-  kSpawnFailed,  ///< the launcher threw or could not start a process
-  kSkipped,      ///< never (re)tried: the sweep aborted on a permanent error
-};
-
-/// \brief Stable lowercase name ("exited", "timed-out", ...) used
-/// verbatim in progress lines and retry reports.
-const char* outcome_name(ShardOutcome outcome);
-
-/// \brief Result of one launch attempt, as reported by the launcher.
-struct ShardAttempt {
-  ShardOutcome outcome = ShardOutcome::kSpawnFailed;
-  int exit_code = -1;  ///< meaningful when outcome == kExited
-  std::string error;   ///< human-readable failure text ("" on success)
-
-  bool ok() const { return outcome == ShardOutcome::kExited && exit_code == 0; }
-};
-
-/// \brief Outcome of driving one shard through the orchestrator.
-struct ShardRun {
-  unsigned shard = 0;  ///< shard index
-  int attempts = 0;    ///< launch attempts consumed (>= 1 unless skipped)
-  int exit_code = -1;  ///< last attempt's exit code (0 = success)
-  ShardOutcome outcome = ShardOutcome::kPending;  ///< last attempt's class
-  std::string error;   ///< last attempt's error text ("" on success)
-  /// Watchdog classification of every consumed attempt, in order (the
-  /// last element equals `outcome`). This is what the final retry report
-  /// prints, so a post-mortem can see "signaled, timed-out, exited"
-  /// without digging through intermediate progress lines.
-  std::vector<ShardOutcome> history;
-
-  bool ok() const { return outcome == ShardOutcome::kExited && exit_code == 0; }
-};
-
-/// \brief Renders a run's attempt history as "signaled, timed-out,
-/// exited" for the final per-shard retry report. Empty for zero attempts.
-std::string history_names(const ShardRun& run);
-
-/// \brief Retry discipline of the orchestrator.
-struct RetryPolicy {
-  unsigned max_attempts = 1;    ///< total launches per shard (>= 1)
-  double backoff_base_s = 0.25; ///< first retry's mean delay; 0 = none
-  double backoff_max_s = 2.0;   ///< exponential growth cap
-  std::uint64_t seed = 0;       ///< jitter seed (deterministic per run)
-};
-
-/// \brief Deterministic backoff before retry `attempt` of `shard`
-/// (attempt is the 1-based count already consumed, so the first retry
-/// passes 1). Exponential — min(max, base * 2^(attempt-1)) — with
-/// multiplicative jitter in [0.5, 1.0] hashed from (seed, shard,
-/// attempt): retries spread out instead of stampeding, and the same
-/// inputs always wait the same time, keeping soak tests reproducible.
-double retry_backoff_s(const RetryPolicy& policy, unsigned shard, int attempt);
-
-/// \brief Per-attempt progress callback of the orchestrator.
-///
-/// Invoked after every launch attempt resolves, with the shard's current
-/// ShardRun state, the number of shards that have reached a terminal
-/// outcome (success, or retries exhausted), and the total shard count.
-/// Calls are serialized under the orchestrator's lock, so implementations
-/// may write to a stream without their own synchronization; a shard is
-/// counted completed in the same call that reports its terminal attempt.
-using ShardProgress =
-    std::function<void(const ShardRun&, unsigned completed, unsigned total)>;
-
-/// \brief Launcher callback: runs `shard`'s attempt number `attempt`
-/// (1-based) and reports how it ended. Must be thread-safe: up to
-/// `workers` invocations run concurrently.
-using ShardLauncher = std::function<ShardAttempt(unsigned shard, int attempt)>;
-
-/// \brief Drives every shard through `launch` over a pool of `workers`
-/// threads (clamped to [1, shards]), retrying failures under `policy`.
-///
-/// Failed attempts are retried — after the deterministic retry_backoff_s
-/// delay, at the back of the queue — until the shard succeeds or has
-/// consumed `policy.max_attempts` launches, with one exception: an
-/// attempt that exits with code 2 (the CLI's usage/config contract) is a
-/// *permanent* error that retrying cannot fix, so it is never retried and
-/// the whole run aborts — every shard still queued is marked kSkipped
-/// instead of burning attempts on the same deterministic failure. A
-/// launcher that throws records kSpawnFailed with the exception's what()
-/// as the error. `order`, when non-empty, fixes the initial dispatch
-/// order (it must be a permutation of 0..shards-1) — the sweep runner
-/// enqueues expensive shards first so no heavy block starts last.
-/// Returns one ShardRun per shard, indexed by shard. `progress`, when
-/// set, observes every attempt (see ShardProgress).
-std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
-                                     const RetryPolicy& policy,
-                                     const ShardLauncher& launch,
-                                     const ShardProgress& progress = nullptr,
-                                     const std::vector<unsigned>& order = {});
 
 }  // namespace hxmesh::engine

@@ -1,7 +1,7 @@
 #include "engine/sharded_sweep.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -9,8 +9,8 @@
 #include <thread>
 
 #include "core/fsio.hpp"
-#include "core/hash.hpp"
 #include "core/subprocess.hpp"
+#include "core/thread_pool.hpp"
 #include "engine/shard.hpp"
 
 namespace hxmesh::engine {
@@ -27,42 +27,12 @@ std::string last_line(const std::string& text) {
   return text.substr(start, end - start + 1);
 }
 
-/// Short status word for one shard attempt: "ok", "failed (exit N)", or
-/// the outcome name ("timed-out", "signaled", "spawn-failed", "skipped").
-std::string describe_run(const ShardRun& run) {
-  if (run.ok()) return "ok";
-  if (run.outcome == ShardOutcome::kExited)
-    return "failed (exit " + std::to_string(run.exit_code) + ")";
-  return outcome_name(run.outcome);
-}
-
-void report_runs(const std::vector<ShardRun>& runs, std::ostream& err) {
-  for (const ShardRun& run : runs) {
-    if (run.ok() && run.attempts > 1)
-      err << "shard " << run.shard << ": succeeded on attempt "
-          << run.attempts << " [" << history_names(run) << "]\n";
-    if (run.ok()) continue;
-    err << "shard " << run.shard << ": ";
-    if (run.outcome == ShardOutcome::kExited) {
-      err << "failed with exit code " << run.exit_code;
-      if (run.exit_code == 2) err << " (permanent config error, not retried)";
-    } else {
-      err << outcome_name(run.outcome);
-    }
-    err << " after " << run.attempts << " attempt(s)";
-    if (!run.history.empty()) err << " [" << history_names(run) << "]";
-    if (!run.error.empty()) err << ": " << run.error;
-    err << "\n";
-  }
-}
-
-/// One attempt of one shard, run as a child process.
+/// One shard, run as a child process.
 struct ShardChildJob {
   std::string cache_dir;    ///< shared store; holds the grid handoff file
   std::string fingerprint;  ///< GridPlan fingerprint naming that file
   unsigned shards = 1;      ///< partition size
   unsigned shard = 0;       ///< which block of the partition
-  int attempt = 1;          ///< forwarded so chaos schedules line up
   int threads = 0;          ///< the child's --threads (0 = its default)
   double timeout_s = 0.0;   ///< watchdog deadline (0 = none)
 };
@@ -71,14 +41,12 @@ struct ShardChildJob {
 /// child reads the grid from ResultCache::shard_grid_path, which the
 /// caller has written, and writes its manifest to
 /// ResultCache::shard_manifest_path (a stale manifest is removed first,
-/// so it can never stand in for this attempt). The child's fate maps one
-/// to one onto ShardOutcome; a failure's error text ends with the child's
-/// last stderr line, where its "hxmesh: <what>" message lands.
-ShardAttempt run_shard_child(const ShardChildJob& job) {
+/// so it can never stand in for this run). The child's stderr tail is
+/// captured for the failure report.
+CommandResult run_shard_child(const ShardChildJob& job) {
   const ResultCache layout(job.cache_dir);
-  const std::string manifest =
-      layout.shard_manifest_path(job.fingerprint, job.shard, job.shards);
-  remove_file(manifest);
+  remove_file(
+      layout.shard_manifest_path(job.fingerprint, job.shard, job.shards));
   std::vector<std::string> argv = {self_exe_path(),
                                    "shard",
                                    "--config",
@@ -87,12 +55,8 @@ ShardAttempt run_shard_child(const ShardChildJob& job) {
                                    std::to_string(job.shards),
                                    "--shard",
                                    std::to_string(job.shard),
-                                   "--manifest",
-                                   manifest,
                                    "--cache-dir",
-                                   job.cache_dir,
-                                   "--attempt",
-                                   std::to_string(job.attempt)};
+                                   job.cache_dir};
   if (job.threads > 0) {
     argv.push_back("--threads");
     argv.push_back(std::to_string(job.threads));
@@ -100,24 +64,17 @@ ShardAttempt run_shard_child(const ShardChildJob& job) {
   CommandOptions options;
   options.timeout_s = job.timeout_s;
   options.capture_stderr = true;
-  const CommandResult r = run_command_watched(argv, options);
+  return run_command_watched(argv, options);
+}
 
-  ShardAttempt a;
-  switch (r.status) {
-    case CommandStatus::kExited: a.outcome = ShardOutcome::kExited; break;
-    case CommandStatus::kSignaled: a.outcome = ShardOutcome::kSignaled; break;
-    case CommandStatus::kTimedOut: a.outcome = ShardOutcome::kTimedOut; break;
-    case CommandStatus::kSpawnFailed:
-      a.outcome = ShardOutcome::kSpawnFailed;
-      break;
-  }
-  a.exit_code = r.shell_code();
-  if (!a.ok()) {
-    a.error = r.error;
-    const std::string tail = last_line(r.stderr_tail);
-    if (!tail.empty()) a.error += a.error.empty() ? tail : " — " + tail;
-  }
-  return a;
+/// "ok", or "<status>: <error> — <last stderr line>" for a failed child.
+std::string describe(const CommandResult& r) {
+  if (r.ok()) return "ok";
+  std::string text = std::string(command_status_name(r.status)) + ": " +
+                     r.error;
+  if (const std::string tail = last_line(r.stderr_tail); !tail.empty())
+    text += " — " + tail;
+  return text;
 }
 
 }  // namespace
@@ -131,6 +88,7 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
   const unsigned shards = opt.shards;
   const GridPlan plan(grids);
   const std::string fingerprint = plan.fingerprint();
+  ExperimentHarness harness(opt.threads);
 
   // Parent and children must agree on the grid byte for byte, so the
   // runner writes the canonical grids document and every worker parses
@@ -139,76 +97,70 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
   write_file_atomic(cache.shard_grid_path(fingerprint),
                     render_grids_json(grids));
 
+  // A block with no cells needs no child: its manifest comes from an
+  // in-process run_shard over the empty range, before any child runs, so
+  // its counter delta is zero. It is stored like a child's, so the
+  // metadata directory holds every shard's manifest. The rest are
+  // launched.
+  std::vector<ShardManifest> manifests(shards);
   std::vector<std::uint64_t> costs(shards, 0);
+  std::vector<unsigned> order;
   for (unsigned i = 0; i < shards; ++i) {
     const auto [lo, hi] = plan.shard_cells(i, shards);
+    if (lo == hi) {
+      manifests[i] = run_shard(harness, plan, i, shards, cache);
+      write_file_atomic(cache.shard_manifest_path(fingerprint, i, shards),
+                        render_manifest(manifests[i]));
+      continue;
+    }
     for (std::size_t c = lo; c < hi; ++c) costs[i] += plan.cell_cost(c);
+    order.push_back(i);
   }
-  const unsigned busy = static_cast<unsigned>(
-      std::count_if(costs.begin(), costs.end(),
-                    [](std::uint64_t cost) { return cost > 0; }));
+  const unsigned busy = static_cast<unsigned>(order.size());
 
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   const unsigned workers = std::min(opt.workers ? opt.workers : hardware,
                                     shards);
+  const unsigned slots = std::max(1u, std::min(workers, busy));
   // Each child gets an explicit thread budget: the user's --threads
   // verbatim, else the hardware split across the children that can run
-  // at once with cells to compute — K children must not each default to
-  // a full hardware-width pool, and an empty block needs no share.
+  // at once — K children must not each default to a full hardware-width
+  // pool.
   const int child_threads =
-      opt.threads > 0
-          ? opt.threads
-          : static_cast<int>(std::max(
-                1u, hardware / std::max(1u, std::min(workers, busy))));
+      opt.threads > 0 ? opt.threads
+                      : static_cast<int>(std::max(1u, hardware / slots));
 
-  // Heaviest shards first: with a dynamic queue, the worst tail is one
-  // heavy block starting last. The order is a scheduling hint only —
-  // coverage and row order never depend on it.
-  std::vector<unsigned> order(shards);
-  std::iota(order.begin(), order.end(), 0u);
+  // Heaviest shards first: parallel_for hands out indices in ascending
+  // order, so the worst tail is not one heavy block starting last. The
+  // order is a scheduling hint only — coverage and row order never
+  // depend on it.
   std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
     return costs[a] > costs[b];
   });
 
-  auto launch = [&](unsigned shard, int attempt) {
-    return run_shard_child({cache.dir(), fingerprint, shards, shard, attempt,
-                            child_threads, opt.shard_timeout_s});
-  };
-
-  // Progress calls are serialized under the orchestrator's lock.
-  ShardProgress progress;
-  if (opt.progress)
-    progress = [&](const ShardRun& run, unsigned completed, unsigned total) {
-      err << "progress: shard " << run.shard << " " << describe_run(run)
-          << " (attempt " << run.attempts << ") — " << completed << "/"
-          << total << " shards done\n";
-      err.flush();
-    };
-
-  RetryPolicy policy;
-  policy.max_attempts = 1 + opt.retries;
-  policy.backoff_base_s = opt.retry_backoff_s;
-  // Jitter seeded from the grid identity: reruns of the same sweep replay
-  // the same backoff schedule.
-  policy.seed = Fnv1a().update(fingerprint).digest();
-
-  const std::vector<ShardRun> runs =
-      run_shard_jobs(shards, workers, policy, launch, progress, order);
-  report_runs(runs, err);
-  const auto failed = std::count_if(runs.begin(), runs.end(),
-                                    [](const ShardRun& r) { return !r.ok(); });
+  std::mutex report_mutex;
+  unsigned failed = 0;
+  ThreadPool(static_cast<int>(slots)).parallel_for(
+      order.size(), [&](std::size_t k) {
+        const unsigned shard = order[k];
+        const CommandResult r =
+            run_shard_child({cache.dir(), fingerprint, shards, shard,
+                             child_threads, opt.shard_timeout_s});
+        std::lock_guard lock(report_mutex);
+        if (!r.ok()) ++failed;
+        err << "shard " << shard << ": " << describe(r) << "\n";
+        err.flush();
+      });
   if (failed > 0)
     throw std::runtime_error("sweep: " + std::to_string(failed) + " of " +
                              std::to_string(shards) + " shards failed");
 
-  std::vector<ShardManifest> manifests;
-  manifests.reserve(shards);
-  for (unsigned i = 0; i < shards; ++i) {
+  for (unsigned i : order) {
     const std::string path = cache.shard_manifest_path(fingerprint, i, shards);
     const std::optional<std::string> text = read_file(path);
     if (!text)
       throw std::runtime_error("sweep: shard manifest missing: " + path);
-    manifests.push_back(parse_manifest(*text));
+    manifests[i] = parse_manifest(*text);
   }
   if (const std::string problem = merge_error(plan, manifests);
       !problem.empty())
@@ -228,7 +180,6 @@ std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
   // Merge: re-read the whole plan through the cache the workers filled.
   // Every cell hits, and %.17g entry rendering makes the merged rows
   // byte-identical to a single-process run of the same grid.
-  ExperimentHarness harness(opt.threads);
   return harness.run_cells(plan, 0, plan.total_cells(), &cache);
 }
 

@@ -2,10 +2,12 @@
 //
 // run_sharded_sweep is the whole `hxmesh sweep --shards N` pipeline except
 // argument parsing and row output. It writes the canonical grid handoff
-// file into the cache's shard metadata directory, dispatches the N
-// cost-balanced shards (GridPlan::shard_cells) heaviest-first over watched
-// `hxmesh shard` children through run_shard_jobs, reports every shard
-// outcome, verifies the coverage manifests, and merges through the cache.
+// file into the cache's shard metadata directory, runs every non-empty
+// cost-balanced block (GridPlan::shard_cells) heaviest-first as a watched
+// `hxmesh shard` child, reports each shard as it resolves, verifies the
+// coverage manifests, and merges through the cache. A failed shard fails
+// the sweep; every cell the other shards finished is already stored, so
+// re-running the sweep recomputes only what is missing.
 #pragma once
 
 /// \file
@@ -28,19 +30,17 @@ struct ShardedSweepOptions {
   /// Each child's --threads and the merge's pool width; 0 = the hardware
   /// split across the workers for children, hardware for the merge.
   int threads = 0;
-  unsigned retries = 1;           ///< extra attempts per failed shard
-  double retry_backoff_s = 0.25;  ///< base of the seeded retry backoff
-  double shard_timeout_s = 0.0;   ///< per-attempt watchdog (0 = off)
-  bool progress = false;          ///< report each attempt as it resolves
+  double shard_timeout_s = 0.0;  ///< per-child watchdog (0 = off)
 };
 
 /// \brief Runs `grids` as a sharded sweep over `cache` and returns the
 /// merged rows, byte-identical to a single-process run of `grids`.
 ///
-/// Writes the per-shard retry and failure reports, optional progress
-/// lines, and the closing "shards: N ok" summary to `err`.
-/// \throws std::runtime_error when a shard fails after its retries or the
-///         manifests do not cover the plan exactly.
+/// Writes one "shard I: ok" (or "shard I: <status>: <error>") line per
+/// launched shard as it resolves, and the closing "shards: N ok" summary,
+/// to `err`.
+/// \throws std::runtime_error when any shard fails or the manifests do
+///         not cover the plan exactly.
 std::vector<SweepRow> run_sharded_sweep(const std::vector<GridSpec>& grids,
                                         const ShardedSweepOptions& opt,
                                         ResultCache& cache, std::ostream& err);

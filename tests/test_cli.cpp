@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cli/cli.hpp"
-#include "core/chaos.hpp"
 #include "core/counters.hpp"
 #include "core/fsio.hpp"
 #include "engine/grid_plan.hpp"
@@ -437,7 +436,6 @@ TEST(Cli, RobustnessFlagsAreValidated) {
   };
   // run is a single cell: none of the orchestration flags apply.
   EXPECT_EQ(run(with({"run"}, {"--shard-timeout", "5", "--no-cache"})).code, 2);
-  EXPECT_EQ(run(with({"run"}, {"--attempt", "2", "--no-cache"})).code, 2);
   // There is one partition, so the flags that picked one are gone.
   for (const char* sub : {"run", "sweep", "shard"})
     for (const std::vector<std::string>& gone :
@@ -449,23 +447,18 @@ TEST(Cli, RobustnessFlagsAreValidated) {
                 std::string::npos)
           << r.err;
     }
-  // sweep: the watchdog needs a sharded run to watch, and the shard-only
-  // flags are rejected.
+  // sweep: the watchdog needs a sharded run to watch.
   auto orphan_timeout = run(with({"sweep"}, {"--shard-timeout", "5"}));
   EXPECT_EQ(orphan_timeout.code, 2);
   EXPECT_NE(orphan_timeout.err.find("--shard-timeout needs"),
             std::string::npos)
       << orphan_timeout.err;
-  EXPECT_EQ(run(with({"sweep"}, {"--attempt", "2"})).code, 2);
   // shard: the sweep-side flags are rejected, and bad durations fail.
   EXPECT_EQ(run(with({"shard"}, {"--shards", "2", "--shard", "0",
                                  "--shard-timeout", "1"}))
                 .code,
             2);
   EXPECT_EQ(run(with({"sweep"}, {"--shards", "2", "--shard-timeout", "abc"}))
-                .code,
-            2);
-  EXPECT_EQ(run(with({"sweep"}, {"--shards", "2", "--retry-backoff", "-1"}))
                 .code,
             2);
 }
@@ -551,6 +544,18 @@ TEST(Cli, ShardedSweepReportsFleetCounters) {
   EXPECT_GT(counter(single.err, "sim.packet_hops"), 0) << single.err;
   for (const char* name : {"sim.events", "sim.packet_hops"})
     EXPECT_EQ(counter(sharded.err, name), counter(single.err, name)) << name;
+
+  // Over-decomposed: six of the eight blocks are empty and get their
+  // manifests in process. Those manifests must add nothing to the totals.
+  auto wide = run({"sweep", "--config", config, "--shards", "8",
+                   "--workers", "2", "--threads", "1", "--cache-dir",
+                   dir + "/wide"});
+  ASSERT_EQ(wide.code, 0) << wide.err;
+  EXPECT_EQ(wide.out, single.out);
+  for (const char* name :
+       {"batch.cells_executed", "routing.oracle_fills", "routing.bfs_fills",
+        "sim.events", "sim.packet_hops"})
+    EXPECT_EQ(counter(wide.err, name), counter(single.err, name)) << name;
 }
 
 TEST(Cli, ShardedSweepReportsChildQuarantine) {
@@ -586,128 +591,143 @@ TEST(Cli, ShardedSweepReportsChildQuarantine) {
   EXPECT_EQ(counter(healed.err, "batch.cells_executed"), 1) << healed.err;
 }
 
-// Sets HXMESH_CHAOS for one test; shard children inherit it through the
-// orchestrator's environment.
-struct ChaosEnv {
-  explicit ChaosEnv(const std::string& spec) {
-    ::setenv("HXMESH_CHAOS", spec.c_str(), 1);
+// Points HXMESH_EXE, the binary a sharded sweep launches per shard, at a
+// shell wrapper for one scope: `body` runs with the shard's argv in "$@",
+// then the wrapper execs the real binary.
+class ExeWrapper {
+ public:
+  ExeWrapper(const std::string& dir, const std::string& body)
+      : real_(std::getenv("HXMESH_EXE")) {
+    const std::string path = dir + "/hxmesh-wrapper.sh";
+    write_file_atomic(path, "#!/bin/sh\n" + body + "\nexec '" + real_ +
+                                "' \"$@\"\n");
+    std::filesystem::permissions(path, std::filesystem::perms::owner_all);
+    ::setenv("HXMESH_EXE", path.c_str(), 1);
   }
-  ~ChaosEnv() { ::unsetenv("HXMESH_CHAOS"); }
+  ~ExeWrapper() { ::setenv("HXMESH_EXE", real_.c_str(), 1); }
+
+ private:
+  std::string real_;
 };
 
-TEST(Cli, ChaosSoakSurvivesKillsAndHangsByteIdentically) {
+TEST(Cli, EmptyBlocksSpawnNoChild) {
   const char* exe = std::getenv("HXMESH_EXE");
   if (!exe || !*exe || !std::filesystem::exists(exe))
     GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
 
-  // chaos_action is a pure function of (spec, shard, attempt), so the test
-  // can pick a seed whose fault schedule is interesting but survivable:
-  // every shard succeeds within the retry budget, at least one attempt is
-  // killed, at least one hangs (exercising the watchdog), and hangs are
-  // few enough to keep the wall clock short.
-  const unsigned shards = 8;
-  const int max_attempts = 7;  // 1 + --retries 6
-  std::uint64_t seed = 0;
-  int kills = 0, hangs = 0;
-  bool found = false;
-  for (std::uint64_t s = 0; s < 10000 && !found; ++s) {
-    ChaosSpec spec;
-    spec.kill_p = 0.25;
-    spec.hang_p = 0.2;
-    spec.seed = s;
-    kills = hangs = 0;
-    bool survivable = true;
-    for (unsigned shard = 0; shard < shards && survivable; ++shard) {
-      int attempt = 1;
-      for (; attempt <= max_attempts; ++attempt) {
-        const ChaosAction action = chaos_action(spec, shard, attempt);
-        if (action == ChaosAction::kNone) break;
-        ++(action == ChaosAction::kKill ? kills : hangs);
-      }
-      survivable = attempt <= max_attempts;
-    }
-    if (survivable && kills >= 1 && hangs >= 1 && hangs <= 2) {
-      seed = s;
-      found = true;
-    }
-  }
-  ASSERT_TRUE(found) << "no survivable fault schedule in 10000 seeds";
-
-  const std::string dir = fresh_dir("cli_chaos_soak");
+  // Of the eight blocks only shard 0 (the twelve flow cells) and shard 4
+  // (the packet cell) hold cells; with one slot the heavier one goes first.
+  const std::string config =
+      std::string(HXMESH_SOURCE_DIR) + "/bench/baselines/chaos_grid.json";
+  const std::string dir = fresh_dir("cli_empty_blocks");
   ensure_dir(dir);
-  const std::string config = dir + "/grid.json";
-  write_file_atomic(config, R"({
-    "topologies": ["hx2mesh:2x2", "torus:4x4"],
-    "patterns": ["shift:1:msg=64KiB", "perm:msg=64KiB"],
-    "seeds": [1, 2]
-  })");
-
-  auto single =
-      run({"sweep", "--config", config, "--no-cache", "--threads", "2"});
+  auto single = run({"sweep", "--config", config, "--no-cache", "--threads",
+                     "1"});
   ASSERT_EQ(single.code, 0) << single.err;
-
-  const ChaosEnv chaos("kill:0.25:seed=" + std::to_string(seed) + ",hang:0.2");
-  auto soaked = run({"sweep", "--config", config, "--shards",
-                     std::to_string(shards), "--workers", "3", "--retries",
-                     "6", "--shard-timeout", "1", "--retry-backoff", "0.01",
-                     "--progress", "--threads", "1", "--cache-dir",
-                     dir + "/cache"});
-  ASSERT_EQ(soaked.code, 0) << soaked.err;
-  // The deliverable: real SIGKILLed children and real hung children, and
-  // the merged rows are still byte-identical to the clean run.
-  EXPECT_EQ(soaked.out, single.out);
-  EXPECT_NE(soaked.err.find("signaled"), std::string::npos) << soaked.err;
-  EXPECT_NE(soaked.err.find("timed-out"), std::string::npos) << soaked.err;
-  EXPECT_NE(soaked.err.find("succeeded on attempt"), std::string::npos)
-      << soaked.err;
-  EXPECT_NE(soaked.err.find("shards: 8 ok"), std::string::npos) << soaked.err;
-}
-
-TEST(Cli, ChaosNegativeControlFailsWithoutRetries) {
-  const char* exe = std::getenv("HXMESH_EXE");
-  if (!exe || !*exe || !std::filesystem::exists(exe))
-    GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
-
-  // kill:1 murders every attempt; with --retries 0 the sweep must fail.
-  // This is the control that proves the soak test cannot silently pass
-  // with chaos disabled.
-  const std::string dir = fresh_dir("cli_chaos_control");
-  ensure_dir(dir);
-  const ChaosEnv chaos("kill:1");
-  auto r = run({"sweep", "--topo", "hx2mesh:2x2", "--pattern",
-                "perm:msg=64KiB", "--shards", "2", "--retries", "0",
-                "--threads", "1", "--cache-dir", dir + "/cache"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("signaled"), std::string::npos) << r.err;
-  EXPECT_NE(r.err.find("shards failed"), std::string::npos) << r.err;
-}
-
-TEST(Cli, BadChaosSpecIsAPermanentErrorKillingTheSweepFast) {
-  const char* exe = std::getenv("HXMESH_EXE");
-  if (!exe || !*exe || !std::filesystem::exists(exe))
-    GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
-
-  // A malformed spec makes the child exit 2 — a config error no retry can
-  // fix. The orchestrator must not burn the retry budget: one attempt,
-  // everything else skipped, and the child's message reaches the report.
-  // "drop" names no fault class, so it fails the same way.
-  for (const char* spec : {"kill:1.5", "drop:1"}) {
-    const std::string dir = fresh_dir("cli_chaos_badspec");
-    ensure_dir(dir);
-    const ChaosEnv chaos(spec);
-    auto r = run({"sweep", "--topo", "hx2mesh:2x2", "--pattern",
-                  "perm:msg=64KiB", "--shards", "2", "--workers", "1",
-                  "--retries", "5", "--threads", "1", "--cache-dir",
-                  dir + "/cache"});
-    EXPECT_EQ(r.code, 1) << spec;
-    EXPECT_NE(r.err.find("permanent config error, not retried"),
-              std::string::npos)
-        << r.err;
-    EXPECT_NE(r.err.find("after 1 attempt(s)"), std::string::npos) << r.err;
-    EXPECT_NE(r.err.find("skipped"), std::string::npos) << r.err;
-    // The child's own stderr message survived into the shard report.
-    EXPECT_NE(r.err.find("HXMESH_CHAOS"), std::string::npos) << r.err;
+  CliOutcome sharded;
+  {
+    const ExeWrapper wrapper(dir, "echo \"$*\" >> '" + dir + "/launches'");
+    sharded = run({"sweep", "--config", config, "--shards", "8", "--workers",
+                   "1", "--threads", "1", "--cache-dir", dir + "/cache"});
   }
+  ASSERT_EQ(sharded.code, 0) << sharded.err;
+  EXPECT_EQ(sharded.out, single.out);
+  EXPECT_NE(sharded.err.find("shards: 8 ok"), std::string::npos)
+      << sharded.err;
+
+  std::vector<std::string> launched;
+  std::istringstream log(read_file(dir + "/launches").value_or(""));
+  for (std::string line; std::getline(log, line);) {
+    const std::size_t at = line.find("--shard ");
+    ASSERT_NE(at, std::string::npos) << line;
+    std::istringstream rest(line.substr(at + 8));
+    std::string index;
+    rest >> index;
+    launched.push_back(index);
+  }
+  EXPECT_EQ(launched, (std::vector<std::string>{"4", "0"}));
+}
+
+TEST(Cli, KilledShardFailsTheSweepAndReRunResumesFromTheCache) {
+  const char* exe = std::getenv("HXMESH_EXE");
+  if (!exe || !*exe || !std::filesystem::exists(exe))
+    GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
+
+  const std::string config =
+      std::string(HXMESH_SOURCE_DIR) + "/bench/baselines/chaos_grid.json";
+  const std::string dir = fresh_dir("cli_killed_shard");
+  ensure_dir(dir);
+  auto clean = run({"sweep", "--config", config, "--no-cache", "--threads",
+                    "1"});
+  ASSERT_EQ(clean.code, 0) << clean.err;
+
+  const std::vector<std::string> args = {
+      "sweep",     "--config", config,      "--shards", "4",
+      "--threads", "1",        "--workers", "2",        "--cache-dir",
+      dir + "/cache"};
+  {
+    // Shard 0 holds the twelve flow cells; it dies before computing any.
+    const ExeWrapper wrapper(
+        dir, "case \" $* \" in *\" --shard 0 \"*) kill -9 $$ ;; esac");
+    auto killed = run(args);
+    EXPECT_EQ(killed.code, 1) << killed.err;
+    EXPECT_NE(killed.err.find("shard 0: signaled"), std::string::npos)
+        << killed.err;
+    EXPECT_NE(killed.err.find("1 of 4 shards failed"), std::string::npos)
+        << killed.err;
+  }
+
+  // The packet cell's shard finished and stored it, so the re-run
+  // computes only the twelve cells the killed shard owed.
+  auto resumed = run(args);
+  ASSERT_EQ(resumed.code, 0) << resumed.err;
+  EXPECT_EQ(resumed.out, clean.out);
+  EXPECT_NE(resumed.err.find("cells: 1 hits, 12 computed"), std::string::npos)
+      << resumed.err;
+  EXPECT_EQ(counter(resumed.err, "batch.cells_executed"), 12) << resumed.err;
+
+  // A shard binary that cannot be started fails every launched shard.
+  {
+    const std::string real = exe;
+    ::setenv("HXMESH_EXE", (dir + "/missing-hxmesh").c_str(), 1);
+    auto unspawnable = run({"sweep", "--config", config, "--shards", "4",
+                            "--threads", "1", "--cache-dir",
+                            dir + "/unspawnable"});
+    ::setenv("HXMESH_EXE", real.c_str(), 1);
+    EXPECT_EQ(unspawnable.code, 1) << unspawnable.err;
+    for (const char* line : {"shard 0: spawn-failed", "shard 2: spawn-failed",
+                             "2 of 4 shards failed"})
+      EXPECT_NE(unspawnable.err.find(line), std::string::npos)
+          << unspawnable.err;
+    EXPECT_EQ(unspawnable.err.find(": ok"), std::string::npos)
+        << unspawnable.err;
+  }
+}
+
+TEST(Cli, HungShardIsReapedByTheWatchdog) {
+  const char* exe = std::getenv("HXMESH_EXE");
+  if (!exe || !*exe || !std::filesystem::exists(exe))
+    GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
+
+  const std::string config =
+      std::string(HXMESH_SOURCE_DIR) + "/bench/baselines/chaos_grid.json";
+  const std::string dir = fresh_dir("cli_hung_shard");
+  ensure_dir(dir);
+  const ExeWrapper wrapper(
+      dir, "case \" $* \" in *\" --shard 0 \"*) exec sleep 30 ;; esac");
+  const auto start = std::chrono::steady_clock::now();
+  auto hung = run({"sweep", "--config", config, "--shards", "4", "--threads",
+                   "1", "--shard-timeout", "1", "--cache-dir",
+                   dir + "/cache"});
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_EQ(hung.code, 1) << hung.err;
+  EXPECT_NE(hung.err.find("shard 0: timed-out"), std::string::npos)
+      << hung.err;
+  EXPECT_NE(hung.err.find("1 of 4 shards failed"), std::string::npos)
+      << hung.err;
+  EXPECT_LT(elapsed_s, 5.0) << hung.err;
 }
 
 TEST(Cli, CacheStatsReportQuarantineAndSweepsReportIntegrity) {
@@ -750,24 +770,15 @@ TEST(Cli, CacheStatsReportQuarantineAndSweepsReportIntegrity) {
             std::string::npos);
 }
 
-TEST(Cli, ProgressFlagIsSweepOnly) {
-  EXPECT_EQ(run({"run", "--topo", "hx2mesh:2x2", "--pattern", "shift:1",
-                 "--progress"})
-                .code,
-            2);
-  EXPECT_EQ(run({"shard", "--topo", "hx2mesh:2x2", "--pattern", "shift:1",
-                 "--shards", "2", "--shard", "0", "--progress"})
-                .code,
-            2);
-}
-
 TEST(Cli, RemovedFabricFlagsAreUsageErrors) {
-  // Sweeps run on one machine: the remote-host flags and the serve daemon
+  // Sweeps run on one machine and a failed shard fails the sweep: the
+  // remote-host, retry, progress and attempt flags and the serve daemon
   // are gone, and naming them is a usage error rather than a silent no-op.
   const std::vector<std::vector<std::string>> removed = {
-      {"--hosts", "a:1"},
-      {"--lease-timeout", "5"},
-      {"--blacklist-after", "1"}};
+      {"--hosts", "a:1"},        {"--lease-timeout", "5"},
+      {"--blacklist-after", "1"}, {"--retries", "1"},
+      {"--retry-backoff", "0.1"}, {"--progress"},
+      {"--attempt", "2"},         {"--manifest", "m.json"}};
   for (const auto& flag : removed) {
     std::vector<std::string> args = {"sweep",     "--topo",  "hx2mesh:2x2",
                                      "--pattern", "shift:1", "--shards", "2"};
@@ -781,23 +792,6 @@ TEST(Cli, RemovedFabricFlagsAreUsageErrors) {
   EXPECT_EQ(serve.code, 2);
   EXPECT_NE(serve.err.find("unknown subcommand 'serve'"), std::string::npos)
       << serve.err;
-}
-
-TEST(Cli, ShardedSweepProgressReportsEveryShard) {
-  const char* exe = std::getenv("HXMESH_EXE");
-  if (!exe || !*exe || !std::filesystem::exists(exe))
-    GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
-
-  const std::string dir = fresh_dir("cli_sweep_progress");
-  ensure_dir(dir);
-  auto r = run({"sweep", "--topo", "hx2mesh:2x2", "--pattern",
-                "shift:1:msg=64KiB", "--pattern", "perm:msg=64KiB",
-                "--threads", "1", "--shards", "2", "--workers", "2",
-                "--progress", "--cache-dir", dir + "/cache"});
-  ASSERT_EQ(r.code, 0) << r.err;
-  for (const char* line :
-       {"progress: shard 0 ok", "progress: shard 1 ok", "2/2 shards done"})
-    EXPECT_NE(r.err.find(line), std::string::npos) << r.err;
 }
 
 }  // namespace

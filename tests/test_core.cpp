@@ -1,7 +1,6 @@
 // Core utilities: units, RNG determinism/uniformity, statistics, tables,
 // the HyperX topology class added for the Table II reproduction, the
-// watchdog subprocess runner, deterministic chaos injection, token
-// splitting, and the counter registry.
+// watchdog subprocess runner, token splitting, and the counter registry.
 #include <gtest/gtest.h>
 #include <sys/prctl.h>
 #include <sys/wait.h>
@@ -14,7 +13,6 @@
 #include <string>
 #include <thread>
 
-#include "core/chaos.hpp"
 #include "core/counters.hpp"
 #include "core/fsio.hpp"
 #include "core/json_parse.hpp"
@@ -338,77 +336,6 @@ TEST(Watchdog, StatusNamesAreStable) {
   EXPECT_STREQ(command_status_name(CommandStatus::kTimedOut), "timed-out");
   EXPECT_STREQ(command_status_name(CommandStatus::kSpawnFailed),
                "spawn-failed");
-}
-
-// ------------------------------------------------------------- chaos -----
-TEST(Chaos, ParsesKillHangAndSeedGroups) {
-  const ChaosSpec spec = parse_chaos("kill:0.25:seed=7,hang:0.1");
-  EXPECT_DOUBLE_EQ(spec.kill_p, 0.25);
-  EXPECT_DOUBLE_EQ(spec.hang_p, 0.1);
-  EXPECT_EQ(spec.seed, 7u);
-  EXPECT_TRUE(spec.enabled());
-
-  EXPECT_FALSE(parse_chaos("").enabled());
-  EXPECT_FALSE(parse_chaos("seed=5").enabled());
-  EXPECT_DOUBLE_EQ(parse_chaos("hang:1").hang_p, 1.0);
-  EXPECT_DOUBLE_EQ(parse_chaos("kill:0").kill_p, 0.0);
-}
-
-TEST(Chaos, RejectsMalformedSpecs) {
-  // Each maps to CLI exit 2 — the orchestrator's permanent-failure path.
-  for (const char* bad : {"kill", "kill:", "kill:1.5", "kill:-0.1",
-                          "kill:abc", "bogus:0.1", "kill:0.2:what",
-                          "seed=", "seed=xyz", "hang",
-                          // Seeds follow core/parse_num.hpp's strict
-                          // contract: no sign, no whitespace, no overflow.
-                          "kill:0:seed=-1", "kill:0:seed=99999999999999999999",
-                          "kill:0:seed= 7",
-                          // Only the process classes exist.
-                          "drop:0.1", "delay:0.1"}) {
-    EXPECT_THROW(parse_chaos(bad), std::invalid_argument) << bad;
-  }
-}
-
-TEST(Chaos, ActionIsAPureFunctionOfShardAndAttempt) {
-  const ChaosSpec spec = parse_chaos("kill:0.3:seed=42,hang:0.2");
-  for (unsigned shard = 0; shard < 16; ++shard)
-    for (int attempt = 1; attempt <= 4; ++attempt)
-      EXPECT_EQ(chaos_action(spec, shard, attempt),
-                chaos_action(spec, shard, attempt))
-          << shard << "/" << attempt;
-  // Certain probabilities are certain; kill wins over hang.
-  const ChaosSpec always_kill = parse_chaos("kill:1,hang:1");
-  const ChaosSpec always_hang = parse_chaos("hang:1");
-  const ChaosSpec never = parse_chaos("kill:0,hang:0");
-  for (unsigned shard = 0; shard < 8; ++shard) {
-    EXPECT_EQ(chaos_action(always_kill, shard, 1), ChaosAction::kKill);
-    EXPECT_EQ(chaos_action(always_hang, shard, 1), ChaosAction::kHang);
-    EXPECT_EQ(chaos_action(never, shard, 1), ChaosAction::kNone);
-  }
-}
-
-TEST(Chaos, FaultRateTracksTheProbability) {
-  const ChaosSpec spec = parse_chaos("kill:0.5:seed=1");
-  int kills = 0;
-  const int trials = 2000;
-  for (int i = 0; i < trials; ++i)
-    if (chaos_action(spec, static_cast<unsigned>(i % 50), 1 + i / 50) ==
-        ChaosAction::kKill)
-      ++kills;
-  EXPECT_GT(kills, trials * 2 / 5);  // 40%..60% band around p=0.5
-  EXPECT_LT(kills, trials * 3 / 5);
-  // Different seeds produce different schedules.
-  const ChaosSpec other = parse_chaos("kill:0.5:seed=2");
-  bool differs = false;
-  for (unsigned shard = 0; shard < 64 && !differs; ++shard)
-    differs = chaos_action(spec, shard, 1) != chaos_action(other, shard, 1);
-  EXPECT_TRUE(differs);
-}
-
-TEST(Chaos, ActionNamesAreStable) {
-  EXPECT_STREQ(chaos_action_name(ChaosAction::kNone), "none");
-  EXPECT_STREQ(chaos_action_name(ChaosAction::kKill), "kill");
-  EXPECT_STREQ(chaos_action_name(ChaosAction::kHang), "hang");
 }
 
 // -------------------------------------------------------------- fsio -----

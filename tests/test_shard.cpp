@@ -1,18 +1,15 @@
 // Sharded grid execution: the shard partition covers every cell exactly
 // once for awkward shard counts, a sharded run merges byte-identically to
-// a single-process run, manifests round-trip and gate merges, and the
-// orchestrator retries failed shards.
+// a single-process run, and manifests round-trip and gate merges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.hpp"
@@ -289,151 +286,6 @@ TEST(ShardMerge, RejectsIncompleteOrForeignManifests) {
             std::string::npos);
 }
 
-// Exited launcher attempt with the given code, as the CLI would report it.
-engine::ShardAttempt exited(int code, std::string error = "") {
-  engine::ShardAttempt attempt;
-  attempt.outcome = engine::ShardOutcome::kExited;
-  attempt.exit_code = code;
-  attempt.error = std::move(error);
-  return attempt;
-}
-
-// Fast retry policy for unit tests: no backoff sleeping.
-engine::RetryPolicy attempts_policy(unsigned max_attempts) {
-  engine::RetryPolicy policy;
-  policy.max_attempts = max_attempts;
-  policy.backoff_base_s = 0.0;
-  return policy;
-}
-
-std::vector<engine::ShardRun> run_local(
-    unsigned shards, unsigned workers, const engine::RetryPolicy& policy,
-    const engine::ShardLauncher& launch,
-    const engine::ShardProgress& progress = nullptr,
-    const std::vector<unsigned>& order = {}) {
-  return engine::run_shard_jobs(shards, workers, policy, launch, progress,
-                                order);
-}
-
-TEST(ShardOrchestrator, RunsEveryShardAndRetriesFailures) {
-  // Shard 1 fails twice before succeeding; shard 3 never succeeds.
-  std::mutex mutex;
-  std::map<unsigned, int> calls;
-  auto launch = [&](unsigned shard, int attempt) {
-    {
-      std::lock_guard lock(mutex);
-      EXPECT_EQ(++calls[shard], attempt);  // attempts are 1-based, in order
-    }
-    if (shard == 1 && attempt <= 2) return exited(7, "transient failure");
-    if (shard == 3) return exited(9, "persistent failure");
-    return exited(0);
-  };
-  const auto runs = run_local(5, 2, attempts_policy(3), launch);
-  ASSERT_EQ(runs.size(), 5u);
-  for (unsigned s = 0; s < 5; ++s) EXPECT_EQ(runs[s].shard, s);
-  EXPECT_TRUE(runs[0].ok());
-  EXPECT_EQ(runs[0].attempts, 1);
-  EXPECT_TRUE(runs[1].ok());
-  EXPECT_EQ(runs[1].attempts, 3);  // two failures, then success
-  EXPECT_EQ(runs[1].error, "");    // the last attempt succeeded
-  EXPECT_EQ(runs[3].exit_code, 9);
-  EXPECT_EQ(runs[3].outcome, engine::ShardOutcome::kExited);
-  EXPECT_EQ(runs[3].error, "persistent failure");  // what() survives
-  EXPECT_EQ(runs[3].attempts, 3);  // exhausted max_attempts
-  EXPECT_EQ(calls[1], 3);
-  EXPECT_EQ(calls[3], 3);
-}
-
-TEST(ShardOrchestrator, PermanentConfigErrorAbortsWithoutBurningRetries) {
-  // Exit code 2 is the CLI's usage/config contract: deterministic, so the
-  // orchestrator must not retry it, and every shard still waiting in the
-  // queue is skipped instead of tripping over the same config.
-  std::mutex mutex;
-  std::map<unsigned, int> calls;
-  auto launch = [&](unsigned shard, int) {
-    std::lock_guard lock(mutex);
-    ++calls[shard];
-    return shard == 0 ? exited(2, "bad --pattern spec") : exited(0);
-  };
-  // One worker: shard 0 is dispatched first, so the outcome is exact.
-  const auto runs = run_local(4, 1, attempts_policy(5), launch);
-  ASSERT_EQ(runs.size(), 4u);
-  EXPECT_EQ(runs[0].attempts, 1);  // never retried
-  EXPECT_EQ(runs[0].exit_code, 2);
-  EXPECT_EQ(runs[0].error, "bad --pattern spec");
-  EXPECT_EQ(calls[0], 1);
-  for (unsigned s = 1; s < 4; ++s) {
-    EXPECT_EQ(runs[s].outcome, engine::ShardOutcome::kSkipped) << s;
-    EXPECT_EQ(runs[s].attempts, 0) << s;
-    EXPECT_EQ(calls.count(s), 0u) << s;
-  }
-}
-
-TEST(ShardOrchestrator, DispatchOrderIsHonored) {
-  std::mutex mutex;
-  std::vector<unsigned> dispatched;
-  auto launch = [&](unsigned shard, int) {
-    std::lock_guard lock(mutex);
-    dispatched.push_back(shard);
-    return exited(0);
-  };
-  const std::vector<unsigned> order = {2, 0, 3, 1};
-  const auto runs =
-      run_local(4, 1, attempts_policy(1), launch, nullptr, order);
-  EXPECT_EQ(dispatched, order);
-  for (const auto& run : runs) EXPECT_TRUE(run.ok());
-  // A partial order is a bug, not a hint.
-  EXPECT_THROW(
-      run_local(4, 1, attempts_policy(1), launch, nullptr, {1}),
-      std::invalid_argument);
-}
-
-TEST(RetryBackoff, DeterministicBoundedAndGrowing) {
-  engine::RetryPolicy policy;
-  policy.max_attempts = 8;
-  policy.backoff_base_s = 0.25;
-  policy.backoff_max_s = 2.0;
-  policy.seed = 42;
-  for (unsigned shard = 0; shard < 4; ++shard) {
-    double prev_cap = 0.0;
-    for (int attempt = 1; attempt <= 6; ++attempt) {
-      const double a = engine::retry_backoff_s(policy, shard, attempt);
-      const double b = engine::retry_backoff_s(policy, shard, attempt);
-      EXPECT_EQ(a, b) << "same inputs must wait the same time";
-      const double cap =
-          std::min(policy.backoff_max_s,
-                   policy.backoff_base_s * static_cast<double>(1 << (attempt - 1)));
-      EXPECT_GE(a, cap * 0.5) << shard << "/" << attempt;
-      EXPECT_LE(a, cap) << shard << "/" << attempt;
-      EXPECT_GE(cap, prev_cap);
-      prev_cap = cap;
-    }
-  }
-  // Different seeds jitter differently (with overwhelming probability).
-  engine::RetryPolicy other = policy;
-  other.seed = 43;
-  EXPECT_NE(engine::retry_backoff_s(policy, 0, 1),
-            engine::retry_backoff_s(other, 0, 1));
-  // Zero base disables the delay entirely.
-  other.backoff_base_s = 0.0;
-  EXPECT_EQ(engine::retry_backoff_s(other, 0, 3), 0.0);
-}
-
-// Exact backoff values: a refactor of the jitter must reproduce them bit
-// for bit, or a seeded soak would stop replaying the same schedule.
-TEST(RetryBackoff, ExactValuesArePinned) {
-  engine::RetryPolicy retry;
-  retry.backoff_base_s = 0.25;
-  retry.backoff_max_s = 2.0;
-  retry.seed = 42;
-  EXPECT_EQ(engine::retry_backoff_s(retry, 0, 1), 0x1.846ef6ab6c332p-3);
-  EXPECT_EQ(engine::retry_backoff_s(retry, 0, 2), 0x1.3eadf0c42a04p-2);
-  EXPECT_EQ(engine::retry_backoff_s(retry, 0, 5), 0x1.36c5a93519c76p+0);
-  EXPECT_EQ(engine::retry_backoff_s(retry, 3, 1), 0x1.8761dfb45bb62p-3);
-  EXPECT_EQ(engine::retry_backoff_s(retry, 3, 2), 0x1.1acc3311f0512p-2);
-  EXPECT_EQ(engine::retry_backoff_s(retry, 3, 5), 0x1.39b8923e094a6p+0);
-}
-
 TEST(ShardPartition, CoversExactlyAndBalancesCost) {
   // Mixed flow+packet grid: packet cells carry a 256x engine weight, so
   // the cost-balanced boundaries must land unevenly in cell space.
@@ -546,66 +398,6 @@ TEST(ShardPartition, OverDecomposedRunMergesByteIdentical) {
   EXPECT_NE(engine::merge_error(plan, holed), "");
 }
 
-TEST(ShardOrchestrator, ProgressObservesEveryAttemptAndCompletion) {
-  // Shard 1 fails once before succeeding, so attempts exceed shards: the
-  // callback must fire once per attempt, with a monotonically
-  // non-decreasing completed count that ends exactly at the shard total.
-  std::mutex mutex;
-  std::map<unsigned, int> calls;
-  auto launch = [&](unsigned shard, int) {
-    std::lock_guard lock(mutex);
-    return shard == 1 && ++calls[shard] == 1 ? exited(3) : exited(0);
-  };
-  struct Event {
-    unsigned shard;
-    int attempts;
-    int exit_code;
-    unsigned completed;
-    unsigned total;
-  };
-  std::vector<Event> events;
-  auto progress = [&](const engine::ShardRun& run, unsigned completed,
-                      unsigned total) {
-    // Serialized by the orchestrator lock: no extra synchronization.
-    events.push_back({run.shard, run.attempts, run.exit_code, completed,
-                      total});
-  };
-  const auto runs =
-      run_local(4, 2, attempts_policy(3), launch, progress);
-  ASSERT_EQ(runs.size(), 4u);
-  ASSERT_EQ(events.size(), 5u);  // 4 shards + 1 retried attempt
-  unsigned last_completed = 0;
-  std::vector<char> terminal_seen(4, 0);
-  for (const Event& e : events) {
-    EXPECT_EQ(e.total, 4u);
-    EXPECT_GE(e.completed, last_completed);
-    last_completed = e.completed;
-    if (e.exit_code == 0) terminal_seen[e.shard] = 1;
-  }
-  EXPECT_EQ(events.back().completed, 4u);
-  for (char seen : terminal_seen) EXPECT_TRUE(seen);
-  // The retried shard surfaced its failed first attempt to the observer.
-  const bool saw_failure =
-      std::any_of(events.begin(), events.end(),
-                  [](const Event& e) { return e.exit_code != 0; });
-  EXPECT_TRUE(saw_failure);
-}
-
-TEST(ShardOrchestrator, LauncherExceptionsCountAsFailedAttempts) {
-  std::atomic<int> calls{0};
-  auto launch = [&](unsigned, int) -> engine::ShardAttempt {
-    ++calls;
-    throw std::runtime_error("spawn blew up");
-  };
-  const auto runs = run_local(1, 4, attempts_policy(2), launch);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].outcome, engine::ShardOutcome::kSpawnFailed);
-  EXPECT_EQ(runs[0].exit_code, -1);
-  EXPECT_EQ(runs[0].error, "spawn blew up");  // what() survives to the report
-  EXPECT_EQ(runs[0].attempts, 2);
-  EXPECT_EQ(calls.load(), 2);
-}
-
 TEST(ShardManifestTest, MalformedDocumentsThrowTypedErrors) {
   // Every malformed manifest must surface as std::invalid_argument — the
   // merge layer catches exactly that type and refuses the merge; a crash
@@ -653,6 +445,19 @@ TEST(ShardManifestTest, MalformedDocumentsThrowTypedErrors) {
   ASSERT_NE(pos, std::string::npos);
   doctored.replace(pos, 18, "42");
   EXPECT_THROW(engine::parse_manifest(doctored), std::invalid_argument);
+
+  // Indices wider than unsigned must not wrap into range: 2^32 + 1 would
+  // narrow to shard 1, and 2^32 + 3 to a 3-shard partition.
+  const std::vector<std::pair<std::string, std::string>> widened = {
+      {"\"shard\":1,", "\"shard\":4294967297,"},
+      {"\"shards\":3,", "\"shards\":4294967299,"}};
+  for (const auto& [from, to] : widened) {
+    std::string wide = text;
+    const auto at = wide.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    wide.replace(at, from.size(), to);
+    EXPECT_THROW(engine::parse_manifest(wide), std::invalid_argument) << to;
+  }
 
   // Duplicate *keys* are legal (a multi-grid sweep can repeat a cell
   // under two labels); duplicate *coverage* is the merge's error domain —
@@ -714,32 +519,6 @@ TEST(ShardPartition, DegenerateInputsStillCoverExactly) {
     }
     EXPECT_EQ(expect_lo, 6u);
   }
-}
-
-TEST(ShardOrchestrator, HistoryNamesRenderTheRetryReport) {
-  // One shard, one worker: signaled, then timed-out, then success — the
-  // report string the CLI prints must spell out all three classifications.
-  auto launch = [](unsigned, int attempt) {
-    engine::ShardAttempt result;
-    if (attempt == 1) {
-      result.outcome = engine::ShardOutcome::kSignaled;
-      result.error = "killed by signal 9";
-    } else if (attempt == 2) {
-      result.outcome = engine::ShardOutcome::kTimedOut;
-      result.error = "watchdog timeout";
-    } else {
-      result = exited(0);
-    }
-    return result;
-  };
-  const auto runs = run_local(1, 1, attempts_policy(3), launch);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_TRUE(runs[0].ok());
-  EXPECT_EQ(runs[0].attempts, 3);
-  EXPECT_EQ(engine::history_names(runs[0]), "signaled, timed-out, exited");
-  // Zero attempts (skipped shards) render empty, not a stray separator.
-  engine::ShardRun untouched;
-  EXPECT_EQ(engine::history_names(untouched), "");
 }
 
 // The CLI shard subcommand is the worker the orchestrator launches; drive
