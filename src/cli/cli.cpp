@@ -45,11 +45,11 @@ subcommands:
          store them as result-cache entries, and write a coverage
          manifest next to the cache
   ls     [engines|topologies|patterns]
-         list registered engines, topology families, pattern grammar
-  cache  stats|clear|prune [--cache-dir DIR]
-         inspect, empty, or age/LRU-evict the result cache
-         (prune: --max-age AGE[s|m|h|d] and/or --max-entries N;
-         stats reports the store: entries, bytes, quarantined blobs)
+         list engines, topology families, pattern grammar
+  cache  stats|clear [--cache-dir DIR]
+         inspect or empty the result cache (stats reports the store:
+         entries, bytes, quarantined blobs; clear is the one way to
+         reclaim space — nothing evicts entries)
 
 common options:
   --json PATH       write rows as a JSON array to PATH ('-' = stdout)
@@ -92,27 +92,6 @@ std::uint64_t parse_bounded(const std::string& flag, const std::string& token,
     usage_error(flag + ": " + token + " is out of range (max " +
                 std::to_string(max) + ")");
   return v;
-}
-
-/// Duration token for cache prune: integer seconds, or an integer with an
-/// s/m/h/d suffix ("90s", "10m", "6h", "7d").
-std::int64_t parse_age(const std::string& flag, const std::string& token) {
-  std::string digits = token;
-  std::int64_t scale = 1;
-  if (!digits.empty()) {
-    switch (digits.back()) {
-      case 'd': scale = 86400; digits.pop_back(); break;
-      case 'h': scale = 3600; digits.pop_back(); break;
-      case 'm': scale = 60; digits.pop_back(); break;
-      case 's': scale = 1; digits.pop_back(); break;
-      default: break;
-    }
-  }
-  const std::optional<std::uint64_t> v = parse_u64_strict(digits);
-  if (!v || *v > static_cast<std::uint64_t>(INT64_MAX / scale))
-    usage_error(flag + ": bad duration '" + token +
-                "' (an integer with an optional s/m/h/d suffix)");
-  return static_cast<std::int64_t>(*v) * scale;
 }
 
 /// Non-negative seconds value (fractions allowed: "0.25").
@@ -419,16 +398,9 @@ int do_cache(const std::vector<std::string>& args, std::size_t start,
              std::ostream& out) {
   std::string action;
   std::string dir = engine::ResultCache::kDefaultDir;
-  std::optional<std::int64_t> max_age_s;
-  std::optional<std::size_t> max_entries;
   for (std::size_t i = start; i < args.size(); ++i) {
     if (args[i] == "--cache-dir")
       dir = need_value(args, i);
-    else if (args[i] == "--max-age")
-      max_age_s = parse_age(args[i], need_value(args, i));
-    else if (args[i] == "--max-entries")
-      max_entries = static_cast<std::size_t>(
-          parse_u64(args[i], need_value(args, i)));
     else if (action.empty() && args[i][0] != '-')
       action = args[i];
     else
@@ -448,16 +420,7 @@ int do_cache(const std::vector<std::string>& args, std::size_t start,
         << "\n";
     return 0;
   }
-  if (action == "prune") {
-    if (!max_age_s && !max_entries)
-      usage_error("cache prune: need --max-age and/or --max-entries");
-    const auto pruned = cache.prune(max_age_s, max_entries);
-    out << "pruned " << pruned.removed << " entries (" << pruned.kept
-        << " kept) in " << cache.dir() << "; quarantine: "
-        << pruned.quarantine_removed << " blob(s) aged out\n";
-    return 0;
-  }
-  usage_error("cache: need an action (stats, clear, or prune)");
+  usage_error("cache: need an action (stats or clear)");
 }
 
 int dispatch(const std::vector<std::string>& args, std::ostream& out,

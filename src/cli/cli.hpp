@@ -3,7 +3,7 @@
 // Subcommands (see usage() in cli.cpp, or `hxmesh --help`):
 //   run     one (topology, engine, pattern, seed) cell -> one JSON row
 //   sweep   a full SweepConfig grid from repeated flags or a JSON file
-//   ls      registered engines, topology families, pattern grammar
+//   ls      engines, topology families, pattern grammar
 //   cache   result-cache stats / clear
 //
 // The entry point is run_cli(), separated from main() so tests drive the

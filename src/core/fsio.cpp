@@ -1,7 +1,5 @@
 #include "core/fsio.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -78,17 +76,6 @@ std::uint64_t file_size(const std::string& path) {
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
   return ec ? 0 : static_cast<std::uint64_t>(size);
-}
-
-std::optional<std::int64_t> file_mtime(const std::string& path) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-  return static_cast<std::int64_t>(st.st_mtime);
-}
-
-void touch_file(const std::string& path) {
-  // utimensat with nullptr times = "set both timestamps to now".
-  ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
 }
 
 bool remove_file(const std::string& path) {

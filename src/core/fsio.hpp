@@ -7,7 +7,7 @@
 
 /// \file
 /// \brief Small filesystem helpers: whole-file IO with atomic writes,
-/// directory listing, and mtime access for the cache's LRU eviction.
+/// directory listing, moves and removal.
 
 #include <cstdint>
 #include <optional>
@@ -35,16 +35,6 @@ std::vector<std::string> list_files(const std::string& dir);
 
 /// Size of a regular file in bytes; 0 when missing.
 std::uint64_t file_size(const std::string& path);
-
-/// Last-modification time of a file in seconds since the Unix epoch;
-/// nullopt when the file is missing or unreadable.
-std::optional<std::int64_t> file_mtime(const std::string& path);
-
-/// Sets a file's modification time to now (best effort: a missing file or
-/// a failing update is silently ignored). The result cache uses this to
-/// keep entry mtimes ordered by last use, which is what makes its
-/// max-entries prune an LRU eviction.
-void touch_file(const std::string& path);
 
 /// Removes one file if present; returns whether something was removed.
 bool remove_file(const std::string& path);

@@ -5,8 +5,7 @@
 // packet-level simulator for timing fidelity at small scale (Appendix F).
 // A SimEngine runs one TrafficSpec on one of those backends and reports a
 // uniform RunResult, so benches, examples, and cross-validation tests pick
-// a backend by name instead of hand-rolling two code paths. New backends
-// (sharded, distributed, analytic) plug in via register_engine().
+// a backend by name instead of hand-rolling two code paths.
 #pragma once
 
 /// \file
@@ -57,7 +56,7 @@ class SimEngine {
  public:
   virtual ~SimEngine() = default;
 
-  /// Registry name of the backend ("flow", "packet").
+  /// Name of the backend ("flow", "packet").
   virtual std::string name() const = 0;
 
   /// Executes one scenario. Engines are stateful only in caches; run() may

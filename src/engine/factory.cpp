@@ -1,8 +1,6 @@
 #include "engine/factory.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/parse_num.hpp"
@@ -17,22 +15,6 @@
 namespace hxmesh::engine {
 
 namespace {
-
-std::mutex registry_mutex;
-
-std::map<std::string, EngineBuilder>& engine_registry() {
-  static std::map<std::string, EngineBuilder> registry = {
-      {"flow",
-       [](const topo::Topology& t) -> std::unique_ptr<SimEngine> {
-         return std::make_unique<FlowEngine>(t);
-       }},
-      {"packet",
-       [](const topo::Topology& t) -> std::unique_ptr<SimEngine> {
-         return std::make_unique<PacketEngine>(t);
-       }},
-  };
-  return registry;
-}
 
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
   throw std::invalid_argument("make_topology: bad spec '" + spec + "': " +
@@ -204,33 +186,13 @@ std::unique_ptr<topo::Topology> parse_topology(const std::string& spec) {
 
 std::unique_ptr<SimEngine> make_engine(const std::string& name,
                                        const topo::Topology& topology) {
-  EngineBuilder builder;
-  {
-    std::lock_guard lock(registry_mutex);
-    auto& registry = engine_registry();
-    auto it = registry.find(name);
-    if (it == registry.end()) {
-      std::string known;
-      for (const auto& [n, b] : registry) known += (known.empty() ? "" : ", ") + n;
-      throw std::invalid_argument("make_engine: unknown engine '" + name +
-                                  "' (registered: " + known + ")");
-    }
-    builder = it->second;
-  }
-  return builder(topology);
+  if (name == "flow") return std::make_unique<FlowEngine>(topology);
+  if (name == "packet") return std::make_unique<PacketEngine>(topology);
+  throw std::invalid_argument("make_engine: unknown engine '" + name +
+                              "' (known: flow, packet)");
 }
 
-void register_engine(const std::string& name, EngineBuilder builder) {
-  std::lock_guard lock(registry_mutex);
-  engine_registry()[name] = std::move(builder);
-}
-
-std::vector<std::string> engine_names() {
-  std::lock_guard lock(registry_mutex);
-  std::vector<std::string> names;
-  for (const auto& [name, builder] : engine_registry()) names.push_back(name);
-  return names;
-}
+std::vector<std::string> engine_names() { return {"flow", "packet"}; }
 
 std::vector<std::string> topology_grammar() {
   return {

@@ -1,10 +1,8 @@
-// Factory registry: engines by name, topologies by spec string.
+// Factories: engines by name, topologies by spec string.
 //
 // This is what makes experiment configuration data instead of code: a
 // harness sweep names its backends ("flow", "packet") and its machines
-// ("hx2mesh:16x16", "fattree:1024:taper=0.5") as strings, and new engine
-// backends plug in at runtime via register_engine() without touching the
-// harness or any bench.
+// ("hx2mesh:16x16", "fattree:1024:taper=0.5") as strings.
 //
 // Topology spec grammar (family, then ':'-separated arguments):
 //   hxmesh:AxB:XxY[:taper=F]   a*b boards on an x*y grid (HammingMesh)
@@ -18,11 +16,10 @@
 #pragma once
 
 /// \file
-/// \brief Factory registry: engines by name (`flow`, `packet`),
+/// \brief Factories: engines by name (`flow`, `packet`),
 /// topologies by spec string (`hx2mesh:16x16`, `fattree:1024:taper=0.5`).
 /// See topology_grammar() for the full spec-string grammar.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,18 +29,12 @@
 
 namespace hxmesh::engine {
 
-using EngineBuilder =
-    std::function<std::unique_ptr<SimEngine>(const topo::Topology&)>;
-
-/// Builds a registered engine ("flow", "packet", or anything added via
-/// register_engine). Throws std::invalid_argument for unknown names.
+/// Builds the engine named "flow" or "packet". Throws
+/// std::invalid_argument, naming both, for any other name.
 std::unique_ptr<SimEngine> make_engine(const std::string& name,
                                        const topo::Topology& topology);
 
-/// Registers (or replaces) a backend under `name`.
-void register_engine(const std::string& name, EngineBuilder builder);
-
-/// Names currently registered, sorted.
+/// The engine names make_engine accepts, sorted.
 std::vector<std::string> engine_names();
 
 /// One human-readable grammar line per topology family (the CLI's `ls`);
@@ -54,9 +45,8 @@ std::vector<std::string> topology_grammar();
 /// std::invalid_argument on parse errors with a message naming the spec.
 std::unique_ptr<topo::Topology> make_topology(const std::string& spec);
 
-/// Spec string of one of the eight Table II machines, such that
-/// make_topology(paper_topology_spec(w, s)) is structurally identical to
-/// topo::make_paper_topology(w, s).
+/// Spec string of one of the eight Table II machines;
+/// make_topology(paper_topology_spec(w, s)) builds it.
 std::string paper_topology_spec(topo::PaperTopology which,
                                 topo::ClusterSize size);
 

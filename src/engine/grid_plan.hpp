@@ -31,7 +31,7 @@ namespace hxmesh::engine {
 /// (pattern, size) point.
 struct SweepConfig {
   std::vector<std::string> topologies;          ///< factory spec strings
-  std::vector<std::string> engines = {"flow"};  ///< registry names
+  std::vector<std::string> engines = {"flow"};  ///< engine names
   std::vector<flow::TrafficSpec> patterns;      ///< scenario descriptors
   /// Non-empty: a seed axis that overrides every pattern's own seed (one
   /// row per seed). Empty: no seed axis — each pattern runs once with the
@@ -54,7 +54,7 @@ struct GridSpec {
 struct SweepRow {
   std::string topology;      ///< factory spec string
   std::string label;         ///< display label (defaults to the spec)
-  std::string engine;        ///< engine registry name
+  std::string engine;        ///< engine name
   flow::TrafficSpec pattern; ///< with the row's seed applied
   std::uint64_t seed = 1;    ///< effective seed of this cell
   RunResult result;          ///< filled by the executing engine (or cache)
@@ -106,7 +106,7 @@ class GridPlan {
   const std::string& job_topology(std::size_t j) const {
     return topo_specs_[jobs_[j].topo_slot];
   }
-  /// \brief Engine registry name of job `j`.
+  /// \brief Engine name of job `j`.
   const std::string& job_engine(std::size_t j) const {
     return jobs_[j].engine;
   }

@@ -1,12 +1,8 @@
 #include "engine/result_cache.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "core/counters.hpp"
 #include "core/fsio.hpp"
@@ -69,7 +65,7 @@ bool checksum_valid(const std::string& text) {
 }
 
 // Throws (std::invalid_argument from the parser / field checks) on any
-// malformed entry; load() maps that to a miss.
+// malformed entry; load() quarantines it.
 RunResult parse_result(const std::string& text) {
   const JsonValue doc = parse_json(text);
   const JsonValue* schema = doc.get("schema");
@@ -142,34 +138,20 @@ std::optional<RunResult> ResultCache::load(const std::string& key) {
     misses_.fetch_add(1);
     return std::nullopt;
   }
+  // The key hashes kSchemaVersion, so a file under it was written by this
+  // schema's store(): one that fails its checksum or does not parse is
+  // truncation, a bit flip, a torn write or a writer bug — evidence worth
+  // keeping, never a stale entry of another version.
   if (checksum_valid(*text)) {
     try {
       RunResult result = parse_result(*text);
       hits_.fetch_add(1);
-      // Mark the entry as recently used so prune()'s max-entries bound
-      // evicts in LRU order. Best effort: a read-only store still hits.
-      touch_file(entry_path(key));
       return result;
     } catch (const std::exception&) {
-      // Internally consistent (the checksum matched) but not parseable as
-      // this schema — an entry from a different version. Stale, not
-      // corrupt: a plain miss; store() overwrites it.
+      // Checksum-valid but malformed: quarantined like any corruption.
     }
-  } else {
-    // No or wrong checksum. An intact entry of an older schema (they
-    // predate checksums) is stale, not corrupt; everything else —
-    // truncation, bit flips, torn writes — is evidence worth keeping.
-    bool stale_version = false;
-    try {
-      const JsonValue doc = parse_json(*text);
-      const JsonValue* schema = doc.is_object() ? doc.get("schema") : nullptr;
-      stale_version = schema && schema->is_number() &&
-                      schema->as_int() != kSchemaVersion;
-    } catch (const std::exception&) {
-      // Unparsable: corrupt.
-    }
-    if (!stale_version) quarantine_entry(key);
   }
+  quarantine_entry(key);
   misses_.fetch_add(1);
   return std::nullopt;
 }
@@ -211,49 +193,6 @@ std::size_t ResultCache::clear() const {
   remove_tree(shard_meta_dir());
   remove_tree(quarantine_dir());
   return removed;
-}
-
-ResultCache::PruneStats ResultCache::prune(
-    std::optional<std::int64_t> max_age_s,
-    std::optional<std::size_t> max_entries) const {
-  // Snapshot (mtime, path) for every entry; list_files sorts by name, so
-  // mtime ties deterministically break by file name below.
-  std::vector<std::pair<std::int64_t, std::string>> entries;
-  for (const std::string& path : list_files(dir_)) {
-    if (path.size() < 5 || path.compare(path.size() - 5, 5, ".json") != 0)
-      continue;
-    if (std::optional<std::int64_t> mtime = file_mtime(path))
-      entries.emplace_back(*mtime, path);
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  PruneStats stats;
-  std::size_t first_kept = 0;
-  if (max_age_s) {
-    const std::int64_t cutoff =
-        static_cast<std::int64_t>(std::time(nullptr)) - *max_age_s;
-    while (first_kept < entries.size() && entries[first_kept].first < cutoff)
-      ++first_kept;
-    // Sharded-sweep metadata ages out on the same bound; it is derived
-    // from the entries, so it is cleaned up silently (not counted).
-    for (const std::string& path : list_files(shard_meta_dir()))
-      if (std::optional<std::int64_t> mtime = file_mtime(path);
-          mtime && *mtime < cutoff)
-        remove_file(path);
-    // Quarantined blobs age out too (counted separately): they exist to
-    // be inspected soon after the corruption, not to accumulate forever.
-    for (const std::string& path : list_files(quarantine_dir()))
-      if (std::optional<std::int64_t> mtime = file_mtime(path);
-          mtime && *mtime < cutoff)
-        if (remove_file(path)) ++stats.quarantine_removed;
-  }
-  if (max_entries && entries.size() - first_kept > *max_entries)
-    first_kept = entries.size() - *max_entries;
-  for (std::size_t i = 0; i < first_kept; ++i)
-    if (remove_file(entries[i].second)) ++stats.removed;
-  stats.kept = entries.size() - first_kept;
-  return stats;
 }
 
 }  // namespace hxmesh::engine

@@ -6,9 +6,12 @@
 // hundred bytes whatever the cell's size — is stored as one JSON file
 // `.hxmesh-cache/<hex>.json`. Re-running a sweep only simulates cells
 // whose key is new — a code change that alters result semantics must bump
-// kSchemaVersion, which invalidates every entry at once. Entries store
-// doubles with %.17g so a reloaded result re-renders the byte-identical
-// harness JSON row of the original run.
+// kSchemaVersion, which moves every cell to a new key at once. Entries
+// store doubles with %.17g so a reloaded result re-renders the
+// byte-identical harness JSON row of the original run.
+//
+// The cache is a pure memo: a hit never writes to the store, and nothing
+// evicts entries. `hxmesh cache clear` is the one way to reclaim space.
 //
 // Concurrency: load()/store() are called from harness worker threads, one
 // cell per call. Distinct cells never share a file and writes are atomic
@@ -18,8 +21,8 @@
 
 /// \file
 /// \brief ResultCache — content-addressed, on-disk memoization of
-/// RunResults, with age/LRU pruning. The shared store doubles as the
-/// handoff between a sharded sweep's children and its merge.
+/// RunResults. The shared store doubles as the handoff between a sharded
+/// sweep's children and its merge.
 
 #include <atomic>
 #include <cstdint>
@@ -47,7 +50,7 @@ class ResultCache {
 
   /// Subdirectory of `dir()` holding sharded-sweep metadata (canonical
   /// grid handoff files and per-shard coverage manifests). Lives inside
-  /// the cache so clear()/prune() can reclaim it alongside the entries.
+  /// the cache so clear() reclaims it alongside the entries.
   static constexpr const char* kShardMetaSubdir = "shards";
 
   /// Subdirectory of `dir()` where corrupt entries are moved. Corruption
@@ -93,12 +96,12 @@ class ResultCache {
                               const flow::TrafficSpec& pattern,
                               std::uint64_t seed);
 
-  /// Cached result for `key`, or nullopt on miss. Every hit is
-  /// checksum-verified. A well-formed entry of a different schema version
-  /// is a plain miss (stale — store() overwrites it); an entry whose
-  /// checksum or structure is broken is *corrupt* and gets moved to
-  /// quarantine_dir() before the miss is reported, so the evidence
-  /// survives the recompute. Updates the session counters.
+  /// Cached result for `key`, or nullopt on miss. A hit is an entry that
+  /// is present, checksum-valid and parseable. The key carries the schema
+  /// version, so any other file present under it is *corrupt*: it is
+  /// moved to quarantine_dir() before the miss is reported, so the
+  /// evidence survives the recompute. A hit writes nothing. Counts into
+  /// hits(), misses() and quarantined().
   std::optional<RunResult> load(const std::string& key);
 
   /// Writes `result` under `key` (atomic; overwrites), including the
@@ -129,28 +132,6 @@ class ResultCache {
   /// shard_meta_dir() and the quarantined blobs under quarantine_dir());
   /// returns how many entries were removed.
   std::size_t clear() const;
-
-  struct PruneStats {
-    std::size_t removed = 0;
-    std::size_t kept = 0;
-    /// Quarantined blobs aged out by this prune. Quarantine is evidence,
-    /// not data — nothing ever reads it back — so without this aging the
-    /// directory would grow without bound on a long-lived host.
-    std::size_t quarantine_removed = 0;
-  };
-  /// Evicts entries by age and count: first removes entries whose
-  /// last-use time (mtime — load() touches entries on hit, so this is an
-  /// LRU order, not a creation order) is more than `max_age_s` seconds
-  /// ago, then, if more than `max_entries` remain, removes the
-  /// least-recently-used ones down to that bound. Pass nullopt to skip
-  /// either criterion. Deterministic: ties on mtime break by file name.
-  /// With an age bound, sharded-sweep metadata files under
-  /// shard_meta_dir() and quarantined blobs under quarantine_dir() past
-  /// the bound are aged out as well (they are derived artifacts, not
-  /// entries, so they appear in removed/kept only via
-  /// `quarantine_removed`).
-  PruneStats prune(std::optional<std::int64_t> max_age_s,
-                   std::optional<std::size_t> max_entries) const;
 
  private:
   std::string entry_path(const std::string& key) const {

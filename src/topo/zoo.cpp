@@ -1,13 +1,5 @@
 #include "topo/zoo.hpp"
 
-#include <stdexcept>
-
-#include "topo/dragonfly.hpp"
-#include "topo/fattree.hpp"
-#include "topo/hyperx.hpp"
-#include "topo/hammingmesh.hpp"
-#include "topo/torus.hpp"
-
 namespace hxmesh::topo {
 
 std::vector<PaperTopology> paper_topology_list() {
@@ -15,50 +7,6 @@ std::vector<PaperTopology> paper_topology_list() {
           PaperTopology::kFatTree75, PaperTopology::kDragonfly,
           PaperTopology::kHyperX,    PaperTopology::kHx2Mesh,
           PaperTopology::kHx4Mesh,   PaperTopology::kTorus};
-}
-
-std::unique_ptr<Topology> make_paper_topology(PaperTopology which,
-                                              ClusterSize size) {
-  const bool small = size == ClusterSize::kSmall;
-  switch (which) {
-    case PaperTopology::kFatTree:
-      return std::make_unique<FatTree>(
-          FatTreeParams{.num_endpoints = small ? 1024 : 16384, .taper = 1.0});
-    case PaperTopology::kFatTree50:
-      return std::make_unique<FatTree>(
-          FatTreeParams{.num_endpoints = small ? 1024 : 16384, .taper = 0.5});
-    case PaperTopology::kFatTree75:
-      return std::make_unique<FatTree>(
-          FatTreeParams{.num_endpoints = small ? 1024 : 16384, .taper = 0.25});
-    case PaperTopology::kDragonfly:
-      return small ? std::make_unique<Dragonfly>(
-                         DragonflyParams{.routers_per_group = 16,
-                                         .endpoints_per_router = 8,
-                                         .global_per_router = 8,
-                                         .groups = 8})
-                   : std::make_unique<Dragonfly>(
-                         DragonflyParams{.routers_per_group = 32,
-                                         .endpoints_per_router = 17,
-                                         .global_per_router = 16,
-                                         .groups = 30});
-    case PaperTopology::kHyperX:
-      // Switch-based HyperX for simulation; cost/diameter use the Hx1Mesh
-      // construction (see src/topo/hyperx.hpp).
-      return std::make_unique<HyperX>(
-          HyperXParams{.x = small ? 32 : 128, .y = small ? 32 : 128});
-    case PaperTopology::kHx2Mesh:
-      return std::make_unique<HammingMesh>(
-          HxMeshParams{.a = 2, .b = 2, .x = small ? 16 : 64,
-                       .y = small ? 16 : 64});
-    case PaperTopology::kHx4Mesh:
-      return std::make_unique<HammingMesh>(
-          HxMeshParams{.a = 4, .b = 4, .x = small ? 8 : 32,
-                       .y = small ? 8 : 32});
-    case PaperTopology::kTorus:
-      return std::make_unique<Torus>(
-          TorusParams{.width = small ? 32 : 128, .height = small ? 32 : 128});
-  }
-  throw std::invalid_argument("make_paper_topology: bad enum");
 }
 
 std::string paper_topology_label(PaperTopology which) {

@@ -1,14 +1,12 @@
 // The paper's reference machine configurations (Section III-D, Table II):
 // a small cluster of ~1,000 accelerators and a large one of ~16,000, each
 // built as eight networks: three fat-tree variants, Dragonfly, 2D HyperX,
-// Hx2Mesh, Hx4Mesh, and a 2D torus.
+// Hx2Mesh, Hx4Mesh, and a 2D torus. engine::paper_topology_spec names each
+// one as a topology spec string; engine::make_topology builds it.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "topo/topology.hpp"
 
 namespace hxmesh::topo {
 
@@ -28,10 +26,6 @@ enum class PaperTopology {
 
 /// All eight, in Table II row order.
 std::vector<PaperTopology> paper_topology_list();
-
-/// Builds one of the Table II networks at the given cluster size.
-std::unique_ptr<Topology> make_paper_topology(PaperTopology which,
-                                              ClusterSize size);
 
 /// Table II row label, e.g. "nonbl. FT", "Hx2Mesh".
 std::string paper_topology_label(PaperTopology which);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cost/cost_model.hpp"
+#include "paper_topology.hpp"
 #include "topo/zoo.hpp"
 
 namespace hxmesh::cost {
@@ -15,14 +16,13 @@ using topo::ClusterSize;
 using topo::PaperTopology;
 
 double paper_cost(PaperTopology which, ClusterSize size) {
-  auto t = topo::make_paper_topology(which, size);
+  auto t = test::paper_topology(which, size);
   return bom_for(*t).total_musd();
 }
 
 // ------------------------------------------------------------- small -----
 TEST(CostTableII, SmallNonblockingFatTree) {
-  auto t = topo::make_paper_topology(PaperTopology::kFatTree,
-                                     ClusterSize::kSmall);
+  auto t = test::paper_topology(PaperTopology::kFatTree, ClusterSize::kSmall);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 768);           // (32+16) * 16 planes
   EXPECT_EQ(bom.dac_cables, 16384);       // 1,024 per plane
@@ -38,8 +38,7 @@ TEST(CostTableII, SmallTaperedFatTrees) {
 }
 
 TEST(CostTableII, SmallDragonfly) {
-  auto t = topo::make_paper_topology(PaperTopology::kDragonfly,
-                                     ClusterSize::kSmall);
+  auto t = test::paper_topology(PaperTopology::kDragonfly, ClusterSize::kSmall);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 1024);      // 64 physical per plane x 16
   EXPECT_EQ(bom.dac_cables, 30720);   // 1,920 per plane
@@ -53,8 +52,7 @@ TEST(CostTableII, SmallHyperX) {
 }
 
 TEST(CostTableII, SmallHx2Mesh) {
-  auto t = topo::make_paper_topology(PaperTopology::kHx2Mesh,
-                                     ClusterSize::kSmall);
+  auto t = test::paper_topology(PaperTopology::kHx2Mesh, ClusterSize::kSmall);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 128);      // 32 per plane x 4 planes
   EXPECT_EQ(bom.dac_cables, 4096);   // 1,024 per plane
@@ -63,8 +61,7 @@ TEST(CostTableII, SmallHx2Mesh) {
 }
 
 TEST(CostTableII, SmallHx4Mesh) {
-  auto t = topo::make_paper_topology(PaperTopology::kHx4Mesh,
-                                     ClusterSize::kSmall);
+  auto t = test::paper_topology(PaperTopology::kHx4Mesh, ClusterSize::kSmall);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 64);
   EXPECT_EQ(bom.dac_cables, 2048);
@@ -73,8 +70,7 @@ TEST(CostTableII, SmallHx4Mesh) {
 }
 
 TEST(CostTableII, SmallTorus) {
-  auto t = topo::make_paper_topology(PaperTopology::kTorus,
-                                     ClusterSize::kSmall);
+  auto t = test::paper_topology(PaperTopology::kTorus, ClusterSize::kSmall);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 0);
   EXPECT_EQ(bom.aoc_cables, 4096);  // 1,024 per plane x 4
@@ -83,8 +79,7 @@ TEST(CostTableII, SmallTorus) {
 
 // ------------------------------------------------------------- large -----
 TEST(CostTableII, LargeNonblockingFatTree) {
-  auto t = topo::make_paper_topology(PaperTopology::kFatTree,
-                                     ClusterSize::kLarge);
+  auto t = test::paper_topology(PaperTopology::kFatTree, ClusterSize::kLarge);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 20480);  // (512+512+256) * 16
   EXPECT_NEAR(bom.total_musd(), 680.0, 1.0);
@@ -98,8 +93,7 @@ TEST(CostTableII, LargeTaperedFatTrees) {
 }
 
 TEST(CostTableII, LargeDragonfly) {
-  auto t = topo::make_paper_topology(PaperTopology::kDragonfly,
-                                     ClusterSize::kLarge);
+  auto t = test::paper_topology(PaperTopology::kDragonfly, ClusterSize::kLarge);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 15360);     // 960 per plane x 16
   EXPECT_EQ(bom.dac_cables, 499200);  // 31,200 per plane
@@ -113,8 +107,7 @@ TEST(CostTableII, LargeHyperX) {
 }
 
 TEST(CostTableII, LargeHx2Mesh) {
-  auto t = topo::make_paper_topology(PaperTopology::kHx2Mesh,
-                                     ClusterSize::kLarge);
+  auto t = test::paper_topology(PaperTopology::kHx2Mesh, ClusterSize::kLarge);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 6144);  // 1,536 per plane x 4
   EXPECT_EQ(bom.dac_cables, 65536);
@@ -123,16 +116,14 @@ TEST(CostTableII, LargeHx2Mesh) {
 }
 
 TEST(CostTableII, LargeHx4Mesh) {
-  auto t = topo::make_paper_topology(PaperTopology::kHx4Mesh,
-                                     ClusterSize::kLarge);
+  auto t = test::paper_topology(PaperTopology::kHx4Mesh, ClusterSize::kLarge);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.switches, 1024);
   EXPECT_NEAR(bom.total_musd(), 43.3, 0.1);
 }
 
 TEST(CostTableII, LargeTorus) {
-  auto t = topo::make_paper_topology(PaperTopology::kTorus,
-                                     ClusterSize::kLarge);
+  auto t = test::paper_topology(PaperTopology::kTorus, ClusterSize::kLarge);
   Bom bom = bom_for(*t);
   EXPECT_EQ(bom.aoc_cables, 65536);
   EXPECT_NEAR(bom.total_musd(), 39.5, 0.1);

@@ -29,6 +29,7 @@
 #include "engine/harness.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
+#include "paper_topology.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/packet_sim.hpp"
 #include "topo/fattree.hpp"
@@ -282,8 +283,8 @@ TEST(FlowSolverDeterminism, RandomPermutationsMatchReference) {
 TEST(FlowSolverDeterminism, ConvergesPastFormerRoundCap) {
   // (topology, seed): dragonfly:small needs ~940 rounds, hx2mesh:64x64
   // ~2,800 (the reference's cost keeps the latter to one seed).
-  auto dragonfly = topo::make_paper_topology(topo::PaperTopology::kDragonfly,
-                                             topo::ClusterSize::kSmall);
+  auto dragonfly = test::paper_topology(topo::PaperTopology::kDragonfly,
+                                        topo::ClusterSize::kSmall);
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 64, .y = 64});
   const std::pair<const topo::Topology*, std::uint64_t> instances[] = {
       {dragonfly.get(), 1}, {dragonfly.get(), 7}, {&hx, 1}};

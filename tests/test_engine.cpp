@@ -62,40 +62,13 @@ TEST(TopologyFactory, RejectsBadSpecs) {
   EXPECT_THROW(make_topology("hx2mesh:4x4:taper=abc"), std::invalid_argument);
 }
 
-TEST(TopologyFactory, PaperSpecsMatchZoo) {
-  for (auto size : {topo::ClusterSize::kSmall, topo::ClusterSize::kLarge})
-    for (auto which : topo::paper_topology_list()) {
-      auto from_spec = make_topology(paper_topology_spec(which, size));
-      auto from_zoo = topo::make_paper_topology(which, size);
-      EXPECT_EQ(from_spec->num_endpoints(), from_zoo->num_endpoints())
-          << paper_topology_spec(which, size);
-      EXPECT_EQ(from_spec->name(), from_zoo->name());
-      EXPECT_EQ(from_spec->planes(), from_zoo->planes());
-    }
-}
-
-// -------------------------------------------------------- engine registry --
+// --------------------------------------------------------- engine factory --
 TEST(EngineFactory, BuildsRegisteredEngines) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
   EXPECT_EQ(make_engine("flow", hx)->name(), "flow");
   EXPECT_EQ(make_engine("packet", hx)->name(), "packet");
   EXPECT_THROW(make_engine("quantum", hx), std::invalid_argument);
-  auto names = engine_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "flow"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "packet"), names.end());
-}
-
-TEST(EngineFactory, NewBackendsPlugIn) {
-  struct NullEngine : SimEngine {
-    explicit NullEngine(const topo::Topology& t) : SimEngine(t) {}
-    std::string name() const override { return "null"; }
-    RunResult run(const flow::TrafficSpec&) override { return {}; }
-  };
-  register_engine("null", [](const topo::Topology& t) {
-    return std::unique_ptr<SimEngine>(new NullEngine(t));
-  });
-  topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
-  EXPECT_EQ(make_engine("null", hx)->name(), "null");
+  EXPECT_EQ(engine_names(), (std::vector<std::string>{"flow", "packet"}));
 }
 
 // ------------------------------------------------------------ FlowEngine --

@@ -6,6 +6,7 @@
 
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
+#include "paper_topology.hpp"
 #include "topo/fattree.hpp"
 #include "topo/hammingmesh.hpp"
 #include "topo/torus.hpp"
@@ -55,8 +56,8 @@ TEST(FlowSolver, MaxMinFairnessProperty) {
   // capacity (conservation), checked by re-tracing flows over fresh paths
   // is not possible (paths are internal), so we check the aggregate:
   // total egress of each endpoint <= its injection bandwidth.
-  auto hx = topo::make_paper_topology(topo::PaperTopology::kHx2Mesh,
-                                      topo::ClusterSize::kSmall);
+  auto hx = test::paper_topology(topo::PaperTopology::kHx2Mesh,
+                                 topo::ClusterSize::kSmall);
   FlowSolver solver(*hx);
   auto flows = shift_pattern(hx->num_endpoints(), 7);
   solver.solve(flows);
@@ -179,8 +180,8 @@ TEST(FlowSolver, MaxMinCertificateOnSmallNetworks) {
 // engine path counts than the 400-round cap the solver used to stop at
 // (see FlowSolverDeterminism.ConvergesPastFormerRoundCap).
 TEST(FlowSolver, MaxMinCertificateOnLargePermutations) {
-  auto dragonfly = topo::make_paper_topology(topo::PaperTopology::kDragonfly,
-                                             topo::ClusterSize::kSmall);
+  auto dragonfly = test::paper_topology(topo::PaperTopology::kDragonfly,
+                                        topo::ClusterSize::kSmall);
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 64, .y = 64});
   const topo::Topology* topologies[] = {dragonfly.get(), &hx};
   for (const topo::Topology* t : topologies)

@@ -11,6 +11,7 @@
 #include "collectives/runtime.hpp"
 #include "cost/cost_model.hpp"
 #include "flow/patterns.hpp"
+#include "paper_topology.hpp"
 #include "sim/minimpi.hpp"
 #include "topo/hammingmesh.hpp"
 #include "topo/zoo.hpp"
@@ -104,10 +105,8 @@ TEST(Integration, TableTwoShapeSmallCluster) {
   // The cost/bandwidth relationships that carry the paper's argument.
   using topo::ClusterSize;
   using topo::PaperTopology;
-  auto ft = topo::make_paper_topology(PaperTopology::kFatTree,
-                                      ClusterSize::kSmall);
-  auto hx2 = topo::make_paper_topology(PaperTopology::kHx2Mesh,
-                                       ClusterSize::kSmall);
+  auto ft = test::paper_topology(PaperTopology::kFatTree, ClusterSize::kSmall);
+  auto hx2 = test::paper_topology(PaperTopology::kHx2Mesh, ClusterSize::kSmall);
   double ft_cost = cost::bom_for(*ft).total_musd();
   double hx_cost = cost::bom_for(*hx2).total_musd();
   auto ft_ring = collectives::measure_ring(*ft);

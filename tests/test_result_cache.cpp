@@ -12,6 +12,7 @@
 
 #include "core/counters.hpp"
 #include "core/fsio.hpp"
+#include "core/hash.hpp"
 #include "engine/harness.hpp"
 #include "engine/result_cache.hpp"
 
@@ -178,7 +179,8 @@ TEST(ResultCache, CorruptEntryFallsBackToRecompute) {
   EXPECT_EQ(engine::row_json(again[0]), engine::row_json(rows[0]));
 }
 
-TEST(ResultCache, SchemaMismatchIsAMiss) {
+TEST(ResultCache, ForeignSchemaUnderACurrentKeyIsQuarantined) {
+  namespace fs = std::filesystem;
   const std::string dir = fresh_dir("cache_schema");
   ResultCache cache(dir);
   engine::RunResult result;
@@ -188,7 +190,9 @@ TEST(ResultCache, SchemaMismatchIsAMiss) {
   cache.store(key, result);
   ASSERT_TRUE(cache.load(key).has_value());
 
-  // Rewrite the entry claiming a different schema version.
+  // Rewrite the entry claiming a different schema version. The key hashes
+  // kSchemaVersion, so no honest writer puts such a file under it: it is
+  // corrupt, not stale, whether or not its checksum was redone to match.
   const std::string path = dir + "/" + key + ".json";
   auto text = read_file(path);
   ASSERT_TRUE(text.has_value());
@@ -199,10 +203,38 @@ TEST(ResultCache, SchemaMismatchIsAMiss) {
   text->replace(pos, marker.size(), "\"schema\":999");
   write_file_atomic(path, *text);
   EXPECT_FALSE(cache.load(key).has_value());
-  // Stale is not corrupt: a foreign schema version is an expected state
-  // after an upgrade, so it is overwritten in place, never quarantined.
-  EXPECT_EQ(cache.quarantined(), 0u);
-  EXPECT_EQ(cache.stats().quarantined, 0u);
+  EXPECT_EQ(cache.quarantined(), 1u);
+  EXPECT_EQ(cache.stats().quarantined, 1u);
+  EXPECT_FALSE(fs::exists(path));
+
+  // The same foreign document with a valid checksum over its own bytes.
+  const std::string checksum = ",\"checksum\":\"";
+  const std::string body = text->substr(0, text->rfind(checksum));
+  write_file_atomic(
+      path, body + checksum + Fnv1a().update(body).hex() + "\"}\n");
+  EXPECT_FALSE(cache.load(key).has_value());
+  EXPECT_EQ(cache.quarantined(), 2u);
+  EXPECT_FALSE(fs::exists(path));
+}
+
+TEST(ResultCache, HitsNeverWriteTheStore) {
+  namespace fs = std::filesystem;
+  const std::string dir = fresh_dir("cache_read_only_hits");
+  ResultCache cache(dir);
+  engine::RunResult result;
+  result.completion_s = 2.5;
+  cache.store("abcd", result);
+
+  // A load is a read: the entry's mtime is exactly what store() left.
+  const std::string path = dir + "/abcd.json";
+  const auto backdated =
+      fs::file_time_type::clock::now() - std::chrono::hours(240);
+  fs::last_write_time(path, backdated);
+  const auto hit = cache.load("abcd");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->completion_s, 2.5);
+  EXPECT_EQ(fs::last_write_time(path), backdated);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(ResultCache, TamperedEntryIsQuarantinedAndHealedByRecompute) {
@@ -310,43 +342,7 @@ TEST(ResultCache, StatsAndClear) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
-TEST(ResultCache, PruneEvictsByAgeThenLeastRecentlyUsed) {
-  namespace fs = std::filesystem;
-  const std::string dir = fresh_dir("cache_prune");
-  ResultCache cache(dir);
-  engine::RunResult result;
-  cache.store("aaaa", result);
-  cache.store("bbbb", result);
-  cache.store("cccc", result);
-  cache.store("dddd", result);
-
-  // Backdate two entries: cccc by ~2 days, dddd by ~10 days.
-  const auto now = fs::file_time_type::clock::now();
-  fs::last_write_time(dir + "/cccc.json", now - std::chrono::hours(48));
-  fs::last_write_time(dir + "/dddd.json", now - std::chrono::hours(240));
-
-  // Age bound of 7 days only evicts dddd.
-  auto pruned = cache.prune(std::int64_t{7} * 86400, std::nullopt);
-  EXPECT_EQ(pruned.removed, 1u);
-  EXPECT_EQ(pruned.kept, 3u);
-  EXPECT_FALSE(fs::exists(dir + "/dddd.json"));
-  EXPECT_TRUE(fs::exists(dir + "/cccc.json"));
-
-  // A load() refreshes an entry's position in the LRU order: after using
-  // cccc, a max-entries prune evicts one of the untouched entries instead.
-  ASSERT_TRUE(cache.load("cccc").has_value());
-  pruned = cache.prune(std::nullopt, std::size_t{2});
-  EXPECT_EQ(pruned.removed, 1u);
-  EXPECT_EQ(pruned.kept, 2u);
-  EXPECT_TRUE(fs::exists(dir + "/cccc.json"));
-
-  // No bounds violated: nothing to do.
-  pruned = cache.prune(std::int64_t{7} * 86400, std::size_t{10});
-  EXPECT_EQ(pruned.removed, 0u);
-  EXPECT_EQ(pruned.kept, 2u);
-}
-
-TEST(ResultCache, ClearAndPruneReclaimShardMetadata) {
+TEST(ResultCache, ClearReclaimsShardMetadata) {
   namespace fs = std::filesystem;
   const std::string dir = fresh_dir("cache_shard_meta");
   ResultCache cache(dir);
@@ -357,17 +353,6 @@ TEST(ResultCache, ClearAndPruneReclaimShardMetadata) {
   ensure_dir(cache.shard_meta_dir());
   write_file_atomic(cache.shard_meta_dir() + "/fp.grid.json", "{}");
   write_file_atomic(cache.shard_meta_dir() + "/fp.0-of-2.json", "{}");
-
-  // An age-bounded prune ages shard metadata out on the same cutoff
-  // (counted in neither removed nor kept — they are not entries).
-  const auto now = fs::file_time_type::clock::now();
-  fs::last_write_time(cache.shard_meta_dir() + "/fp.grid.json",
-                      now - std::chrono::hours(240));
-  const auto pruned = cache.prune(std::int64_t{7} * 86400, std::nullopt);
-  EXPECT_EQ(pruned.removed, 0u);
-  EXPECT_EQ(pruned.kept, 1u);
-  EXPECT_FALSE(fs::exists(cache.shard_meta_dir() + "/fp.grid.json"));
-  EXPECT_TRUE(fs::exists(cache.shard_meta_dir() + "/fp.0-of-2.json"));
 
   // clear() reclaims the whole metadata tree alongside the entries.
   EXPECT_EQ(cache.clear(), 1u);
@@ -391,36 +376,6 @@ TEST(ResultCache, ReadBlobReturnsTheStoredBytes) {
   const auto loaded = cache.load("feedfacefeedface");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->completion_s, result.completion_s);
-}
-
-TEST(ResultCache, PruneAgesOutQuarantinedBlobs) {
-  namespace fs = std::filesystem;
-  const std::string dir = fresh_dir("cache_prune_quarantine");
-  ResultCache cache(dir);
-  engine::RunResult result;
-  cache.store("aaaa", result);
-
-  // Corrupt an entry on disk and load it: the blob moves to quarantine.
-  cache.store("bbbb", result);
-  write_file_atomic(dir + "/bbbb.json", "{\"schema\":3,broken");
-  EXPECT_EQ(cache.load("bbbb"), std::nullopt);
-  EXPECT_EQ(cache.quarantined(), 1u);
-  ASSERT_TRUE(fs::exists(cache.quarantine_dir() + "/bbbb.json"));
-
-  // A fresh quarantine blob survives an age-bounded prune; a stale one is
-  // aged out and counted separately from the entries.
-  auto pruned = cache.prune(std::int64_t{7} * 86400, std::nullopt);
-  EXPECT_EQ(pruned.quarantine_removed, 0u);
-  EXPECT_TRUE(fs::exists(cache.quarantine_dir() + "/bbbb.json"));
-
-  const auto now = fs::file_time_type::clock::now();
-  fs::last_write_time(cache.quarantine_dir() + "/bbbb.json",
-                      now - std::chrono::hours(240));
-  pruned = cache.prune(std::int64_t{7} * 86400, std::nullopt);
-  EXPECT_EQ(pruned.quarantine_removed, 1u);
-  EXPECT_EQ(pruned.removed, 0u);  // evidence is not an entry
-  EXPECT_EQ(pruned.kept, 1u);
-  EXPECT_FALSE(fs::exists(cache.quarantine_dir() + "/bbbb.json"));
 }
 
 }  // namespace

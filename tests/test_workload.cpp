@@ -2,6 +2,7 @@
 // cross-topology shape of Section V-B (who wins, roughly by how much).
 #include <gtest/gtest.h>
 
+#include "paper_topology.hpp"
 #include "topo/zoo.hpp"
 #include "workload/dnn.hpp"
 
@@ -23,8 +24,7 @@ TEST(Volumes, PipelineFormula) {
 }
 
 TEST(Models, ComputeTimesMatchPaperConstants) {
-  auto ft = topo::make_paper_topology(PaperTopology::kFatTree,
-                                      ClusterSize::kSmall);
+  auto ft = test::paper_topology(PaperTopology::kFatTree, ClusterSize::kSmall);
   CommEnv env(*ft);
   auto all = eval_all_models(env);
   ASSERT_EQ(all.size(), 5u);
@@ -41,7 +41,7 @@ struct Overheads {
 };
 
 Overheads overheads_on(PaperTopology which) {
-  auto t = topo::make_paper_topology(which, ClusterSize::kSmall);
+  auto t = test::paper_topology(which, ClusterSize::kSmall);
   CommEnv env(*t);
   auto all = eval_all_models(env);
   return {all[0].overhead_ms(), all[1].overhead_ms(), all[2].overhead_ms(),
@@ -86,17 +86,14 @@ TEST(Models, TorusWorstForCosmoFlow) {
 }
 
 TEST(CommEnvTest, PlaneFactorFourForSinglePortTopologies) {
-  auto ft = topo::make_paper_topology(PaperTopology::kFatTree,
-                                      ClusterSize::kSmall);
-  auto hx = topo::make_paper_topology(PaperTopology::kHx2Mesh,
-                                      ClusterSize::kSmall);
+  auto ft = test::paper_topology(PaperTopology::kFatTree, ClusterSize::kSmall);
+  auto hx = test::paper_topology(PaperTopology::kHx2Mesh, ClusterSize::kSmall);
   EXPECT_EQ(CommEnv(*ft).plane_factor(), 4);
   EXPECT_EQ(CommEnv(*hx).plane_factor(), 1);
 }
 
 TEST(CommEnvTest, ConsecutiveRingsOnHxMeshRunAtLinkRate) {
-  auto hx = topo::make_paper_topology(PaperTopology::kHx2Mesh,
-                                      ClusterSize::kSmall);
+  auto hx = test::paper_topology(PaperTopology::kHx2Mesh, ClusterSize::kSmall);
   CommEnv env(*hx);
   MappedRing o_ring = env.rings_consecutive(384, 4);
   EXPECT_EQ(o_ring.p, 4);
@@ -104,8 +101,7 @@ TEST(CommEnvTest, ConsecutiveRingsOnHxMeshRunAtLinkRate) {
 }
 
 TEST(CommEnvTest, AllreduceTimeScalesWithSize) {
-  auto ft = topo::make_paper_topology(PaperTopology::kFatTree,
-                                      ClusterSize::kSmall);
+  auto ft = test::paper_topology(PaperTopology::kFatTree, ClusterSize::kSmall);
   CommEnv env(*ft);
   MappedRing ring = env.rings_strided(256, 1);
   EXPECT_LT(env.t_allreduce(ring, 1e6), env.t_allreduce(ring, 1e8));
@@ -113,8 +109,7 @@ TEST(CommEnvTest, AllreduceTimeScalesWithSize) {
 }
 
 TEST(CommEnvTest, AlltoallLatencyBoundForTinyMessages) {
-  auto ft = topo::make_paper_topology(PaperTopology::kFatTree,
-                                      ClusterSize::kSmall);
+  auto ft = test::paper_topology(PaperTopology::kFatTree, ClusterSize::kSmall);
   CommEnv env(*ft);
   double tiny = env.t_alltoall(64, 8.0);
   double big = env.t_alltoall(64, 1e6);
