@@ -6,6 +6,7 @@
 
 #include "alloc/experiments.hpp"
 #include "collectives/hamiltonian.hpp"
+#include "collectives/models.hpp"
 #include "engine/harness.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
@@ -134,6 +135,27 @@ static void BM_FlowSolverPermutationLarge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pattern.size());
 }
 BENCHMARK(BM_FlowSolverPermutationLarge);
+
+// The measure_ring flow set of the 16384-accelerator Hx2Mesh at 16 paths,
+// as FlowEngine solves it for an allreduce cell: every subflow freezes in
+// the first batch, so the index build and that batch are the whole solve.
+static void BM_FlowSolverRingLarge(benchmark::State& state) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 64, .y = 64});
+  flow::FlowSolverConfig config;
+  config.paths_per_flow = 16;
+  flow::FlowSolver solver(hx, config);
+  std::vector<flow::Flow> pattern;
+  for (const auto& ring : collectives::build_ring_mapping(hx).rings)
+    for (const flow::Flow& f : flow::ring_flows(ring, /*bidirectional=*/true))
+      pattern.push_back(f);
+  for (auto _ : state) {
+    auto flows = pattern;
+    solver.solve(flows);
+    benchmark::DoNotOptimize(flows.front().rate);
+  }
+  state.SetItemsProcessed(state.iterations() * pattern.size());
+}
+BENCHMARK(BM_FlowSolverRingLarge);
 
 static void BM_PacketForwardHeavy(benchmark::State& state) {
   // try_forward-dominated run: every endpoint keeps four distant messages

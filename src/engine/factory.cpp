@@ -185,8 +185,13 @@ std::unique_ptr<topo::Topology> parse_topology(const std::string& spec) {
 }  // namespace
 
 std::unique_ptr<SimEngine> make_engine(const std::string& name,
-                                       const topo::Topology& topology) {
-  if (name == "flow") return std::make_unique<FlowEngine>(topology);
+                                       const topo::Topology& topology,
+                                       int threads) {
+  if (name == "flow") {
+    flow::FlowSolverConfig config;
+    config.threads = threads;
+    return std::make_unique<FlowEngine>(topology, config);
+  }
   if (name == "packet") return std::make_unique<PacketEngine>(topology);
   throw std::invalid_argument("make_engine: unknown engine '" + name +
                               "' (known: flow, packet)");

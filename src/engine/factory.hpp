@@ -30,9 +30,13 @@
 namespace hxmesh::engine {
 
 /// Builds the engine named "flow" or "packet". Throws
-/// std::invalid_argument, naming both, for any other name.
+/// std::invalid_argument, naming both, for any other name. `threads` is
+/// the flow solver's pool width (FlowSolverConfig::threads: 0 = the
+/// $HXMESH_THREADS / hardware default, 1 = serial); the packet engine
+/// ignores it.
 std::unique_ptr<SimEngine> make_engine(const std::string& name,
-                                       const topo::Topology& topology);
+                                       const topo::Topology& topology,
+                                       int threads = 0);
 
 /// The engine names make_engine accepts, sorted.
 std::vector<std::string> engine_names();

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,14 @@ class ExperimentHarness {
 
   /// \brief The underlying pool (benches reuse it for custom phases).
   ThreadPool& pool() { return pool_; }
+
+  /// \brief engine::make_engine at this harness's width: a flow engine's
+  /// solver pool gets pool().size() threads, so `--threads N` bounds
+  /// every pool of a sweep. run_cells builds its engines here.
+  std::unique_ptr<SimEngine> make_engine(const std::string& name,
+                                         const topo::Topology& topology) {
+    return engine::make_engine(name, topology, pool_.size());
+  }
 
  private:
   ThreadPool pool_;

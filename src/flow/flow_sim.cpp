@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/thread_pool.hpp"
@@ -15,21 +16,30 @@ namespace {
 // Flows per sampling job: big enough that the parallel_for dispatch is
 // noise, small enough to load-balance uneven path lengths.
 constexpr std::size_t kSampleChunk = 256;
-// Below this many flows a pool spin-up costs more than it saves; the
-// sampled paths are identical either way (per-flow substreams), so the
-// threshold shapes only wall-clock.
+// Below this many flows a pool spin-up costs more than it saves; every
+// phase computes the same bits either way (per-flow substreams, blocked
+// index passes that do not depend on the block count), so the threshold
+// shapes only wall-clock.
 constexpr std::size_t kParallelSamplingMin = 2048;
 
-// Min-queue of (saturation level, link) events: the initial keys sorted
-// once and consumed front to back, plus a binary heap for re-keyed links.
-// Pair order breaks level ties by link id, so the pop order is total.
+// Block b of `blocks` contiguous ranges over [0, n).
+std::pair<std::size_t, std::size_t> block_range(std::size_t n,
+                                                std::size_t blocks,
+                                                std::size_t b) {
+  return {n * b / blocks, n * (b + 1) / blocks};
+}
+
+// Min-queue of (saturation level, link) events: the initial keys, sorted
+// by the caller and consumed front to back, plus a binary heap for
+// re-keyed links. Pair order breaks level ties by link id, so the pop
+// order is total.
 class LevelQueue {
  public:
   using Event = std::pair<double, std::uint32_t>;
 
-  explicit LevelQueue(std::vector<Event> initial)
-      : initial_(std::move(initial)) {
-    std::sort(initial_.begin(), initial_.end());
+  explicit LevelQueue(std::vector<Event> sorted_initial)
+      : initial_(std::move(sorted_initial)) {
+    assert(std::is_sorted(initial_.begin(), initial_.end()));
   }
 
   bool empty() const { return next_ == initial_.size() && heap_.empty(); }
@@ -75,16 +85,31 @@ FlowSolver::FlowSolver(const topo::Topology& topology, FlowSolverConfig config)
 // operation. It
 // stops exactly when every subflow froze: the rates are the converged
 // max-min fair allocation of the sampled paths.
+//
+// Everything before the event loop — sampling, the link->subflows index,
+// the first level's batch and the initial key order — runs over one pool
+// in blocks whose results do not depend on the block count, so the rates
+// are bit-identical at every pool width, including one.
 void FlowSolver::solve(std::vector<Flow>& flows,
                        topo::RouteMode route) const {
   const topo::Graph& g = topology_.graph();
+  const std::size_t num_links = g.num_links();
+
+  std::optional<ThreadPool> pool;
+  if (config_.threads != 1 && flows.size() >= kParallelSamplingMin)
+    pool.emplace(config_.threads);
+  auto run = [&](std::size_t n, const std::function<void(std::size_t)>& fn) {
+    if (pool)
+      pool->parallel_for(n, fn);
+    else
+      for (std::size_t i = 0; i < n; ++i) fn(i);
+  };
+  // One block per worker, over the subflows or over the links.
+  const std::size_t blocks = pool ? static_cast<std::size_t>(pool->size()) : 1;
 
   // Sample subflow paths. Each flow draws from its own counter-seeded RNG
   // substream, so chunks of flows are independent jobs: the fan-out over
   // the pool produces exactly the serial paths for every worker count.
-  // Chunks land in per-chunk buffers and are flattened in flow order
-  // below, which keeps the downstream filling identical to a serial
-  // sampling loop.
   struct Chunk {
     std::vector<topo::LinkId> links;  // concatenated sampled paths
     std::vector<std::pair<int, std::uint32_t>> subs;  // (flow, path length)
@@ -92,7 +117,7 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   const std::size_t nchunks =
       (flows.size() + kSampleChunk - 1) / kSampleChunk;
   std::vector<Chunk> chunks(nchunks);
-  auto sample_chunk = [&](std::size_t c) {
+  run(nchunks, [&](std::size_t c) {
     Chunk& chunk = chunks[c];
     std::vector<topo::LinkId> path;
     const std::size_t lo = c * kSampleChunk;
@@ -109,88 +134,194 @@ void FlowSolver::solve(std::vector<Flow>& flows,
         chunk.links.insert(chunk.links.end(), path.begin(), path.end());
       }
     }
-  };
-  if (config_.sample_threads != 1 && flows.size() >= kParallelSamplingMin) {
-    ThreadPool pool(config_.sample_threads);
-    pool.parallel_for(nchunks, sample_chunk);
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c) sample_chunk(c);
-  }
+  });
 
-  // Flatten in flow order, counting per-link crossings as the links land.
-  // The per-subflow state is SoA — flow id / first link / link count here,
-  // rate and the frozen flag below — so freezing and the final rate
-  // accumulation stream through flat arrays.
-  for (Flow& f : flows) f.rate = 0.0;
-  std::vector<int> sub_flow;
-  std::vector<std::uint32_t> sub_first;
-  std::vector<std::uint32_t> sub_count;
-  std::vector<topo::LinkId> path_links;
-  {
-    std::size_t total_subs = 0, total_links = 0;
-    for (const Chunk& chunk : chunks) {
-      total_subs += chunk.subs.size();
-      total_links += chunk.links.size();
-    }
-    sub_flow.reserve(total_subs);
-    sub_first.reserve(total_subs);
-    sub_count.reserve(total_subs);
-    path_links.reserve(total_links);
+  // Lay the chunks out in flow order: chunk c's subflows and path links
+  // start at sub_base[c] and link_base[c]. The per-subflow state is SoA —
+  // flow id and first link here (sub_first[num_subs] is the end
+  // sentinel), rate and the frozen flag below — so freezing and the final
+  // rate accumulation stream through flat arrays. Each chunk buffer is
+  // freed once copied. The flat arrays are uninitialized on purpose:
+  // every slot is written by exactly one copy job.
+  std::vector<std::size_t> sub_base(nchunks + 1, 0);
+  std::vector<std::size_t> link_base(nchunks + 1, 0);
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    sub_base[c + 1] = sub_base[c] + chunks[c].subs.size();
+    link_base[c + 1] = link_base[c] + chunks[c].links.size();
   }
-  std::vector<std::uint32_t> link_off(g.num_links() + 1, 0);
-  for (const Chunk& chunk : chunks) {
-    std::size_t pos = 0;
+  const std::size_t num_subs = sub_base[nchunks];
+  const std::size_t total_links = link_base[nchunks];
+  auto sub_flow = std::make_unique_for_overwrite<int[]>(num_subs);
+  auto sub_first =
+      std::make_unique_for_overwrite<std::uint32_t[]>(num_subs + 1);
+  auto path_links =
+      std::make_unique_for_overwrite<topo::LinkId[]>(total_links);
+  run(nchunks, [&](std::size_t c) {
+    Chunk& chunk = chunks[c];
+    std::size_t si = sub_base[c];
+    auto first = static_cast<std::uint32_t>(link_base[c]);
     for (const auto& [f, count] : chunk.subs) {
-      sub_flow.push_back(f);
-      sub_first.push_back(static_cast<std::uint32_t>(path_links.size()));
-      sub_count.push_back(count);
-      for (std::uint32_t i = 0; i < count; ++i)
-        ++link_off[chunk.links[pos + i] + 1];
-      path_links.insert(path_links.end(), chunk.links.begin() + pos,
-                        chunk.links.begin() + pos + count);
-      pos += count;
+      sub_flow[si] = f;
+      sub_first[si++] = first;
+      first += count;
     }
-  }
-  const std::size_t num_subs = sub_flow.size();
+    std::copy(chunk.links.begin(), chunk.links.end(),
+              path_links.get() + link_base[c]);
+    chunk = Chunk{};
+  });
+  sub_first[num_subs] = static_cast<std::uint32_t>(total_links);
 
   // Residual = capacity minus the rates of frozen crossers.
-  std::vector<double> residual(g.num_links());
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
-  // Link -> crossing subflows (CSR). Minimal paths never repeat a link, so
-  // each subflow appears at most once per link list — which also makes the
-  // CSR row width of a link exactly its active-crosser count.
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    link_off[l + 1] += link_off[l];
-  std::vector<std::uint32_t> active_count(g.num_links());
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    active_count[l] = link_off[l + 1] - link_off[l];
-  // Uninitialized on purpose: the scatter below writes every slot (the
-  // offsets were counted from exactly these path links), and zero-filling
-  // multi-MB arrays first is measurable at hx2mesh:64x64 scale.
-  std::unique_ptr<std::uint32_t[]> link_subs(
-      new std::uint32_t[path_links.size()]);
-  {
-    std::vector<std::uint32_t> fill(link_off.begin(), link_off.end() - 1);
-    for (std::size_t si = 0; si < num_subs; ++si)
-      for (std::uint32_t i = 0; i < sub_count[si]; ++i)
-        link_subs[fill[path_links[sub_first[si] + i]]++] =
-            static_cast<std::uint32_t>(si);
-  }
+  std::vector<double> residual(num_links);
+  // Link -> crossing subflows (CSR), by counting sort over the subflow
+  // blocks. crossings[b * num_links + l] first counts block b's crossings
+  // of link l, then becomes block b's write cursor in row l. Blocks are
+  // contiguous and land in block order, so every row lists its crossers
+  // in ascending subflow order: the index is the serial one for any block
+  // count. A Valiant path that repeats a link sits in that link's row
+  // once per occurrence, so a row's width is its active-crosser count.
+  std::vector<std::uint32_t> link_off(num_links + 1);
+  std::vector<std::uint32_t> active_count(num_links);
+  auto crossings =
+      std::make_unique_for_overwrite<std::uint32_t[]>(blocks * num_links);
+  run(blocks, [&](std::size_t b) {
+    std::uint32_t* count = crossings.get() + b * num_links;
+    std::fill(count, count + num_links, 0u);
+    const auto [lo, hi] = block_range(num_subs, blocks, b);
+    for (std::uint32_t i = sub_first[lo]; i < sub_first[hi]; ++i)
+      ++count[path_links[i]];
+  });
 
-  std::vector<std::uint8_t> active(num_subs, 1);
-  // Uninitialized on purpose: every subflow crosses at least one link, so
-  // every slot is written exactly once, when that subflow freezes.
-  std::unique_ptr<double[]> rate(new double[num_subs]);
   const double eps = 1e-6 * kLinkBandwidthBps;
-  std::size_t remaining = num_subs;
-
   // The fill level at which link l saturates.
   auto key = [&](std::uint32_t l) { return residual[l] / active_count[l]; };
   // The saturation rule: within eps of full at `level`.
   auto saturated_at = [&](std::uint32_t l, double level) {
     return residual[l] - level * active_count[l] <= eps;
   };
+
+  // Row offsets: one link-major prefix over the block counts, split into
+  // link ranges that first total their crossings. The same pass seeds the
+  // residuals and takes each range's lowest saturation level; their
+  // minimum is the first level, exactly.
+  std::vector<std::uint32_t> range_off(blocks + 1, 0);
+  run(blocks, [&](std::size_t r) {
+    const auto [lo, hi] = block_range(num_links, blocks, r);
+    std::uint32_t total = 0;
+    for (std::size_t b = 0; b < blocks; ++b)
+      for (std::size_t l = lo; l < hi; ++l)
+        total += crossings[b * num_links + l];
+    range_off[r + 1] = total;
+  });
+  for (std::size_t r = 0; r < blocks; ++r) range_off[r + 1] += range_off[r];
+  std::vector<double> range_level(blocks);
+  run(blocks, [&](std::size_t r) {
+    const auto [lo, hi] = block_range(num_links, blocks, r);
+    std::uint32_t off = range_off[r];
+    double lowest = std::numeric_limits<double>::infinity();
+    for (std::size_t l = lo; l < hi; ++l) {
+      link_off[l] = off;
+      for (std::size_t b = 0; b < blocks; ++b) {
+        std::uint32_t& slot = crossings[b * num_links + l];
+        const std::uint32_t count = slot;
+        slot = off;
+        off += count;
+      }
+      active_count[l] = off - link_off[l];
+      residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
+      if (active_count[l] > 0)
+        lowest = std::min(lowest, key(static_cast<std::uint32_t>(l)));
+    }
+    range_level[r] = lowest;
+  });
+  link_off[num_links] = static_cast<std::uint32_t>(total_links);
+  const double first_level =
+      *std::min_element(range_level.begin(), range_level.end());
+  // Uninitialized on purpose: the scatter writes every slot (the offsets
+  // were counted from exactly these path links).
+  auto link_subs = std::make_unique_for_overwrite<std::uint32_t[]>(total_links);
+  run(blocks, [&](std::size_t b) {
+    std::uint32_t* cursor = crossings.get() + b * num_links;
+    const auto [lo, hi] = block_range(num_subs, blocks, b);
+    for (std::size_t si = lo; si < hi; ++si)
+      for (std::uint32_t i = sub_first[si]; i < sub_first[si + 1]; ++i)
+        link_subs[cursor[path_links[i]]++] = static_cast<std::uint32_t>(si);
+  });
+
+  // The first level's batch: a collective ring saturates millions of links
+  // at that one level, where per-subflow passes beat popping each link.
+  // Freezing a batch link's crossers freezes exactly the subflows whose
+  // path crosses some batch link, all at the first level, so each
+  // subflow decides on its own; then each link loses the level once per
+  // frozen crossing — by repeated subtraction, which is what the event
+  // loop's saturate does, so the residuals match it bit for bit. The
+  // freeze writes `active` for every subflow and `rate` for every frozen
+  // one, so neither array is initialized first.
+  std::vector<std::uint8_t> in_batch(num_links);
+  run(blocks, [&](std::size_t r) {
+    const auto [lo, hi] = block_range(num_links, blocks, r);
+    for (std::size_t l = lo; l < hi; ++l) {
+      const auto link = static_cast<std::uint32_t>(l);
+      in_batch[l] = active_count[l] > 0 && saturated_at(link, first_level);
+    }
+  });
+  auto active = std::make_unique_for_overwrite<std::uint8_t[]>(num_subs);
+  auto rate = std::make_unique_for_overwrite<double[]>(num_subs);
+  std::vector<std::size_t> frozen(blocks, 0);
+  run(blocks, [&](std::size_t b) {
+    // Block b's counts now tally its frozen crossings per link.
+    std::uint32_t* count = crossings.get() + b * num_links;
+    std::fill(count, count + num_links, 0u);
+    const auto [lo, hi] = block_range(num_subs, blocks, b);
+    std::size_t n = 0;
+    for (std::size_t si = lo; si < hi; ++si) {
+      const std::uint32_t first = sub_first[si], last = sub_first[si + 1];
+      bool freeze = false;
+      for (std::uint32_t i = first; i < last && !freeze; ++i)
+        freeze = in_batch[path_links[i]];
+      active[si] = !freeze;
+      if (!freeze) continue;
+      rate[si] = first_level;
+      ++n;
+      for (std::uint32_t i = first; i < last; ++i) ++count[path_links[i]];
+    }
+    frozen[b] = n;
+  });
+  std::size_t remaining = num_subs;
+  for (std::size_t n : frozen) remaining -= n;
+
+  // Settle the batch per link and key the links that keep an active
+  // crosser. Each link range sorts its own keys, then the ranges merge
+  // pairwise; the (level, link) order is total, so the queue is the same
+  // for any range count.
+  std::vector<std::vector<LevelQueue::Event>> keys(blocks);
+  run(blocks, [&](std::size_t r) {
+    const auto [lo, hi] = block_range(num_links, blocks, r);
+    for (std::size_t l = lo; l < hi; ++l) {
+      std::uint32_t n = 0;
+      for (std::size_t b = 0; b < blocks; ++b)
+        n += crossings[b * num_links + l];
+      active_count[l] -= n;
+      for (; n > 0; --n) residual[l] -= first_level;
+      const auto link = static_cast<std::uint32_t>(l);
+      if (active_count[l] > 0) keys[r].emplace_back(key(link), link);
+    }
+    std::sort(keys[r].begin(), keys[r].end());
+  });
+  crossings.reset();
+  for (std::size_t width = 1; width < blocks; width *= 2) {
+    run((blocks + 2 * width - 1) / (2 * width), [&](std::size_t p) {
+      const std::size_t a = 2 * width * p, b = a + width;
+      if (b >= blocks) return;
+      std::vector<LevelQueue::Event> merged(keys[a].size() + keys[b].size());
+      std::merge(keys[a].begin(), keys[a].end(), keys[b].begin(),
+                 keys[b].end(), merged.begin());
+      keys[a] = std::move(merged);
+      keys[b] = {};
+    });
+  }
+  LevelQueue queue(std::move(keys[0]));
+
   // Freezes every still-active crosser of link l at `level`, handing its
   // rate to the residual of each link on its path. Every subtraction in a
   // batch removes the same `level`, so the order in which a batch's links
@@ -202,38 +333,22 @@ void FlowSolver::solve(std::vector<Flow>& flows,
       active[si] = 0;
       rate[si] = level;
       --remaining;
-      const std::uint32_t first = sub_first[si];
-      for (std::uint32_t j = 0; j < sub_count[si]; ++j) {
-        const topo::LinkId m = path_links[first + j];
+      for (std::uint32_t j = sub_first[si]; j < sub_first[si + 1]; ++j) {
+        const topo::LinkId m = path_links[j];
         residual[m] -= level;
         --active_count[m];
       }
     }
   };
 
-  // The first level and its batch come from two linear passes: a
-  // collective ring saturates millions of links at that one level, where
-  // scanning beats sorting and popping each of them. Only the links that
-  // survive it are queued.
-  double level = std::numeric_limits<double>::infinity();
-  for (std::uint32_t l = 0; l < g.num_links(); ++l)
-    if (active_count[l] > 0) level = std::min(level, key(l));
-  std::vector<std::uint32_t> batch;
-  for (std::uint32_t l = 0; l < g.num_links(); ++l)
-    if (active_count[l] > 0 && saturated_at(l, level)) batch.push_back(l);
-  for (std::uint32_t l : batch) saturate(l, level);
-
-  std::vector<LevelQueue::Event> initial;
-  for (std::uint32_t l = 0; l < g.num_links(); ++l)
-    if (active_count[l] > 0) initial.emplace_back(key(l), l);
-  LevelQueue queue(std::move(initial));
-
   // Each event pops the lowest current key as the next level, batches
   // every queued link within eps of saturating at it, and freezes the
   // batch. A popped key that no longer matches its link is stale (a
   // crosser froze since it was queued): re-key and push it back. Links
   // near the level that do not saturate go back unchanged after the
-  // batch froze.
+  // batch froze. The loop is serial: its batches are a few dozen links.
+  double level = first_level;
+  std::vector<std::uint32_t> batch;
   std::vector<LevelQueue::Event> deferred;
   while (remaining > 0 && !queue.empty()) {
     batch.clear();
@@ -260,8 +375,15 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   // once every subflow froze.
   assert(remaining == 0);
 
-  for (std::size_t si = 0; si < num_subs; ++si)
-    flows[sub_flow[si]].rate += rate[si];
+  // A flow's subflows all sit in its sampling chunk, in order, so each
+  // chunk sums its own flows' rates.
+  run(nchunks, [&](std::size_t c) {
+    const std::size_t lo = c * kSampleChunk;
+    const std::size_t hi = std::min(flows.size(), lo + kSampleChunk);
+    for (std::size_t f = lo; f < hi; ++f) flows[f].rate = 0.0;
+    for (std::size_t si = sub_base[c]; si < sub_base[c + 1]; ++si)
+      flows[sub_flow[si]].rate += rate[si];
+  });
 }
 
 }  // namespace hxmesh::flow

@@ -14,9 +14,14 @@
 //
 // Path sampling draws each flow's paths from its own counter-seeded RNG
 // substream (Rng::substream(seed, flow index)), which makes flows
-// independent: large flow sets sample in parallel over a thread pool with
-// rates that are bit-identical for every worker count, including one. The
-// filling itself is serial, with a deterministic event order.
+// independent. For large flow sets the whole index build runs in parallel
+// over one thread pool per solve: sampling, the flat path layout, the
+// link->subflows index (a counting sort over contiguous subflow blocks),
+// the first level's batch (a collective ring freezes everything there)
+// and the sort of the initial queue keys. Each of these phases computes
+// the same bits for any block count, so the rates are bit-identical for
+// every worker count, including one. The event loop after them is serial,
+// with a deterministic event order: its batches are a few dozen links.
 //
 // This reproduces the steady-state bandwidth numbers of Table II and
 // Figures 11-13/17 for large messages; the packet-level simulator
@@ -41,10 +46,11 @@ struct Flow {
 struct FlowSolverConfig {
   int paths_per_flow = 8;
   std::uint64_t seed = 0x5eed;
-  // Worker threads for the path-sampling fan-out: 0 uses $HXMESH_THREADS
-  // (else the hardware concurrency), 1 forces serial sampling. Never
-  // changes the computed rates — only wall-clock.
-  int sample_threads = 0;
+  // Worker threads for every phase of solve() before the event loop
+  // (sampling and the index build): 0 uses $HXMESH_THREADS (else the
+  // hardware concurrency), 1 forces a serial solve. Never changes the
+  // computed rates — only wall-clock. The harness passes its own width.
+  int threads = 0;
   // Path selection mode handed to sample_path_stratified: minimal,
   // Valiant (random-intermediate detours), or UGAL (deterministic 50/50
   // minimal/detour mix over the subflow strata).

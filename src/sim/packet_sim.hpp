@@ -48,7 +48,7 @@ struct PacketSimConfig {
   // intermediate endpoint; UGAL-L compares queue-depth x distance of the
   // minimal and detour injection ports per packet. Both run the two legs
   // in disjoint VC halves (2 * num_vcs channels per link; the leg-2 range
-  // is what keeps the scheme deadlock-free, see routing/deadlock.hpp).
+  // is what keeps the scheme deadlock-free, see tests/deadlock.hpp).
   topo::RouteMode route_mode = topo::RouteMode::kMinimal;
   std::uint64_t route_seed = 1;  // intermediate-endpoint draws
 };

@@ -1,4 +1,4 @@
-#include "routing/deadlock.hpp"
+#include "deadlock.hpp"
 
 #include <algorithm>
 #include <unordered_set>

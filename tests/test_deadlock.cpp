@@ -6,7 +6,7 @@
 // every board-to-rail injection) makes the dependency graph acyclic.
 #include <gtest/gtest.h>
 
-#include "routing/deadlock.hpp"
+#include "deadlock.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
 #include "topo/faults.hpp"

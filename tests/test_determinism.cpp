@@ -6,6 +6,7 @@
 //  - FlowSolver::solve must reproduce the classic full-rescan progressive
 //    filling, run to convergence, to 1e-9 relative (the event-driven
 //    filling visits the same levels but sums rates in a different order),
+//    and its rates must be bit-identical at every solver pool width,
 //  - both engines together must reproduce the committed regression-grid
 //    baselines byte for byte when run through ExperimentHarness, and the
 //    packet engine its committed packet-grid row on wide switches.
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "collectives/models.hpp"
 #include "core/fsio.hpp"
 #include "core/json_parse.hpp"
 #include "core/rng.hpp"
@@ -185,7 +187,8 @@ int solve_reference(const topo::Topology& topology,
     Rng rng = Rng::substream(config.seed, f);
     for (int k = 0; k < config.paths_per_flow; ++k) {
       topology.sample_path_stratified(flows[f].src, flows[f].dst, k,
-                                      config.paths_per_flow, rng, path);
+                                      config.paths_per_flow, rng, path,
+                                      config.route);
       Subflow s;
       s.flow = static_cast<int>(f);
       s.first = static_cast<std::uint32_t>(path_links.size());
@@ -299,10 +302,32 @@ TEST(FlowSolverDeterminism, ConvergesPastFormerRoundCap) {
   }
 }
 
-// Intra-cell parallelism: path sampling fans over a worker pool, and the
-// rates must be bit-identical for every worker count. 4096 flows keeps the
-// set above the solver's parallel-sampling threshold so the wide run
-// actually exercises the pool.
+// Intra-cell parallelism: everything before the event loop — sampling,
+// the path layout, the counting-sort index, the first level's batch and
+// the initial key sort — runs over a pool in blocks, one per worker, and
+// the rates must be bit-identical for every width. Odd widths split
+// chunks, subflows and links unevenly. At width 5 the rates are also
+// checked against the reference filling. Leaves the width-1 rates in
+// `flows`.
+void expect_width_invariant(const topo::Topology& topology,
+                            std::vector<flow::Flow>& flows,
+                            flow::FlowSolverConfig config = {}) {
+  ASSERT_GE(flows.size(), 2048u) << "grow the flow set: it no longer "
+                                    "reaches the parallel solver path";
+  const std::vector<flow::Flow> input = flows;
+  config.threads = 1;
+  flow::FlowSolver(topology, config).solve(flows);
+  for (int width : {2, 3, 5, 8}) {
+    std::vector<flow::Flow> wide = input;
+    config.threads = width;
+    flow::FlowSolver(topology, config).solve(wide);
+    for (std::size_t i = 0; i < flows.size(); ++i)
+      ASSERT_EQ(flows[i].rate, wide[i].rate)
+          << "flow " << i << " at width " << width;
+    if (width == 5) expect_solver_matches_reference(topology, input, config);
+  }
+}
+
 TEST(FlowSolverDeterminism, RatesIndependentOfSampleWorkerCount) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 8, .y = 8});
   const int n = hx.num_endpoints();
@@ -310,20 +335,104 @@ TEST(FlowSolverDeterminism, RatesIndependentOfSampleWorkerCount) {
   for (int shift = 1; shift <= 16; ++shift)
     for (const flow::Flow& f : flow::shift_pattern(n, shift))
       flows.push_back(f);
-  ASSERT_GE(flows.size(), 2048u) << "grow the flow set: it no longer "
-                                    "reaches the parallel sampling path";
-  std::vector<flow::Flow> serial = flows, wide = flows, wider = flows;
-  flow::FlowSolverConfig config;
-  config.sample_threads = 1;
-  flow::FlowSolver(hx, config).solve(serial);
-  config.sample_threads = 3;  // odd width: chunks wrap unevenly
-  flow::FlowSolver(hx, config).solve(wide);
-  config.sample_threads = 8;
-  flow::FlowSolver(hx, config).solve(wider);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    ASSERT_EQ(serial[i].rate, wide[i].rate) << "flow " << i;
-    ASSERT_EQ(serial[i].rate, wider[i].rate) << "flow " << i;
+  expect_width_invariant(hx, flows);
+}
+
+// The measure_ring flow set: every subflow freezes in the first batch, so
+// the parallel batch alone sets every rate — all of them equal.
+TEST(FlowSolverDeterminism, RingFirstBatchIndependentOfWorkerCount) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 16, .y = 16});
+  std::vector<flow::Flow> flows;
+  for (const auto& ring : collectives::build_ring_mapping(hx).rings)
+    for (const flow::Flow& f : flow::ring_flows(ring, /*bidirectional=*/true))
+      flows.push_back(f);
+  expect_width_invariant(hx, flows);
+  for (const flow::Flow& f : flows)
+    ASSERT_EQ(f.rate, flows.front().rate)
+        << "the ring no longer freezes in one batch";
+}
+
+// True when some subflow frozen by the first batch crosses a link more
+// than once: the case where the batch must charge a link once per
+// occurrence. Recomputes the first level from the reference's sampling.
+bool first_batch_repeats_a_link(const topo::Topology& topology,
+                                const std::vector<flow::Flow>& flows,
+                                const flow::FlowSolverConfig& config) {
+  const topo::Graph& g = topology.graph();
+  std::vector<std::vector<topo::LinkId>> paths;
+  std::vector<std::uint32_t> count(g.num_links(), 0);
+  std::vector<topo::LinkId> path;
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    if (flows[f].src == flows[f].dst) continue;
+    Rng rng = Rng::substream(config.seed, f);
+    for (int k = 0; k < config.paths_per_flow; ++k) {
+      topology.sample_path_stratified(flows[f].src, flows[f].dst, k,
+                                      config.paths_per_flow, rng, path,
+                                      config.route);
+      for (topo::LinkId l : path) ++count[l];
+      paths.push_back(path);
+    }
   }
+  auto bandwidth = [&](topo::LinkId l) { return g.link(l).bandwidth_bps; };
+  double level = std::numeric_limits<double>::infinity();
+  for (topo::LinkId l = 0; l < g.num_links(); ++l)
+    if (count[l] > 0) level = std::min(level, bandwidth(l) / count[l]);
+  const double eps = 1e-6 * kLinkBandwidthBps;
+  for (std::vector<topo::LinkId>& p : paths) {
+    const bool frozen = std::any_of(p.begin(), p.end(), [&](topo::LinkId l) {
+      return bandwidth(l) - level * count[l] <= eps;
+    });
+    std::sort(p.begin(), p.end());
+    if (frozen && std::adjacent_find(p.begin(), p.end()) != p.end())
+      return true;
+  }
+  return false;
+}
+
+// A Valiant path on the zoo's fabrics never crosses a directed link twice:
+// both legs are shortest paths over symmetric distances, so leg 1 crossing
+// u->v toward the intermediate `mid` means d(u, mid) > d(v, mid), while
+// leg 2 crossing it from `mid` would need the opposite. This mesh repeats
+// the first hop of every odd stratum's Valiant path, the case where a
+// frozen subflow charges a link once per occurrence — the event loop's
+// rule, which the parallel first batch and the reference must share.
+class RepeatingValiantMesh : public topo::HammingMesh {
+ public:
+  RepeatingValiantMesh() : HammingMesh({.a = 2, .b = 2, .x = 16, .y = 16}) {}
+  void sample_path_stratified(int src, int dst, int k, int num_strata,
+                              Rng& rng, std::vector<topo::LinkId>& out,
+                              topo::RouteMode mode) const override {
+    HammingMesh::sample_path_stratified(src, dst, k, num_strata, rng, out,
+                                        mode);
+    if (k % 2 == 1 && !out.empty()) out.push_back(out.front());
+  }
+};
+
+TEST(FlowSolverDeterminism, ValiantFirstBatchIndependentOfWorkerCount) {
+  RepeatingValiantMesh hx;
+  std::vector<flow::Flow> flows;
+  for (std::uint64_t seed : {3ull, 5ull, 11ull}) {
+    Rng rng(seed);
+    for (const flow::Flow& f : flow::random_permutation(hx.num_endpoints(), rng))
+      flows.push_back(f);
+  }
+  flow::FlowSolverConfig config;
+  config.route = topo::RouteMode::kValiant;
+  ASSERT_TRUE(first_batch_repeats_a_link(hx, flows, config))
+      << "no first-batch subflow repeats a link any more; pick another set";
+  expect_width_invariant(hx, flows, config);
+}
+
+// A faulted fabric: failed links stay in the index with no crossers.
+TEST(FlowSolverDeterminism, FaultedRatesIndependentOfWorkerCount) {
+  const auto hx = engine::make_topology("hx2mesh:4x4:faults=links:1:seed=5");
+  ASSERT_TRUE(hx->graph().has_failed_links());
+  const int n = hx->num_endpoints();
+  std::vector<flow::Flow> flows;
+  for (int shift = 1; shift <= 40; ++shift)
+    for (const flow::Flow& f : flow::shift_pattern(n, shift))
+      flows.push_back(f);
+  expect_width_invariant(*hx, flows);
 }
 
 TEST(FlowSolverDeterminism, SelfFlowsAndRepeatSolvesMatchReference) {
@@ -485,17 +594,9 @@ TEST(RouteModeDeterminism, ValiantRatesIndependentOfSampleWorkerCount) {
   for (int shift = 1; shift <= 16; ++shift)
     for (const flow::Flow& f : flow::shift_pattern(n, shift))
       flows.push_back(f);
-  ASSERT_GE(flows.size(), 2048u) << "grow the flow set: it no longer "
-                                    "reaches the parallel sampling path";
-  std::vector<flow::Flow> serial = flows, wide = flows;
   flow::FlowSolverConfig config;
   config.route = topo::RouteMode::kValiant;
-  config.sample_threads = 1;
-  flow::FlowSolver(hx, config).solve(serial);
-  config.sample_threads = 8;
-  flow::FlowSolver(hx, config).solve(wide);
-  for (std::size_t i = 0; i < flows.size(); ++i)
-    ASSERT_EQ(serial[i].rate, wide[i].rate) << "flow " << i;
+  expect_width_invariant(hx, flows, config);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "core/counters.hpp"
 #include "core/thread_pool.hpp"
+#include "engine/flow_engine.hpp"
 #include "engine/harness.hpp"
 #include "engine/result_cache.hpp"
 #include "topo/hammingmesh.hpp"
@@ -168,6 +169,19 @@ TEST(Harness, FourThreadGridMatchesOneThreadGrid) {
   ASSERT_EQ(rows1.size(), rows4.size());
   for (std::size_t i = 0; i < rows1.size(); ++i)
     EXPECT_EQ(engine::row_json(rows1[i]), engine::row_json(rows4[i])) << i;
+}
+
+// `--threads N` must bound the flow solver's pool too: the harness hands
+// its width to every flow engine it builds.
+TEST(Harness, FlowEnginesInheritTheHarnessWidth) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
+  for (int width : {1, 3}) {
+    engine::ExperimentHarness harness(width);
+    auto eng = harness.make_engine("flow", hx);
+    const auto* flow = dynamic_cast<const engine::FlowEngine*>(eng.get());
+    ASSERT_NE(flow, nullptr);
+    EXPECT_EQ(flow->config().threads, width);
+  }
 }
 
 // ----------------------------------------------- batched execution -------
