@@ -1,12 +1,13 @@
 // google-benchmark microbenchmarks of the core engines: event queue
 // (steady hold model and same-time bursts), packet engine, flow engine,
-// routing/BFS, allocator, the Hamiltonian-ring construction, and a full
-// harness grid.
+// routing/BFS, topology build, allocator, the Hamiltonian-ring
+// construction, and a full harness grid.
 #include <benchmark/benchmark.h>
 
 #include "alloc/experiments.hpp"
 #include "collectives/hamiltonian.hpp"
 #include "collectives/models.hpp"
+#include "engine/factory.hpp"
 #include "engine/harness.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
@@ -225,6 +226,17 @@ static void BM_DiameterHx64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiameterHx64);
+
+static void BM_TopologyBuildHx128(benchmark::State& state) {
+  // One hx2mesh:128x128 build (65,536 accelerators, 655k directed links)
+  // from its spec string, destruction included: node and link arrays, the
+  // graph's adjacency index, the route tables and the routing oracle.
+  for (auto _ : state) {
+    auto topology = engine::make_topology("hx2mesh:128x128");
+    benchmark::DoNotOptimize(topology->graph().num_links());
+  }
+}
+BENCHMARK(BM_TopologyBuildHx128);
 
 static void BM_AllocatorJobMix(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,24 +1,40 @@
 #include "topo/graph.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <stdexcept>
 
 namespace hxmesh::topo {
 
+namespace {
+
+void check_open(bool finalized) {
+  if (finalized) throw std::logic_error("Graph: add after finalize()");
+}
+
+// Turns per-node counts in off[n + 1] into row offsets.
+void prefix_sum(std::vector<std::uint32_t>& off) {
+  for (std::size_t n = 1; n < off.size(); ++n) off[n] += off[n - 1];
+}
+
+}  // namespace
+
+void Graph::reserve(std::size_t nodes, std::size_t links) {
+  kinds_.reserve(nodes);
+  links_.reserve(links);
+}
+
 NodeId Graph::add_node(NodeKind kind) {
+  check_open(finalized_);
   kinds_.push_back(kind);
-  out_.emplace_back();
-  in_.emplace_back();
   return static_cast<NodeId>(kinds_.size() - 1);
 }
 
 LinkId Graph::add_link(NodeId src, NodeId dst, double bandwidth_bps,
                        picoseconds latency_ps, CableKind cable) {
+  check_open(finalized_);
+  assert(src < num_nodes() && dst < num_nodes());
   links_.push_back(Link{src, dst, bandwidth_bps, latency_ps, cable});
-  auto id = static_cast<LinkId>(links_.size() - 1);
-  out_[src].push_back(id);
-  in_[dst].push_back(id);
-  return id;
+  return static_cast<LinkId>(links_.size() - 1);
 }
 
 LinkId Graph::add_duplex(NodeId a, NodeId b, double bandwidth_bps,
@@ -28,60 +44,58 @@ LinkId Graph::add_duplex(NodeId a, NodeId b, double bandwidth_bps,
   return first;
 }
 
-std::vector<LinkId> Graph::links_between(NodeId a, NodeId b) const {
-  std::vector<LinkId> result;
-  for (LinkId l : out_[a])
-    if (links_[l].dst == b) result.push_back(l);
-  return result;
-}
+void Graph::finalize() {
+  if (finalized_) throw std::logic_error("Graph: finalize() called twice");
+  finalized_ = true;
+  const std::size_t n = num_nodes(), m = num_links();
 
-LinkId Graph::find_link(NodeId a, NodeId b) const {
-  for (LinkId l : out_[a])
-    if (links_[l].dst == b) return l;
-  return kInvalidLink;
-}
-
-const Graph::BundleIndex& Graph::bundle_index() const {
-  std::call_once(bundle_once_, [this] {
-    auto idx = std::make_unique<BundleIndex>();
-    idx->node_off.resize(num_nodes() + 1, 0);
-    idx->links.reserve(links_.size());
-    std::vector<std::pair<NodeId, LinkId>> scratch;
-    for (NodeId n = 0; n < num_nodes(); ++n) {
-      idx->node_off[n] = static_cast<std::uint32_t>(idx->pair_dst.size());
-      scratch.clear();
-      for (LinkId l : out_[n]) scratch.emplace_back(links_[l].dst, l);
-      // Group by destination, sorted by node id for binary search; the
-      // stable sort keeps parallel links in out-link order, so a bundle
-      // enumerates them exactly as links_between() does.
-      std::stable_sort(scratch.begin(), scratch.end(),
-                       [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                       });
-      for (std::size_t i = 0; i < scratch.size(); ++i) {
-        if (i == 0 || scratch[i].first != scratch[i - 1].first) {
-          idx->pair_dst.push_back(scratch[i].first);
-          idx->pair_off.push_back(static_cast<std::uint32_t>(idx->links.size()));
-        }
-        idx->links.push_back(scratch[i].second);
-      }
+  // Counting sort on src and on dst. Links are placed in ascending id, so
+  // every out-row and every in-row lists its links in id order.
+  out_off_.assign(n + 1, 0);
+  in_off_.assign(n + 1, 0);
+  for (const Link& l : links_) {
+    ++out_off_[l.src + 1];
+    ++in_off_[l.dst + 1];
+  }
+  prefix_sum(out_off_);
+  prefix_sum(in_off_);
+  out_ids_.resize(m);
+  in_ids_.resize(m);
+  std::vector<NodeId> in_src(m);  // src of in_ids_[i], so the bundle pass
+                                  // never reads links_ at random
+  {
+    std::vector<std::uint32_t> out_at(out_off_.begin(), out_off_.end() - 1);
+    std::vector<std::uint32_t> in_at(in_off_.begin(), in_off_.end() - 1);
+    for (LinkId id = 0; id < m; ++id) {
+      const Link& l = links_[id];
+      out_ids_[out_at[l.src]++] = id;
+      const std::uint32_t i = in_at[l.dst]++;
+      in_ids_[i] = id;
+      in_src[i] = l.src;
     }
-    idx->node_off[num_nodes()] = static_cast<std::uint32_t>(idx->pair_dst.size());
-    idx->pair_off.push_back(static_cast<std::uint32_t>(idx->links.size()));
-    bundles_ = std::move(idx);
-  });
-  return *bundles_;
+  }
+
+  // Bundle rows: the in-CSR is ordered by (dst, id); scattering it by src
+  // (a stable second counting-sort pass) orders each out-row by (dst, id),
+  // so parallel links stay in out-link order.
+  bundle_ids_.resize(m);
+  bundle_dst_.resize(m);
+  std::vector<std::uint32_t> at(out_off_.begin(), out_off_.end() - 1);
+  for (NodeId d = 0; d < n; ++d)
+    for (std::uint32_t i = in_off_[d]; i < in_off_[d + 1]; ++i) {
+      const std::uint32_t j = at[in_src[i]]++;
+      bundle_ids_[j] = in_ids_[i];
+      bundle_dst_[j] = d;
+    }
 }
 
 std::span<const LinkId> Graph::bundle(NodeId a, NodeId b) const {
-  const BundleIndex& idx = bundle_index();
-  const auto* first = idx.pair_dst.data() + idx.node_off[a];
-  const auto* last = idx.pair_dst.data() + idx.node_off[a + 1];
-  const auto* it = std::lower_bound(first, last, b);
-  if (it == last || *it != b) return {};
-  const std::size_t pair = static_cast<std::size_t>(it - idx.pair_dst.data());
-  return {idx.links.data() + idx.pair_off[pair],
-          idx.pair_off[pair + 1] - idx.pair_off[pair]};
+  assert(finalized_ && "Graph queried before finalize()");
+  const NodeId* keys = bundle_dst_.data();
+  const auto [first, last] =
+      std::equal_range(keys + out_off_[a], keys + out_off_[a + 1], b);
+  return {bundle_ids_.data() + (first - keys),
+          static_cast<std::size_t>(last - first)};
 }
 
 void Graph::set_link_failed(LinkId l, bool failed) {
@@ -100,24 +114,19 @@ std::size_t Graph::num_failed_links() const {
   return n;
 }
 
-namespace {
-
-std::vector<std::int32_t> bfs(
-    NodeId start, std::size_t n,
-    const std::vector<std::vector<LinkId>>& adjacency,
-    const std::vector<Link>& links, bool follow_src,
-    const std::vector<std::uint8_t>& failed) {
-  std::vector<std::int32_t> dist(n, -1);
-  std::deque<NodeId> queue;
+std::vector<std::int32_t> Graph::bfs(NodeId start, bool reverse) const {
+  assert(finalized_ && "Graph queried before finalize()");
+  std::vector<std::int32_t> dist(num_nodes(), -1);
+  // Every node enters the queue at most once, so a flat array is the FIFO.
+  std::vector<NodeId> queue;
+  queue.reserve(num_nodes());
   dist[start] = 0;
   queue.push_back(start);
-  const bool any_failed = !failed.empty();
-  while (!queue.empty()) {
-    NodeId u = queue.front();
-    queue.pop_front();
-    for (LinkId l : adjacency[u]) {
-      if (any_failed && failed[l]) continue;
-      NodeId v = follow_src ? links[l].src : links[l].dst;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (LinkId l : reverse ? row(in_off_, in_ids_, u) : out_links(u)) {
+      if (link_failed(l)) continue;
+      const NodeId v = reverse ? links_[l].src : links_[l].dst;
       if (dist[v] < 0) {
         dist[v] = dist[u] + 1;
         queue.push_back(v);
@@ -127,18 +136,12 @@ std::vector<std::int32_t> bfs(
   return dist;
 }
 
-}  // namespace
-
 std::vector<std::int32_t> Graph::dist_to(NodeId dst) const {
-  static const std::vector<std::uint8_t> kNoFailures;
-  return bfs(dst, num_nodes(), in_, links_, /*follow_src=*/true,
-             has_failed_ ? failed_ : kNoFailures);
+  return bfs(dst, /*reverse=*/true);
 }
 
 std::vector<std::int32_t> Graph::dist_from(NodeId src) const {
-  static const std::vector<std::uint8_t> kNoFailures;
-  return bfs(src, num_nodes(), out_, links_, /*follow_src=*/false,
-             has_failed_ ? failed_ : kNoFailures);
+  return bfs(src, /*reverse=*/false);
 }
 
 }  // namespace hxmesh::topo

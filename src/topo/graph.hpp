@@ -6,11 +6,27 @@
 // copper, AoC optical) so the cost model and the simulators share one
 // description of the machine. Physical duplex cables are represented as two
 // directed links created together by add_duplex().
+//
+// A graph is built, then finalized. While it is built, add_node, add_link
+// and add_duplex only append to flat node and link arrays. finalize()
+// builds one immutable adjacency index from the link array in O(nodes +
+// links) counting-sort passes: an out-CSR, an in-CSR, and bundle rows (each
+// out-row re-sorted by neighbor, so the parallel links to one neighbor are
+// a contiguous run). Adjacency queries need the index, and adding after
+// finalize() throws. The index never changes afterwards, so the spans it
+// hands out stay valid for the graph's lifetime and concurrent readers
+// need no lock.
+//
+// Order contracts (sampled paths, BFS fields and packet candidate order
+// all depend on them):
+//   - out_links(n) lists the links whose src is n in ascending id;
+//   - dist_to walks in-rows that list the links whose dst is n in
+//     ascending id;
+//   - bundle(a, b) lists the parallel links a -> b in out-link order.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -42,13 +58,18 @@ struct Link {
   CableKind cable = CableKind::kDac;
 };
 
-/// Directed multigraph with per-node outgoing adjacency.
+/// Directed multigraph with a CSR adjacency index built at finalize().
 class Graph {
  public:
+  /// Sizes the node and link arrays up front (an optimization only).
+  void reserve(std::size_t nodes, std::size_t links);
+
   /// Adds a node and returns its id (dense, starting at 0).
+  /// \throws std::logic_error after finalize().
   NodeId add_node(NodeKind kind);
 
   /// Adds a directed link; returns its id (dense, starting at 0).
+  /// \throws std::logic_error after finalize().
   LinkId add_link(NodeId src, NodeId dst, double bandwidth_bps,
                   picoseconds latency_ps, CableKind cable);
 
@@ -57,30 +78,32 @@ class Graph {
   LinkId add_duplex(NodeId a, NodeId b, double bandwidth_bps,
                     picoseconds latency_ps, CableKind cable);
 
+  /// Builds the adjacency index; the graph is immutable afterwards.
+  /// \throws std::logic_error when called twice.
+  void finalize();
+
   std::size_t num_nodes() const { return kinds_.size(); }
   std::size_t num_links() const { return links_.size(); }
 
   NodeKind kind(NodeId n) const { return kinds_[n]; }
   const Link& link(LinkId l) const { return links_[l]; }
 
-  /// Outgoing links of `n`.
+  /// Outgoing links of `n`, in ascending id.
   std::span<const LinkId> out_links(NodeId n) const {
-    return {out_[n].data(), out_[n].size()};
+    assert(finalized_ && "Graph queried before finalize()");
+    return row(out_off_, out_ids_, n);
   }
 
-  /// All link ids from `a` to `b` (multi-edges included, possibly empty).
-  std::vector<LinkId> links_between(NodeId a, NodeId b) const;
-
-  /// Allocation-free links_between: a view of the parallel links a -> b in
-  /// the same order links_between returns them. Served from a lazily built
-  /// per-node bundle index (O(log out-neighbors) lookup), so routing hot
-  /// paths can pick among parallel cables without a heap allocation per
-  /// decision. Thread-safe; the graph must not gain links afterwards (all
-  /// topologies finish construction before routing starts).
+  /// The parallel links a -> b in out-link order (possibly empty): an
+  /// O(log out-degree) lookup, so routing hot paths pick among parallel
+  /// cables without a heap allocation per decision.
   std::span<const LinkId> bundle(NodeId a, NodeId b) const;
 
-  /// First link from `a` to `b`, or kInvalidLink.
-  LinkId find_link(NodeId a, NodeId b) const;
+  /// First link from `a` to `b` in out-link order, or kInvalidLink.
+  LinkId find_link(NodeId a, NodeId b) const {
+    const auto links = bundle(a, b);
+    return links.empty() ? kInvalidLink : links.front();
+  }
 
   /// Hop distance (number of links) from every node to `dst`; -1 when
   /// unreachable. Computed by reverse BFS over directed links, skipping
@@ -110,26 +133,30 @@ class Graph {
   std::size_t num_failed_links() const;
 
  private:
-  // Multi-edge index: per source node, the distinct out-neighbors sorted
-  // by node id, each with its parallel links in out-link order.
-  struct BundleIndex {
-    std::vector<std::uint32_t> node_off;  // per node, into pair_dst
-    std::vector<NodeId> pair_dst;         // sorted within each node's range
-    std::vector<std::uint32_t> pair_off;  // per pair, into links
-    std::vector<LinkId> links;
-  };
-  const BundleIndex& bundle_index() const;
+  static std::span<const LinkId> row(const std::vector<std::uint32_t>& off,
+                                     const std::vector<LinkId>& ids,
+                                     NodeId n) {
+    return {ids.data() + off[n], off[n + 1] - off[n]};
+  }
+  std::vector<std::int32_t> bfs(NodeId start, bool reverse) const;
 
   std::vector<NodeKind> kinds_;
   std::vector<Link> links_;
-  std::vector<std::vector<LinkId>> out_;
-  std::vector<std::vector<LinkId>> in_;
+  bool finalized_ = false;
+
+  // Out- and in-CSR: row n is ids[off[n] .. off[n + 1]).
+  std::vector<std::uint32_t> out_off_, in_off_;
+  std::vector<LinkId> out_ids_, in_ids_;
+  // Bundle rows: each out-row reordered by (dst, id), with the dst of every
+  // entry alongside, so row n of bundle_ids_/bundle_dst_ shares out_off_
+  // and bundle(a, b) is an equal_range over bundle_dst_'s row a.
+  std::vector<LinkId> bundle_ids_;
+  std::vector<NodeId> bundle_dst_;
+
   // Lazily sized on the first set_link_failed; empty (and has_failed_
   // false) on healthy graphs.
   std::vector<std::uint8_t> failed_;
   bool has_failed_ = false;
-  mutable std::once_flag bundle_once_;
-  mutable std::unique_ptr<BundleIndex> bundles_;
 };
 
 }  // namespace hxmesh::topo

@@ -9,13 +9,67 @@ namespace hxmesh::topo {
 
 namespace {
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
+
+// The rails of one dimension (dim 0 = x, W/E ports; dim 1 = y, S/N), which
+// all share one shape: a single switch when a line's 2 * boards edge ports
+// fit the radix, else a two-level fat tree, optionally tapered.
+struct RailShape {
+  int boards = 0;          // boards per line
+  int lines = 0;           // accelerator lines, one rail each
+  int levels = 1;
+  int leaves = 1, spines = 0;
+  int ports_per_leaf = 0;  // board edge ports per leaf
+  int up_per_leaf = 0;     // leaf -> spine cables
+};
+
+RailShape rail_shape(const HxMeshParams& p, int dim) {
+  RailShape r;
+  r.boards = dim == 0 ? p.x : p.y;
+  r.lines = dim == 0 ? p.b * p.y : p.a * p.x;
+  const int ports = 2 * r.boards;
+  if (ports <= p.radix) {
+    r.ports_per_leaf = ports;  // single leaf: every port maps to it
+    return r;
+  }
+  r.levels = 2;
+  r.ports_per_leaf = p.radix / 2;
+  r.leaves = ceil_div(ports, r.ports_per_leaf);
+  r.up_per_leaf =
+      std::max(1, static_cast<int>(r.ports_per_leaf * p.rail_taper));
+  r.spines = ceil_div(r.leaves * r.up_per_leaf, p.radix);
+  assert(r.spines <= r.up_per_leaf &&
+         "rail fat tree: leaves must reach every spine");
+  return r;
+}
 }  // namespace
+
+HammingMesh::Size HammingMesh::size_of(const HxMeshParams& p) {
+  const std::size_t boards = static_cast<std::size_t>(p.x) * p.y;
+  Size s;
+  s.nodes = boards * p.a * p.b;
+  // On-board mesh: b rows of a - 1 cables and a columns of b - 1 cables.
+  s.links = 2 * boards *
+            (static_cast<std::size_t>(p.b) * (p.a - 1) +
+             static_cast<std::size_t>(p.a) * (p.b - 1));
+  for (int dim = 0; dim < 2; ++dim) {
+    const RailShape r = rail_shape(p, dim);
+    s.nodes += static_cast<std::size_t>(r.lines) * (r.leaves + r.spines);
+    // Per line: the leaf-spine cables and two edge-port cables per board.
+    s.links += 2 * static_cast<std::size_t>(r.lines) *
+               (static_cast<std::size_t>(r.leaves) * r.up_per_leaf +
+                2 * static_cast<std::size_t>(r.boards));
+  }
+  return s;
+}
 
 HammingMesh::HammingMesh(HxMeshParams params) : params_(params) {
   const int a = params_.a, b = params_.b, x = params_.x, y = params_.y;
   if (a < 1 || b < 1 || x < 1 || y < 1 || params_.radix < 4)
     throw std::invalid_argument("HammingMesh: bad parameters");
 
+  // Size first, then build: the node and link arrays never regrow.
+  const Size size = size_of(params_);
+  graph_.reserve(size.nodes, size.links);
   for (int i = 0; i < accel_x() * accel_y(); ++i) add_endpoint();
 
   // Division-free coordinate tables; the per-hop router math indexes these
@@ -132,52 +186,31 @@ void HammingMesh::build_route_tables() {
 void HammingMesh::build_rails(int dim) {
   // dim 0: lines are accelerator rows (gy), boards indexed by bx, 2*x ports.
   // dim 1: lines are accelerator columns (gx), boards indexed by by.
-  const int radix = params_.radix;
-  const int boards = dim == 0 ? params_.x : params_.y;  // boards per line
-  const int num_lines = dim == 0 ? accel_y() : accel_x();
-  const int ports = 2 * boards;  // edge ports of one line
+  const RailShape shape = rail_shape(params_, dim);
+  const int boards = shape.boards, num_lines = shape.lines;
   const CableKind port_cable = dim == 0 ? CableKind::kDac : CableKind::kAoc;
   DimRails& dr = dim == 0 ? x_rails_ : y_rails_;
-  dr.rail_of_line.assign(num_lines, -1);
-
-  if (ports <= radix) {
-    // Single-switch rails, one logical switch per accelerator line. The
-    // physical machine may merge several lines of a board row into one
-    // 64-port switch (the paper's small Hx2Mesh does); the cost model
-    // accounts for that merging, but routing stays within a line, matching
-    // the paper's routing description and diameter formula (a packet never
-    // changes its row by crossing an x-rail).
-    dr.levels = 1;
-    dr.rails.resize(num_lines);
-    for (int line = 0; line < num_lines; ++line) {
-      Rail& r = dr.rails[line];
-      r.leaves.push_back(add_switch());
-      r.ports_per_leaf = ports;  // single leaf: every port maps to it
-      dr.rail_of_line[line] = line;
-    }
-  } else {
-    // Two-level fat-tree rail per line (large machines), optionally tapered.
-    dr.levels = 2;
-    const int down_per_leaf = radix / 2;
-    const int num_leaves = ceil_div(ports, down_per_leaf);
-    const int up_per_leaf =
-        std::max(1, static_cast<int>(down_per_leaf * params_.rail_taper));
-    const int num_spines = ceil_div(num_leaves * up_per_leaf, radix);
-    assert(num_spines <= up_per_leaf &&
-           "rail fat tree: leaves must reach every spine");
-    dr.rails.resize(num_lines);
-    for (int line = 0; line < num_lines; ++line) {
-      Rail& r = dr.rails[line];
-      r.ports_per_leaf = down_per_leaf;
-      for (int i = 0; i < num_leaves; ++i) r.leaves.push_back(add_switch());
-      for (int s = 0; s < num_spines; ++s) r.spines.push_back(add_switch());
-      for (int i = 0; i < num_leaves; ++i)
-        for (int k = 0; k < up_per_leaf; ++k)
-          graph_.add_duplex(r.leaves[i],
-                            r.spines[(i * up_per_leaf + k) % num_spines],
-                            kLinkBandwidthBps, kCableLatencyPs, CableKind::kAoc);
-      dr.rail_of_line[line] = line;
-    }
+  dr.levels = shape.levels;
+  dr.rails.resize(num_lines);
+  dr.rail_of_line.resize(num_lines);
+  // Single-switch rails are one logical switch per accelerator line. The
+  // physical machine may merge several lines of a board row into one
+  // 64-port switch (the paper's small Hx2Mesh does); the cost model
+  // accounts for that merging, but routing stays within a line, matching
+  // the paper's routing description and diameter formula (a packet never
+  // changes its row by crossing an x-rail). Large machines get a two-level
+  // fat-tree rail per line.
+  for (int line = 0; line < num_lines; ++line) {
+    Rail& r = dr.rails[line];
+    r.ports_per_leaf = shape.ports_per_leaf;
+    for (int i = 0; i < shape.leaves; ++i) r.leaves.push_back(add_switch());
+    for (int s = 0; s < shape.spines; ++s) r.spines.push_back(add_switch());
+    for (int i = 0; i < shape.leaves; ++i)
+      for (int k = 0; k < shape.up_per_leaf; ++k)
+        graph_.add_duplex(r.leaves[i],
+                          r.spines[(i * shape.up_per_leaf + k) % shape.spines],
+                          kLinkBandwidthBps, kCableLatencyPs, CableKind::kAoc);
+    dr.rail_of_line[line] = line;
   }
 
   // Precompute the leaf of each board index (used per rail crossing);

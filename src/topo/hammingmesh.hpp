@@ -37,6 +37,13 @@ class HammingMesh : public Topology {
  public:
   explicit HammingMesh(HxMeshParams params);
 
+  /// Closed-form node and link counts of the graph `params` builds; the
+  /// constructor reserves from them before adding anything.
+  struct Size {
+    std::size_t nodes = 0, links = 0;
+  };
+  static Size size_of(const HxMeshParams& params);
+
   std::string name() const override;
   int planes() const override { return params_.planes; }
   int ports_per_endpoint() const override { return 4; }
@@ -117,7 +124,7 @@ class HammingMesh : public Topology {
   void emit_rail(int dim, int line, int from_board, int to_board,
                  int from_side, int to_side, int stratum,
                  std::vector<LinkId>& out) const;
-  // Builds the span tables below (constructor tail, after all links exist).
+  // Builds the span tables below (constructor tail, after finalize()).
   void build_route_tables();
   // Installs the closed-form Oracle (constructor tail; lives in the .cpp
   // because it needs the complete Oracle type).
@@ -140,9 +147,9 @@ class HammingMesh : public Topology {
   std::vector<std::int32_t> bx_of_gx_, ox_of_gx_;    // by global x coord
   std::vector<std::int32_t> by_of_gy_, oy_of_gy_;    // by global y coord
 
-  // Per-hop routing tables: spans point into the graph's bundle index
-  // (stable once built), so the router picks among parallel cables with a
-  // table load instead of an adjacency search per decision.
+  // Per-hop routing tables: spans point into the graph's bundle rows
+  // (immutable after finalize()), so the router picks among parallel
+  // cables with a table load instead of an adjacency search per decision.
   struct RailPortSpans {
     std::span<const LinkId> to_leaf, from_leaf;
   };

@@ -52,6 +52,7 @@ int Topology::add_endpoint() {
 NodeId Topology::add_switch() { return graph_.add_node(NodeKind::kSwitch); }
 
 void Topology::finalize() {
+  graph_.finalize();
   rank_of_node_.assign(graph_.num_nodes(), -1);
   for (std::size_t r = 0; r < endpoints_.size(); ++r)
     rank_of_node_[endpoints_[r]] = static_cast<std::int32_t>(r);

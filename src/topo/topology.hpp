@@ -175,7 +175,8 @@ class Topology {
   int add_endpoint();
   /// Registers a new switch node.
   NodeId add_switch();
-  /// Must be called once after all nodes exist (builds rank lookup).
+  /// Must be called once after all nodes and links exist: builds the
+  /// graph's adjacency index and the rank lookup.
   void finalize();
   /// Installs the family's closed-form oracle (call at the end of the
   /// constructor, once the graph and all coordinate tables exist).

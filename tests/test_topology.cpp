@@ -1,14 +1,16 @@
-// Structural tests for the topology families: node/link counts, diameters
-// (closed form vs BFS), closed-form distances vs BFS, and minimal-path
-// sampling validity.
+// Structural tests for the topology families: the graph's adjacency index,
+// node/link counts, diameters (closed form vs BFS), closed-form distances
+// vs BFS, and minimal-path sampling validity.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/factory.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
 #include "topo/graph.hpp"
@@ -25,6 +27,7 @@ TEST(Graph, DuplexCreatesBothDirections) {
   NodeId b = g.add_node(NodeKind::kSwitch);
   LinkId l = g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs,
                           CableKind::kDac);
+  g.finalize();
   ASSERT_EQ(g.num_links(), 2u);
   EXPECT_EQ(g.link(l).src, a);
   EXPECT_EQ(g.link(l).dst, b);
@@ -38,8 +41,9 @@ TEST(Graph, MultiEdgesAreKept) {
   NodeId b = g.add_node(NodeKind::kSwitch);
   g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs, CableKind::kDac);
   g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs, CableKind::kDac);
-  EXPECT_EQ(g.links_between(a, b).size(), 2u);
-  EXPECT_EQ(g.links_between(b, a).size(), 2u);
+  g.finalize();
+  EXPECT_EQ(g.bundle(a, b).size(), 2u);
+  EXPECT_EQ(g.bundle(b, a).size(), 2u);
 }
 
 TEST(Graph, BfsDistancesOnPath) {
@@ -49,6 +53,7 @@ TEST(Graph, BfsDistancesOnPath) {
   for (int i = 0; i + 1 < 5; ++i)
     g.add_duplex(n[i], n[i + 1], kLinkBandwidthBps, kCableLatencyPs,
                  CableKind::kDac);
+  g.finalize();
   auto dist = g.dist_to(n[4]);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(dist[n[i]], 4 - i);
   auto from = g.dist_from(n[0]);
@@ -59,9 +64,147 @@ TEST(Graph, UnreachableIsMinusOne) {
   Graph g;
   NodeId a = g.add_node(NodeKind::kSwitch);
   NodeId b = g.add_node(NodeKind::kSwitch);
+  g.finalize();
   auto dist = g.dist_to(b);
   EXPECT_EQ(dist[a], -1);
   EXPECT_EQ(dist[b], 0);
+}
+
+// ----------------------------------------------------------- GraphIndex --
+// The adjacency index built at finalize(), checked against definitions read
+// straight off the link array: the small instance of every family, a
+// faulted one, and HammingMeshes with two-level rails, plain and tapered
+// (their leaf-spine bundles hold many parallel cables).
+const std::vector<std::string>& index_specs() {
+  static const std::vector<std::string> specs = {
+      "hx2mesh:4x4",
+      "hxmesh:3x2:3x4",
+      "hx4mesh:2x2",
+      "hx2mesh:40x4",
+      "hx2mesh:40x4:taper=0.5",
+      "hyperx:4x3",
+      "fattree:64",
+      "fattree:4096:taper=0.5",  // three levels
+      "dragonfly:small",
+      "torus:8x6:board=2x2",
+      "torus:2x4",
+      "hx2mesh:4x4:faults=links:0.05:seed=7"};
+  return specs;
+}
+
+// Links with src n, in ascending id, per node.
+std::vector<std::vector<LinkId>> out_rows_by_scan(const Graph& g) {
+  std::vector<std::vector<LinkId>> rows(g.num_nodes());
+  for (LinkId l = 0; l < g.num_links(); ++l) rows[g.link(l).src].push_back(l);
+  return rows;
+}
+
+// Hop distances to `dst` by relaxing every healthy link until nothing
+// changes: no adjacency index involved.
+std::vector<std::int32_t> dist_to_by_relaxation(const Graph& g, NodeId dst) {
+  std::vector<std::int32_t> dist(g.num_nodes(), -1);
+  dist[dst] = 0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (LinkId l = 0; l < g.num_links(); ++l) {
+      const Link& lnk = g.link(l);
+      if (g.link_failed(l) || dist[lnk.dst] < 0) continue;
+      if (dist[lnk.src] < 0 || dist[lnk.src] > dist[lnk.dst] + 1) {
+        dist[lnk.src] = dist[lnk.dst] + 1;
+        changed = true;
+      }
+    }
+  }
+  return dist;
+}
+
+TEST(GraphIndex, OutRowsListLinksInAscendingId) {
+  for (const std::string& spec : index_specs()) {
+    SCOPED_TRACE(spec);
+    auto t = engine::make_topology(spec);
+    const Graph& g = t->graph();
+    const auto rows = out_rows_by_scan(g);
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      auto out = g.out_links(n);
+      ASSERT_EQ(std::vector<LinkId>(out.begin(), out.end()), rows[n])
+          << "node " << n;
+    }
+  }
+}
+
+TEST(GraphIndex, BundlesAndFindLinkFollowOutLinkOrder) {
+  for (const std::string& spec : index_specs()) {
+    SCOPED_TRACE(spec);
+    auto t = engine::make_topology(spec);
+    const Graph& g = t->graph();
+    for (NodeId a = 0; a < g.num_nodes(); ++a) {
+      std::set<NodeId> neighbors;
+      for (LinkId l : g.out_links(a)) neighbors.insert(g.link(l).dst);
+      // Every out-neighbor, plus a node that is not one (if any).
+      std::vector<NodeId> probes(neighbors.begin(), neighbors.end());
+      for (NodeId b = 0; b < g.num_nodes(); ++b)
+        if (!neighbors.count(b)) {
+          probes.push_back(b);
+          break;
+        }
+      for (NodeId b : probes) {
+        std::vector<LinkId> expected;
+        for (LinkId l : g.out_links(a))
+          if (g.link(l).dst == b) expected.push_back(l);
+        auto bundle = g.bundle(a, b);
+        ASSERT_EQ(std::vector<LinkId>(bundle.begin(), bundle.end()), expected)
+            << a << " -> " << b;
+        EXPECT_EQ(g.find_link(a, b),
+                  expected.empty() ? kInvalidLink : expected.front())
+            << a << " -> " << b;
+      }
+    }
+  }
+}
+
+TEST(GraphIndex, DistToMatchesIndependentSearchOnFaultedFabric) {
+  auto t = engine::make_topology("hx2mesh:4x4:faults=links:0.05:seed=7");
+  const Graph& g = t->graph();
+  ASSERT_GT(g.num_failed_links(), 0u);
+  for (NodeId dst = 0; dst < g.num_nodes(); ++dst)
+    ASSERT_EQ(g.dist_to(dst), dist_to_by_relaxation(g, dst)) << "dst " << dst;
+}
+
+TEST(GraphIndex, HammingMeshClosedFormSizeMatchesBuild) {
+  const std::vector<HxMeshParams> cases = {
+      {.a = 2, .b = 2, .x = 4, .y = 4},
+      {.a = 3, .b = 2, .x = 3, .y = 4},
+      {.a = 1, .b = 1, .x = 5, .y = 3},
+      {.a = 4, .b = 4, .x = 2, .y = 2},
+      {.a = 2, .b = 2, .x = 40, .y = 4},
+      {.a = 2, .b = 2, .x = 40, .y = 4, .rail_taper = 0.5},
+      {.a = 2, .b = 2, .x = 40, .y = 36, .rail_taper = 0.25},
+  };
+  for (const HxMeshParams& p : cases) {
+    HammingMesh hx(p);
+    SCOPED_TRACE(hx.name());
+    const HammingMesh::Size size = HammingMesh::size_of(p);
+    EXPECT_EQ(size.nodes, hx.graph().num_nodes());
+    EXPECT_EQ(size.links, hx.graph().num_links());
+  }
+}
+
+TEST(GraphIndex, AddingAfterFinalizeThrows) {
+  Graph g;
+  NodeId a = g.add_node(NodeKind::kEndpoint);
+  NodeId b = g.add_node(NodeKind::kSwitch);
+  g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs, CableKind::kDac);
+  g.finalize();
+  EXPECT_THROW(g.add_link(a, b, kLinkBandwidthBps, kCableLatencyPs,
+                          CableKind::kDac),
+               std::logic_error);
+  EXPECT_THROW(g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs,
+                            CableKind::kDac),
+               std::logic_error);
+  EXPECT_THROW(g.add_node(NodeKind::kSwitch), std::logic_error);
+  EXPECT_THROW(g.finalize(), std::logic_error);
+  EXPECT_EQ(g.num_links(), 2u);
+  EXPECT_EQ(g.out_links(a).size(), 1u);
 }
 
 // Validates that a sampled path is a connected minimal walk src -> dst.
@@ -241,8 +384,7 @@ TEST(Torus, SampledPathsAreMinimal) {
 TEST(Torus, WidthTwoRingHasSingleDuplex) {
   Torus t({.width = 2, .height = 4, .board_a = 2, .board_b = 2});
   // No duplicated wrap link for size-2 dimensions.
-  EXPECT_EQ(t.graph().links_between(t.endpoint_node(0), t.endpoint_node(1))
-                .size(),
+  EXPECT_EQ(t.graph().bundle(t.endpoint_node(0), t.endpoint_node(1)).size(),
             1u);
 }
 
