@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the core engines: event queue
 // (steady hold model and same-time bursts), packet engine, flow engine,
-// routing/BFS, topology build, allocator, the Hamiltonian-ring
+// routing/BFS, topology build, path sampling, allocator, the Hamiltonian-ring
 // construction, and a full harness grid.
 #include <benchmark/benchmark.h>
 
@@ -230,13 +230,39 @@ BENCHMARK(BM_DiameterHx64);
 static void BM_TopologyBuildHx128(benchmark::State& state) {
   // One hx2mesh:128x128 build (65,536 accelerators, 655k directed links)
   // from its spec string, destruction included: node and link arrays, the
-  // graph's adjacency index, the route tables and the routing oracle.
+  // graph's adjacency index and the routing oracle.
   for (auto _ : state) {
     auto topology = engine::make_topology("hx2mesh:128x128");
     benchmark::DoNotOptimize(topology->graph().num_links());
   }
 }
 BENCHMARK(BM_TopologyBuildHx128);
+
+// Path sampling alone on hx2mesh:128x128 (65,536 accelerators): all 16
+// strata of every flow of a permutation on one thread, each flow from its
+// own RNG substream, as the flow solver samples them. The machine is
+// large enough that any per-hop table a router reads misses the cache.
+static void BM_SamplePathsHx128(benchmark::State& state) {
+  constexpr int kStrata = 16;
+  auto topology = engine::make_topology("hx2mesh:128x128");
+  Rng rng(3);
+  const auto flows = flow::random_permutation(topology->num_endpoints(), rng);
+  std::vector<topo::LinkId> path;
+  for (auto _ : state) {
+    std::size_t links = 0;
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      Rng flow_rng = Rng::substream(1, f);
+      for (int k = 0; k < kStrata; ++k) {
+        topology->sample_path_stratified(flows[f].src, flows[f].dst, k,
+                                         kStrata, flow_rng, path);
+        links += path.size();
+      }
+    }
+    benchmark::DoNotOptimize(links);
+  }
+  state.SetItemsProcessed(state.iterations() * flows.size() * kStrata);
+}
+BENCHMARK(BM_SamplePathsHx128);
 
 static void BM_AllocatorJobMix(benchmark::State& state) {
   for (auto _ : state) {

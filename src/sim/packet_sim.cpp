@@ -45,16 +45,13 @@ PacketSim::PacketSim(const topo::Topology& topology, PacketSimConfig config)
   credits_.assign(g.num_links() * total_vcs_, config_.buffer_bytes_per_vc);
   input_.resize(g.num_links() * total_vcs_);
   rr_.assign(g.num_nodes(), 0);
-  in_links_.resize(g.num_nodes());
   in_slot_.resize(g.num_links());
-  for (std::size_t l = 0; l < g.num_links(); ++l) {
-    std::vector<LinkId>& ins = in_links_[g.link(static_cast<LinkId>(l)).dst];
-    in_slot_[l] = static_cast<std::uint32_t>(ins.size()) * total_vcs_;
-    ins.push_back(static_cast<LinkId>(l));
-  }
   ready_offset_.resize(g.num_nodes() + 1, 0);
-  for (std::size_t n = 0; n < g.num_nodes(); ++n) {
-    const std::size_t slots = in_links_[n].size() * total_vcs_;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    const auto ins = g.in_links(n);
+    for (std::uint32_t i = 0; i < ins.size(); ++i)
+      in_slot_[ins[i]] = i * total_vcs_;
+    const std::size_t slots = ins.size() * total_vcs_;
     ready_offset_[n + 1] =
         ready_offset_[n] + static_cast<std::uint32_t>((slots + 63) / 64);
   }
@@ -341,7 +338,7 @@ void PacketSim::on_user_callback(std::uint32_t slot) {
 }
 
 void PacketSim::try_forward(NodeId node) {
-  const auto& ins = in_links_[node];
+  const auto ins = topology_.graph().in_links(node);
   if (ins.empty()) return;
   const std::uint32_t slots =
       static_cast<std::uint32_t>(ins.size()) * total_vcs_;

@@ -209,10 +209,9 @@ class PacketSim {
   std::vector<InputBuffer> input_;
   // Per-node round-robin cursor over (in-link, vc) pairs.
   std::vector<std::uint32_t> rr_;
-  // In-links per node (cached from the graph). A node's arbitration slot
-  // of (in-link i, vc) is i * total_vcs_ + vc.
-  std::vector<std::vector<topo::LinkId>> in_links_;
   // Per link: arbitration slot of its VC 0 at the link's downstream node.
+  // A node's slot of (in-link i, vc) is i * total_vcs_ + vc, where i is the
+  // link's position in the graph's in-row of the node.
   std::vector<std::uint32_t> in_slot_;
   // Per node: bitmask of the slots whose input buffer holds a packet, so
   // arbitration visits occupied buffers only. A node's words start at

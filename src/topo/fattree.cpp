@@ -166,11 +166,17 @@ void FatTree::sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
                           RouteMode mode) const {
   if (faulted() || mode != RouteMode::kMinimal)
     return Topology::sample_path(src, dst, rng, out, mode);
-  // A uniformly random stratum of a large stratification is an unbiased
-  // uniform draw over the spine choices.
-  constexpr int kStrata = 1 << 20;
-  sample_path_stratified(src, dst, static_cast<int>(rng.uniform(kStrata)),
-                         kStrata, rng, out);
+  if (levels_ == 2) {
+    // A uniformly random stratum of a large stratification: each spine
+    // (src + k) mod spines is equally likely.
+    constexpr int kStrata = 1 << 20;
+    sample_path_stratified(src, dst, static_cast<int>(rng.uniform(kStrata)),
+                           kStrata, rng, out);
+    return;
+  }
+  // One uniform draw over every (pod L2, core) pair.
+  const int pair = static_cast<int>(rng.uniform(l2_per_pod_ * l3_group_size_));
+  route(src, dst, pair % l2_per_pod_, pair / l2_per_pod_, rng, out);
 }
 
 void FatTree::sample_path_stratified(int src, int dst, int k, int num_strata,
@@ -179,6 +185,21 @@ void FatTree::sample_path_stratified(int src, int dst, int k, int num_strata,
   if (faulted() || mode != RouteMode::kMinimal)
     return Topology::sample_path_stratified(src, dst, k, num_strata, rng, out,
                                             mode);
+  if (levels_ == 2) {
+    // Strided spine choice: subflow k of a flow from `src` lands on a
+    // distinct spine, and across sources the strides cover all spines
+    // uniformly (approximating packet spraying).
+    const int s = num_spines();
+    route(src, dst, (src + k * std::max(1, s / num_strata)) % s, 0, rng, out);
+    return;
+  }
+  route(src, dst,
+        (src + k * std::max(1, l2_per_pod_ / num_strata)) % l2_per_pod_,
+        (src + k) % l3_group_size_, rng, out);
+}
+
+void FatTree::route(int src, int dst, int up, int core, Rng& rng,
+                    std::vector<LinkId>& out) const {
   out.clear();
   if (src == dst) return;
   NodeId se = endpoint_node(src), de = endpoint_node(dst);
@@ -189,25 +210,18 @@ void FatTree::sample_path_stratified(int src, int dst, int k, int num_strata,
     return;
   }
   if (levels_ == 2) {
-    // Strided spine choice: subflow k of a flow from `src` lands on a
-    // distinct spine, and across sources the strides cover all spines
-    // uniformly (approximating packet spraying).
-    const int s = num_spines();
-    int spine_idx = (src + k * std::max(1, s / num_strata)) % s;
-    NodeId spine = spines_[spine_idx];
+    NodeId spine = spines_[up];
     out.push_back(random_link_between(leaves_[sl], spine, rng));
     out.push_back(random_link_between(spine, leaves_[dl], rng));
   } else {
     int sg = pod_of_leaf(sl), dg = pod_of_leaf(dl);
-    int j = (src + k * std::max(1, l2_per_pod_ / num_strata)) % l2_per_pod_;
-    NodeId sl2 = l2_[sg * l2_per_pod_ + j];
+    NodeId sl2 = l2_[sg * l2_per_pod_ + up];
     out.push_back(random_link_between(leaves_[sl], sl2, rng));
     if (sg != dg) {
-      int m = (src + k) % l3_group_size_;
-      NodeId core = spines_[j * l3_group_size_ + m];
-      NodeId dl2 = l2_[dg * l2_per_pod_ + j];
-      out.push_back(random_link_between(sl2, core, rng));
-      out.push_back(random_link_between(core, dl2, rng));
+      NodeId c = spines_[up * l3_group_size_ + core];
+      NodeId dl2 = l2_[dg * l2_per_pod_ + up];
+      out.push_back(random_link_between(sl2, c, rng));
+      out.push_back(random_link_between(c, dl2, rng));
       sl2 = dl2;
     }
     out.push_back(random_link_between(sl2, leaves_[dl], rng));

@@ -59,6 +59,10 @@ class FatTree : public Topology {
 
   void build_two_level();
   void build_three_level();
+  // The minimal path src -> dst through spine `up` (2 levels), or through
+  // pod L2 `up` and core `core` of group `up` (3 levels).
+  void route(int src, int dst, int up, int core, Rng& rng,
+             std::vector<LinkId>& out) const;
   LinkId random_link_between(NodeId a, NodeId b, Rng& rng) const;
 
   FatTreeParams params_;

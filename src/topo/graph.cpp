@@ -124,7 +124,7 @@ std::vector<std::int32_t> Graph::bfs(NodeId start, bool reverse) const {
   queue.push_back(start);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const NodeId u = queue[head];
-    for (LinkId l : reverse ? row(in_off_, in_ids_, u) : out_links(u)) {
+    for (LinkId l : reverse ? in_links(u) : out_links(u)) {
       if (link_failed(l)) continue;
       const NodeId v = reverse ? links_[l].src : links_[l].dst;
       if (dist[v] < 0) {

@@ -17,11 +17,11 @@
 // hands out stay valid for the graph's lifetime and concurrent readers
 // need no lock.
 //
-// Order contracts (sampled paths, BFS fields and packet candidate order
-// all depend on them):
+// Order contracts (sampled paths, BFS fields and the packet engine's
+// candidate and arbitration orders all depend on them):
 //   - out_links(n) lists the links whose src is n in ascending id;
-//   - dist_to walks in-rows that list the links whose dst is n in
-//     ascending id;
+//   - in_links(n) lists the links whose dst is n in ascending id (dist_to
+//     walks these rows);
 //   - bundle(a, b) lists the parallel links a -> b in out-link order.
 #pragma once
 
@@ -92,6 +92,12 @@ class Graph {
   std::span<const LinkId> out_links(NodeId n) const {
     assert(finalized_ && "Graph queried before finalize()");
     return row(out_off_, out_ids_, n);
+  }
+
+  /// Incoming links of `n`, in ascending id.
+  std::span<const LinkId> in_links(NodeId n) const {
+    assert(finalized_ && "Graph queried before finalize()");
+    return row(in_off_, in_ids_, n);
   }
 
   /// The parallel links a -> b in out-link order (possibly empty): an

@@ -2,20 +2,32 @@
 //
 // An x*y grid of a*b accelerator boards. Accelerators on a board form a 2D
 // mesh over PCB traces. Boards are connected dimension-wise: the W/E edge
-// ports of every board along a row attach to a per-row "rail" network, the
-// S/N ports along a column to a per-column rail. A rail is
-//   - a single 64-port switch when it fits (possibly serving all b
-//     accelerator rows of a board-row, as in the paper's small Hx2Mesh), or
-//   - a two-level fat tree per accelerator line (as in the large Hx2Mesh),
-//     optionally tapered (Section III-F's "second dial").
+// ports of every board along an accelerator row attach to that row's
+// "rail", the S/N ports along a column to the column's rail. A rail is a
+// single switch when the line's 2 * boards edge ports fit the radix, else a
+// two-level fat tree, optionally tapered (Section III-F's "second dial").
 // Every accelerator has 4 ports per plane (N/S/E/W) and can forward packets
-// within a plane like a 4x4 switch; the machine has 4 planes.
+// within a plane like a 4x4 switch; the machine has 4 planes. A 2D HyperX
+// is the degenerate Hx1Mesh (a = b = 1).
 //
-// A 2D HyperX is the degenerate Hx1Mesh (a = b = 1).
+// Id layout. Every rail of a dimension has the same shape, so every node
+// and link id is a closed-form function of coordinates: the router and the
+// oracle compute ids and read no per-line table. The constructor adds
+// nodes and links in exactly this order (Debug builds assert each id):
+//   nodes: the accelerators (node = rank = gy * a*x + gx); then per
+//     dimension (x, then y), per line, the rail's leaves, then its spines.
+//   links: duplex cable d is two links, forward 2d and reverse 2d + 1.
+//     1. On-board mesh, per board by * x + bx: the b rows of a - 1 cables
+//        (forward +x), then the a columns of b - 1 cables (forward +y).
+//     2. Per dimension (x, then y):
+//        a. every line's leaf-spine cables, by (line, leaf i, cable k);
+//           cable k of leaf i goes to spine (i * up + k) mod spines,
+//           forward leaf -> spine;
+//        b. every line's edge-port cables, by (line, board, side), side 0
+//           the W (S) edge; forward accelerator -> leaf.
 #pragma once
 
 #include <array>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -69,11 +81,11 @@ class HammingMesh : public Topology {
   int board_y_of(int rank) const { return by_of_gy_[gy_of_[rank]]; }
 
   // -- structure (tests, cost model, simulator) -----------------------------
-  /// Number of rail switches in this plane (all levels, both dimensions).
-  int num_switches() const { return num_switches_; }
+  /// Physical rail switches in this plane (all levels, both dimensions).
+  int num_switches() const;
   /// 1 if the given dimension's rails are single switches, 2 for fat trees.
-  int rail_levels_x() const { return rail_levels_x_; }
-  int rail_levels_y() const { return rail_levels_y_; }
+  int rail_levels_x() const { return rails_[0].levels; }
+  int rail_levels_y() const { return rails_[1].levels; }
   /// Closed-form minimal distance in cables between two accelerators
   /// (validated against BFS in tests).
   int dist(int src_rank, int dst_rank) const;
@@ -85,79 +97,67 @@ class HammingMesh : public Topology {
  private:
   class Oracle;  // closed-form routing oracle (defined in hammingmesh.cpp)
 
-  // One rail network: a single switch (leaves = {switch}, no spines) or a
-  // two-level fat tree over the 2*x (or 2*y) board edge ports of a line.
-  struct Rail {
-    std::vector<NodeId> leaves;
-    std::vector<NodeId> spines;
-    int ports_per_leaf = 0;  // port index / ports_per_leaf -> leaf index
-    std::vector<NodeId> leaf_of_board;  // precomputed leaf per board index
-    std::vector<int> leaf_idx_of_board;
-    // Parallel-cable bundles between tree levels, precomputed so a rail
-    // crossing picks cables without searching the adjacency:
-    // [leaf_idx * spines.size() + spine_idx] and the reverse direction.
-    std::vector<std::span<const LinkId>> leaf_to_spine, spine_to_leaf;
-  };
-
-  // Per-dimension rail plumbing. dim 0 = x (W/E ports), dim 1 = y (S/N).
-  struct DimRails {
-    std::vector<Rail> rails;   // indexed by rail id
-    std::vector<int> rail_of_line;  // line index (gy for x-dim) -> rail id
+  // The rails of one dimension (dim 0 = x, W/E ports; dim 1 = y, S/N),
+  // shared by all its lines, and where their ids start (see the layout).
+  struct RailShape {
+    int boards = 0;          // boards per line
+    int lines = 0;           // accelerator lines, one rail each
+    int n = 1;               // board width along the dimension (a or b)
     int levels = 1;
+    int leaves = 1, spines = 0;
+    int up = 0;              // leaf -> spine cables per leaf
+    NodeId first_switch = 0;  // line 0's leaf 0
+    LinkId trunk_base = 0;    // first leaf-spine duplex
+    LinkId port_base = 0;     // first edge-port duplex
+    std::vector<std::int32_t> leaf_of_board;
+    // The cables k of bundle (leaf i, spine s) are first + j * spines for
+    // j < count, in ascending k (= out-link order); indexed i * spines + s.
+    struct Bundle { std::int32_t first = 0, count = 0; };
+    std::vector<Bundle> bundles;
+    NodeId leaf(int line, int i) const {
+      return first_switch + static_cast<NodeId>(line * (leaves + spines) + i);
+    }
+    NodeId spine(int line, int s) const { return leaf(line, leaves + s); }
+    LinkId trunk(int line, int i, int k) const {  // duplex id
+      return trunk_base + static_cast<LinkId>((line * leaves + i) * up + k);
+    }
+    LinkId port(int line, int board, int side) const {  // duplex id
+      return port_base +
+             static_cast<LinkId>((line * boards + board) * 2 + side);
+    }
   };
+  static std::array<RailShape, 2> rail_shapes(const HxMeshParams& params);
 
-  void build_rails(int dim);
-  const Rail& rail_for(int dim, int line) const {
-    const DimRails& dr = dim == 0 ? x_rails_ : y_rails_;
-    return dr.rails[dr.rail_of_line[line]];
-  }
-  NodeId leaf_for(int dim, int line, int board) const {
-    return rail_for(dim, line).leaf_of_board[board];
-  }
+  void add_rails(int dim);
+  // Duplex id of the on-board cable between offsets 0 and 1 of the board
+  // line through (gx, gy) along `dim`; offsets o and o + 1 use base + o.
+  LinkId mesh_base(int dim, int gx, int gy) const;
   // Cost in cables of crossing one dimension's rail between two boards
   // (2 via a shared switch/leaf, 4 via a spine).
-  int rail_hops(int dim, int line, int b1, int b2) const;
-  // Emits the rail traversal links from the edge accelerator on
+  int rail_hops(int dim, int b1, int b2) const;
+  // Appends the rail traversal links from the edge accelerator on
   // `from_side` of `from_board` to the one on `to_side` of `to_board` over
   // the rail of `line`; `stratum` deterministically spreads subflows over
   // rail spines and parallel cables.
   void emit_rail(int dim, int line, int from_board, int to_board,
                  int from_side, int to_side, int stratum,
                  std::vector<LinkId>& out) const;
-  // Builds the span tables below (constructor tail, after finalize()).
-  void build_route_tables();
-  // Installs the closed-form Oracle (constructor tail; lives in the .cpp
-  // because it needs the complete Oracle type).
-  void install_oracle();
+  // Appends a minimal path (dimension order from the stratum's low bit).
   void route(int src, int dst, int stratum, Rng& rng,
              std::vector<LinkId>& out) const;
-  // Valiant detour: two minimal route() legs joined at a random
+  // Appends a Valiant detour: two minimal route() legs joined at a random
   // intermediate endpoint (the second leg flips the dimension-order bit so
   // the join does not double back deterministically).
   void route_valiant(int src, int dst, int stratum, Rng& rng,
                      std::vector<LinkId>& out) const;
-  LinkId random_link_between(NodeId u, NodeId v, Rng& rng) const;
 
   HxMeshParams params_;
-  DimRails x_rails_, y_rails_;
-  int rail_levels_x_ = 1, rail_levels_y_ = 1;
-  int num_switches_ = 0;
+  std::array<RailShape, 2> rails_;
+  LinkId mesh_per_board_ = 0;  // on-board duplexes per board
   // Division-free coordinate lookups (see gx_of etc. above).
   std::vector<std::int32_t> gx_of_, gy_of_;          // by rank
   std::vector<std::int32_t> bx_of_gx_, ox_of_gx_;    // by global x coord
   std::vector<std::int32_t> by_of_gy_, oy_of_gy_;    // by global y coord
-
-  // Per-hop routing tables: spans point into the graph's bundle rows
-  // (immutable after finalize()), so the router picks among parallel
-  // cables with a table load instead of an adjacency search per decision.
-  struct RailPortSpans {
-    std::span<const LinkId> to_leaf, from_leaf;
-  };
-  // mesh_links_[rank][d]: on-board links in direction d (0:+x, 1:-x,
-  // 2:+y, 3:-y); empty at a board edge.
-  std::vector<std::array<std::span<const LinkId>, 4>> mesh_links_;
-  // rail_ports_[dim][line][board * 2 + side]: edge-accelerator <-> leaf.
-  std::array<std::vector<std::vector<RailPortSpans>>, 2> rail_ports_;
 };
 
 }  // namespace hxmesh::topo

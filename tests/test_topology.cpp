@@ -10,7 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "engine/factory.hpp"
+#include "flow/patterns.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
 #include "topo/graph.hpp"
@@ -92,10 +94,11 @@ const std::vector<std::string>& index_specs() {
   return specs;
 }
 
-// Links with src n, in ascending id, per node.
-std::vector<std::vector<LinkId>> out_rows_by_scan(const Graph& g) {
+// Links with src (or dst) n, in ascending id, per node.
+std::vector<std::vector<LinkId>> rows_by_scan(const Graph& g, bool in) {
   std::vector<std::vector<LinkId>> rows(g.num_nodes());
-  for (LinkId l = 0; l < g.num_links(); ++l) rows[g.link(l).src].push_back(l);
+  for (LinkId l = 0; l < g.num_links(); ++l)
+    rows[in ? g.link(l).dst : g.link(l).src].push_back(l);
   return rows;
 }
 
@@ -118,15 +121,19 @@ std::vector<std::int32_t> dist_to_by_relaxation(const Graph& g, NodeId dst) {
   return dist;
 }
 
-TEST(GraphIndex, OutRowsListLinksInAscendingId) {
+TEST(GraphIndex, OutAndInRowsListLinksInAscendingId) {
   for (const std::string& spec : index_specs()) {
     SCOPED_TRACE(spec);
     auto t = engine::make_topology(spec);
     const Graph& g = t->graph();
-    const auto rows = out_rows_by_scan(g);
+    const auto out_rows = rows_by_scan(g, /*in=*/false);
+    const auto in_rows = rows_by_scan(g, /*in=*/true);
     for (NodeId n = 0; n < g.num_nodes(); ++n) {
       auto out = g.out_links(n);
-      ASSERT_EQ(std::vector<LinkId>(out.begin(), out.end()), rows[n])
+      ASSERT_EQ(std::vector<LinkId>(out.begin(), out.end()), out_rows[n])
+          << "node " << n;
+      auto in = g.in_links(n);
+      ASSERT_EQ(std::vector<LinkId>(in.begin(), in.end()), in_rows[n])
           << "node " << n;
     }
   }
@@ -297,6 +304,26 @@ TEST(FatTree, SameLeafPathLengthTwo) {
   std::vector<LinkId> path;
   ft.sample_path(0, 1, rng, path);  // ranks 0 and 1 share leaf 0
   EXPECT_EQ(path.size(), 2u);
+}
+
+// The single-path sampler, which both Valiant legs use, must reach every
+// core switch of a three-level tree (2-core groups on fattree:4096, 8-core
+// groups on fattree:16384), not only the cores its L2 choice implies.
+TEST(FatTree, SinglePathSamplerCrossesEveryCore) {
+  for (int n : {4096, 16384}) {
+    SCOPED_TRACE(n);
+    FatTree ft({.num_endpoints = n});
+    ASSERT_EQ(ft.levels(), 3);
+    Rng rng(5);
+    std::set<NodeId> cores;
+    std::vector<LinkId> path;
+    for (const flow::Flow& f : flow::random_permutation(n, rng)) {
+      ft.sample_path(f.src, f.dst, rng, path);
+      // Cross-pod paths climb e -> leaf -> L2 -> core: link 2 ends at it.
+      if (path.size() == 6) cores.insert(ft.graph().link(path[2]).dst);
+    }
+    EXPECT_EQ(static_cast<int>(cores.size()), ft.num_spines());
+  }
 }
 
 TEST(FatTree, RejectsBadParams) {
@@ -494,6 +521,126 @@ TEST(HammingMesh, MeshOnlyAcceleratorsOnBigBoards) {
 TEST(HammingMesh, BadParamsThrow) {
   EXPECT_THROW(HammingMesh({.a = 0, .b = 2, .x = 4, .y = 4}),
                std::invalid_argument);
+}
+
+// --------------------------------------------------------- HxMeshRoutes --
+// The healthy HammingMesh router computes every link id from coordinates.
+// These tests pin what it emits on every rail shape: single-switch and
+// two-level rails, plain and tapered (multi-cable leaf-spine bundles),
+// asymmetric boards, and 1x1 boards (an edge accelerator's two side cables
+// form one bundle). Flow sets are sampled as the flow solver samples them:
+// 16 strata per flow, each flow from its own RNG substream.
+struct RouteCase {
+  const char* spec;
+  // FNV-1a over the 16-strata paths of minimal perm, Valiant perm and
+  // UGAL shift:1, recorded from the table-driven router these closed
+  // forms replaced.
+  std::uint64_t minimal_perm, valiant_perm, ugal_shift;
+};
+
+const std::vector<RouteCase>& route_cases() {
+  static const std::vector<RouteCase> cases = {
+      {"hx2mesh:2x2", 0xdf1c86e769bb31e5ull,
+       0x6530d4d0aa307b38ull, 0xfcad77e2a5f96f77ull},
+      {"hx2mesh:4x4", 0xab1be702aebbc1a5ull,
+       0x20a50380e88810d4ull, 0xa9ff519a642c58fdull},
+      {"hx2mesh:8x8", 0xfe84b7e63e861df5ull,
+       0x5ab5fd8928d84e5bull, 0x98dcdd26c9e77ef5ull},
+      {"hx4mesh:4x4", 0xdc9401a300a76eb5ull,
+       0x8e6766e019d34a67ull, 0x9f0d91bc1b4a890cull},
+      {"hxmesh:2x4:4x4", 0x7a30bc0310c34075ull,
+       0xa890a8dfcc27055dull, 0xe0c76193db9f88dbull},
+      {"hxmesh:1x1:16x16", 0x972ade4985e5f369ull,
+       0xb38011a9da68589eull, 0x70647d3c2a5d8becull},
+      {"hx2mesh:40x4", 0x70c2ce796d6ba30dull,
+       0xc7d369658e813dc9ull, 0xbd31a0043c3398ull},
+      {"hx2mesh:40x4:taper=0.5", 0xde46b006f61c2511ull,
+       0x3a4404ac86f428ceull, 0xa6986cf4ef1ff5bfull},
+      {"hx2mesh:64x64", 0xfd8e10d39253a41dull,
+       0x2db2588957c0a4b8ull, 0x3300cc2bf34b998cull},
+  };
+  return cases;
+}
+
+constexpr int kRouteStrata = 16;
+
+std::vector<flow::Flow> route_perm(int n) {
+  Rng rng(42);
+  return flow::random_permutation(n, rng);
+}
+
+// Calls fn(flow, path) for every stratum of every flow.
+template <typename Fn>
+void for_each_path(const Topology& t, const std::vector<flow::Flow>& flows,
+                   RouteMode mode, Fn&& fn) {
+  std::vector<LinkId> path;
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    Rng rng = Rng::substream(1, f);
+    for (int k = 0; k < kRouteStrata; ++k) {
+      t.sample_path_stratified(flows[f].src, flows[f].dst, k, kRouteStrata,
+                               rng, path, mode);
+      fn(flows[f], path);
+    }
+  }
+}
+
+std::uint64_t path_digest(const Topology& t,
+                          const std::vector<flow::Flow>& flows,
+                          RouteMode mode) {
+  Fnv1a h;
+  for_each_path(t, flows, mode, [&](const flow::Flow&,
+                                    const std::vector<LinkId>& path) {
+    h.update(static_cast<std::uint64_t>(path.size()));
+    for (LinkId l : path) h.update(static_cast<std::uint64_t>(l));
+  });
+  return h.digest();
+}
+
+TEST(HxMeshRoutes, SampledPathsAreWalksAndMinimalOnesAreShortest) {
+  for (const RouteCase& c : route_cases()) {
+    SCOPED_TRACE(c.spec);
+    auto t = engine::make_topology(c.spec);
+    const Graph& g = t->graph();
+    const int n = t->num_endpoints();
+    for (auto [flows, mode] :
+         {std::pair{route_perm(n), RouteMode::kMinimal},
+          std::pair{route_perm(n), RouteMode::kValiant},
+          std::pair{flow::shift_pattern(n, 1), RouteMode::kUgal}}) {
+      SCOPED_TRACE(route_mode_name(mode));
+      int bad = 0;
+      for_each_path(*t, flows, mode, [&](const flow::Flow& f,
+                                         const std::vector<LinkId>& path) {
+        NodeId cur = t->endpoint_node(f.src);
+        bool walk = true;
+        for (LinkId l : path) {
+          walk = l < g.num_links() && g.link(l).src == cur;
+          if (!walk) break;
+          cur = g.link(l).dst;
+        }
+        walk = walk && cur == t->endpoint_node(f.dst);
+        const bool shortest =
+            mode != RouteMode::kMinimal ||
+            static_cast<int>(path.size()) == t->hop_distance(f.src, f.dst);
+        if ((!walk || !shortest) && bad++ < 3)
+          ADD_FAILURE() << f.src << " -> " << f.dst << ": "
+                        << (walk ? "not shortest" : "not a walk");
+      });
+      EXPECT_EQ(bad, 0);
+    }
+  }
+}
+
+TEST(HxMeshRoutes, PathDigestsArePinned) {
+  for (const RouteCase& c : route_cases()) {
+    SCOPED_TRACE(c.spec);
+    auto t = engine::make_topology(c.spec);
+    const int n = t->num_endpoints();
+    const auto perm = route_perm(n);
+    EXPECT_EQ(path_digest(*t, perm, RouteMode::kMinimal), c.minimal_perm);
+    EXPECT_EQ(path_digest(*t, perm, RouteMode::kValiant), c.valiant_perm);
+    EXPECT_EQ(path_digest(*t, flow::shift_pattern(n, 1), RouteMode::kUgal),
+              c.ugal_shift);
+  }
 }
 
 // ------------------------------------------------------------- Diameters --
