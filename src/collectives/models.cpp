@@ -105,7 +105,7 @@ MeasuredRing measure_ring(const topo::Topology& topology,
     auto f = flow::ring_flows(ring, /*bidirectional=*/true);
     flows.insert(flows.end(), f.begin(), f.end());
   }
-  engine::FlowEngine(topology, config).solve(flows);
+  result.converged = engine::FlowEngine(topology, config).solve(flows);
   double min_rate = flows.empty() ? 0.0 : flows.front().rate;
   for (const flow::Flow& f : flows) min_rate = std::min(min_rate, f.rate);
   result.rate_bps = min_rate;

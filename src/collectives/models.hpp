@@ -40,6 +40,7 @@ struct MeasuredRing {
   int directions_total = 0;   // ring directions x planes
   double injection_bps = 0.0; // per-accelerator injection over simulated
                               // planes [bytes/s]
+  bool converged = true;      // the ring's max-min filling converged
 };
 
 MeasuredRing measure_ring(const topo::Topology& topology,

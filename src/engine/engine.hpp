@@ -48,7 +48,9 @@ struct RunResult {
   /// (injection/2) — the "% of peak" metric of Table II and Figs. 13/17.
   double fraction_of_peak = 0.0;
   /// Packet engine: all messages delivered and (for kAllreduce and
-  /// kAlltoall) the float payloads verified. Flow engine: always true.
+  /// kAlltoall) the float payloads verified. Flow engine: every max-min
+  /// solve behind the row converged (each alltoall shift; the measured
+  /// ring for kAllreduce).
   bool numerics_ok = true;
 };
 

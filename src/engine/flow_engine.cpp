@@ -46,7 +46,7 @@ RunResult FlowEngine::run_point_to_point(const flow::TrafficSpec& spec) {
   RunResult result;
   std::vector<flow::Flow> flows =
       flow::make_flows(spec, topology_.num_endpoints());
-  solver_.solve(flows, spec.route);
+  result.numerics_ok = solver_.solve(flows, spec.route);
   result.flow_count = flows.size();
   result.rate_summary = summarize_rates(flows);
   result.aggregate_fraction =
@@ -69,7 +69,7 @@ RunResult FlowEngine::run_alltoall(const flow::TrafficSpec& spec) {
   rates.reserve(static_cast<std::size_t>((n - 2) / stride + 1) * n);
   for (int shift = 1; shift < n; shift += stride) {
     auto flows = flow::shift_pattern(n, shift);
-    solver_.solve(flows, spec.route);
+    result.numerics_ok &= solver_.solve(flows, spec.route);
     for (const flow::Flow& f : flows) rates.push_back(f.rate);
   }
   result.rate_summary = summarize(std::move(rates));
@@ -111,6 +111,7 @@ RunResult FlowEngine::run_allreduce(const flow::TrafficSpec& spec) {
   result.alpha_s = ring.alpha_s;
   result.rate_summary = summarize({ring.rate_bps});
   result.aggregate_fraction = ring.rate_bps / topology_.injection_bandwidth();
+  result.numerics_ok = ring.converged;
   return result;
 }
 

@@ -26,7 +26,10 @@ class FlowEngine : public SimEngine {
   RunResult run(const flow::TrafficSpec& spec) override;
 
   /// Max-min fair rates for an explicit flow list (rates written in place).
-  void solve(std::vector<flow::Flow>& flows) const { solver_.solve(flows); }
+  /// Returns whether the filling converged.
+  bool solve(std::vector<flow::Flow>& flows) const {
+    return solver_.solve(flows);
+  }
 
   const flow::FlowSolverConfig& config() const { return solver_.config(); }
 

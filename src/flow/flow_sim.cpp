@@ -8,11 +8,17 @@
 #include <optional>
 #include <utility>
 
+#include "core/counters.hpp"
 #include "core/thread_pool.hpp"
 
 namespace hxmesh::flow {
 
 namespace {
+Counter g_solves("flow.solves");
+Counter g_strata("flow.strata");
+Counter g_subflows("flow.subflows");
+Counter g_unconverged("flow.unconverged");
+
 // Flows per sampling job: big enough that the parallel_for dispatch is
 // noise, small enough to load-balance uneven path lengths.
 constexpr std::size_t kSampleChunk = 256;
@@ -21,6 +27,11 @@ constexpr std::size_t kSampleChunk = 256;
 // index passes that do not depend on the block count), so the threshold
 // shapes only wall-clock.
 constexpr std::size_t kParallelSamplingMin = 2048;
+// How many subflows ahead a batch freeze's settle pass prefetches a path's
+// links; it prefetches path offsets twice as far ahead and the residuals
+// of a path's links half as far, so each load finds the one before it
+// cached.
+constexpr std::size_t kSettlePrefetch = 16;
 
 // Block b of `blocks` contiguous ranges over [0, n).
 std::pair<std::size_t, std::size_t> block_range(std::size_t n,
@@ -73,7 +84,15 @@ class LevelQueue {
 FlowSolver::FlowSolver(const topo::Topology& topology, FlowSolverConfig config)
     : topology_(topology), config_(config) {}
 
-// Event-driven max-min water-filling.
+// Event-driven max-min water-filling over subflow runs.
+//
+// A subflow is a run of consecutive sampled strata of one flow that drew
+// the same path, with multiplicity w: it stands for w identical subflows,
+// which always freeze together at the same level. Every count below is
+// weighted (a link's active_count counts w per crossing) and every
+// floating-point operation is the one the w copies would have made: a
+// crossing takes the level off a residual w times, by repeated
+// subtraction, and a flow adds its run's rate w times, in stratum order.
 //
 // All unfrozen subflows share one rising fill level. Link l saturates when
 // the level reaches residual[l] / active_count[l] — its capacity minus the
@@ -82,15 +101,15 @@ FlowSolver::FlowSolver(const topo::Topology& topology, FlowSolverConfig config)
 // saturation level only raises that level, so the links wait in a queue
 // keyed lazily by it; the solve walks the levels in ascending order and
 // touches each path link once per freeze plus O(log links) per queue
-// operation. It
-// stops exactly when every subflow froze: the rates are the converged
-// max-min fair allocation of the sampled paths.
+// operation. It stops once every subflow froze: the rates are the
+// converged max-min fair allocation of the sampled paths, and the return
+// value checks that no subflow is left active.
 //
 // Everything before the event loop — sampling, the link->subflows index,
 // the first level's batch and the initial key order — runs over one pool
 // in blocks whose results do not depend on the block count, so the rates
 // are bit-identical at every pool width, including one.
-void FlowSolver::solve(std::vector<Flow>& flows,
+bool FlowSolver::solve(std::vector<Flow>& flows,
                        topo::RouteMode route) const {
   const topo::Graph& g = topology_.graph();
   const std::size_t num_links = g.num_links();
@@ -110,15 +129,25 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   // Sample subflow paths. Each flow draws from its own counter-seeded RNG
   // substream, so chunks of flows are independent jobs: the fan-out over
   // the pool produces exactly the serial paths for every worker count.
+  // A stratum whose path equals the previous stratum's joins its run.
+  struct Run {
+    int flow;
+    std::uint32_t length;  // path links
+    std::uint32_t weight;  // strata
+  };
   struct Chunk {
-    std::vector<topo::LinkId> links;  // concatenated sampled paths
-    std::vector<std::pair<int, std::uint32_t>> subs;  // (flow, path length)
+    std::vector<topo::LinkId> links;  // concatenated run paths
+    std::vector<Run> runs;
+    std::size_t strata = 0;
   };
   const std::size_t nchunks =
       (flows.size() + kSampleChunk - 1) / kSampleChunk;
   std::vector<Chunk> chunks(nchunks);
   run(nchunks, [&](std::size_t c) {
-    Chunk& chunk = chunks[c];
+    // Built locally and moved in at the end: neighbouring chunks run on
+    // different workers, and growing buffers in adjacent Chunk headers
+    // would make every append contend for a shared cache line.
+    Chunk chunk;
     std::vector<topo::LinkId> path;
     const std::size_t lo = c * kSampleChunk;
     const std::size_t hi = std::min(flows.size(), lo + kSampleChunk);
@@ -129,41 +158,56 @@ void FlowSolver::solve(std::vector<Flow>& flows,
         topology_.sample_path_stratified(flows[f].src, flows[f].dst, k,
                                          config_.paths_per_flow, rng, path,
                                          route);
-        chunk.subs.emplace_back(static_cast<int>(f),
-                                static_cast<std::uint32_t>(path.size()));
+        ++chunk.strata;
+        if (k > 0 && path.size() == chunk.runs.back().length &&
+            std::equal(path.begin(), path.end(),
+                       chunk.links.end() - path.size())) {
+          ++chunk.runs.back().weight;
+          continue;
+        }
+        chunk.runs.push_back({static_cast<int>(f),
+                              static_cast<std::uint32_t>(path.size()), 1});
         chunk.links.insert(chunk.links.end(), path.begin(), path.end());
       }
     }
+    chunks[c] = std::move(chunk);
   });
 
   // Lay the chunks out in flow order: chunk c's subflows and path links
   // start at sub_base[c] and link_base[c]. The per-subflow state is SoA —
-  // flow id and first link here (sub_first[num_subs] is the end
-  // sentinel), rate and the frozen flag below — so freezing and the final
-  // rate accumulation stream through flat arrays. Each chunk buffer is
-  // freed once copied. The flat arrays are uninitialized on purpose:
-  // every slot is written by exactly one copy job.
+  // flow id, first link (sub_first[num_subs] is the end sentinel) and
+  // multiplicity here, rate and the frozen flag below — so freezing and
+  // the final rate accumulation stream through flat arrays. Each chunk
+  // buffer is freed once copied. The flat arrays are uninitialized on
+  // purpose: every slot is written by exactly one copy job.
   std::vector<std::size_t> sub_base(nchunks + 1, 0);
   std::vector<std::size_t> link_base(nchunks + 1, 0);
+  std::size_t strata = 0;
   for (std::size_t c = 0; c < nchunks; ++c) {
-    sub_base[c + 1] = sub_base[c] + chunks[c].subs.size();
+    sub_base[c + 1] = sub_base[c] + chunks[c].runs.size();
     link_base[c + 1] = link_base[c] + chunks[c].links.size();
+    strata += chunks[c].strata;
   }
   const std::size_t num_subs = sub_base[nchunks];
   const std::size_t total_links = link_base[nchunks];
+  g_solves.add();
+  g_strata.add(strata);
+  g_subflows.add(num_subs);
   auto sub_flow = std::make_unique_for_overwrite<int[]>(num_subs);
   auto sub_first =
       std::make_unique_for_overwrite<std::uint32_t[]>(num_subs + 1);
+  auto sub_weight = std::make_unique_for_overwrite<std::uint32_t[]>(num_subs);
   auto path_links =
       std::make_unique_for_overwrite<topo::LinkId[]>(total_links);
   run(nchunks, [&](std::size_t c) {
     Chunk& chunk = chunks[c];
     std::size_t si = sub_base[c];
     auto first = static_cast<std::uint32_t>(link_base[c]);
-    for (const auto& [f, count] : chunk.subs) {
-      sub_flow[si] = f;
+    for (const Run& r : chunk.runs) {
+      sub_flow[si] = r.flow;
+      sub_weight[si] = r.weight;
       sub_first[si++] = first;
-      first += count;
+      first += r.length;
     }
     std::copy(chunk.links.begin(), chunk.links.end(),
               path_links.get() + link_base[c]);
@@ -179,17 +223,31 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   // contiguous and land in block order, so every row lists its crossers
   // in ascending subflow order: the index is the serial one for any block
   // count. A Valiant path that repeats a link sits in that link's row
-  // once per occurrence, so a row's width is its active-crosser count.
+  // once per occurrence. The same pass tallies in surplus[b * num_links +
+  // l] the weight those crossings carry beyond one each, so a link's
+  // active-crosser count is its row width plus its surplus. Only runs of
+  // more than one stratum touch the surplus, so a flow set that barely
+  // collapses pays one sequential fill for it, not a second scattered
+  // add per crossing.
   std::vector<std::uint32_t> link_off(num_links + 1);
   std::vector<std::uint32_t> active_count(num_links);
   auto crossings =
       std::make_unique_for_overwrite<std::uint32_t[]>(blocks * num_links);
+  auto surplus =
+      std::make_unique_for_overwrite<std::uint32_t[]>(blocks * num_links);
   run(blocks, [&](std::size_t b) {
     std::uint32_t* count = crossings.get() + b * num_links;
+    std::uint32_t* extra = surplus.get() + b * num_links;
     std::fill(count, count + num_links, 0u);
+    std::fill(extra, extra + num_links, 0u);
     const auto [lo, hi] = block_range(num_subs, blocks, b);
-    for (std::uint32_t i = sub_first[lo]; i < sub_first[hi]; ++i)
-      ++count[path_links[i]];
+    for (std::size_t si = lo; si < hi; ++si) {
+      const std::uint32_t first = sub_first[si], last = sub_first[si + 1];
+      for (std::uint32_t i = first; i < last; ++i) ++count[path_links[i]];
+      if (const std::uint32_t w = sub_weight[si]; w > 1)
+        for (std::uint32_t i = first; i < last; ++i)
+          extra[path_links[i]] += w - 1;
+    }
   });
 
   const double eps = 1e-6 * kLinkBandwidthBps;
@@ -202,8 +260,8 @@ void FlowSolver::solve(std::vector<Flow>& flows,
 
   // Row offsets: one link-major prefix over the block counts, split into
   // link ranges that first total their crossings. The same pass seeds the
-  // residuals and takes each range's lowest saturation level; their
-  // minimum is the first level, exactly.
+  // residuals and active counts and takes each range's lowest saturation
+  // level; their minimum is the first level, exactly.
   std::vector<std::uint32_t> range_off(blocks + 1, 0);
   run(blocks, [&](std::size_t r) {
     const auto [lo, hi] = block_range(num_links, blocks, r);
@@ -221,13 +279,15 @@ void FlowSolver::solve(std::vector<Flow>& flows,
     double lowest = std::numeric_limits<double>::infinity();
     for (std::size_t l = lo; l < hi; ++l) {
       link_off[l] = off;
+      std::uint32_t weight = 0;
       for (std::size_t b = 0; b < blocks; ++b) {
         std::uint32_t& slot = crossings[b * num_links + l];
         const std::uint32_t count = slot;
         slot = off;
         off += count;
+        weight += surplus[b * num_links + l];
       }
-      active_count[l] = off - link_off[l];
+      active_count[l] = off - link_off[l] + weight;
       residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
       if (active_count[l] > 0)
         lowest = std::min(lowest, key(static_cast<std::uint32_t>(l)));
@@ -235,6 +295,7 @@ void FlowSolver::solve(std::vector<Flow>& flows,
     range_level[r] = lowest;
   });
   link_off[num_links] = static_cast<std::uint32_t>(total_links);
+  surplus.reset();
   const double first_level =
       *std::min_element(range_level.begin(), range_level.end());
   // Uninitialized on purpose: the scatter writes every slot (the offsets
@@ -253,8 +314,8 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   // Freezing a batch link's crossers freezes exactly the subflows whose
   // path crosses some batch link, all at the first level, so each
   // subflow decides on its own; then each link loses the level once per
-  // frozen crossing — by repeated subtraction, which is what the event
-  // loop's saturate does, so the residuals match it bit for bit. The
+  // weighted frozen crossing — by repeated subtraction, which is what the
+  // event loop's settle does, so the residuals match it bit for bit. The
   // freeze writes `active` for every subflow and `rate` for every frozen
   // one, so neither array is initialized first.
   std::vector<std::uint8_t> in_batch(num_links);
@@ -269,7 +330,7 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   auto rate = std::make_unique_for_overwrite<double[]>(num_subs);
   std::vector<std::size_t> frozen(blocks, 0);
   run(blocks, [&](std::size_t b) {
-    // Block b's counts now tally its frozen crossings per link.
+    // Block b's counts now tally its weighted frozen crossings per link.
     std::uint32_t* count = crossings.get() + b * num_links;
     std::fill(count, count + num_links, 0u);
     const auto [lo, hi] = block_range(num_subs, blocks, b);
@@ -283,7 +344,8 @@ void FlowSolver::solve(std::vector<Flow>& flows,
       if (!freeze) continue;
       rate[si] = first_level;
       ++n;
-      for (std::uint32_t i = first; i < last; ++i) ++count[path_links[i]];
+      for (std::uint32_t i = first; i < last; ++i)
+        count[path_links[i]] += sub_weight[si];
     }
     frozen[b] = n;
   });
@@ -322,34 +384,25 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   }
   LevelQueue queue(std::move(keys[0]));
 
-  // Freezes every still-active crosser of link l at `level`, handing its
-  // rate to the residual of each link on its path. Every subtraction in a
-  // batch removes the same `level`, so the order in which a batch's links
-  // saturate never changes a bit.
-  auto saturate = [&](std::uint32_t l, double level) {
-    for (std::uint32_t i = link_off[l]; i < link_off[l + 1]; ++i) {
-      const std::uint32_t si = link_subs[i];
-      if (!active[si]) continue;
-      active[si] = 0;
-      rate[si] = level;
-      --remaining;
-      for (std::uint32_t j = sub_first[si]; j < sub_first[si + 1]; ++j) {
-        const topo::LinkId m = path_links[j];
-        residual[m] -= level;
-        --active_count[m];
-      }
-    }
-  };
-
   // Each event pops the lowest current key as the next level, batches
   // every queued link within eps of saturating at it, and freezes the
   // batch. A popped key that no longer matches its link is stale (a
   // crosser froze since it was queued): re-key and push it back. Links
   // near the level that do not saturate go back unchanged after the
   // batch froze. The loop is serial: its batches are a few dozen links.
+  //
+  // A batch freezes in two passes. The first walks the batch links' rows
+  // and freezes every still-active crosser at the level into `settling`.
+  // The second hands each frozen subflow's rate to the links on its path,
+  // prefetching path offsets, path links and their residuals a fixed
+  // distance ahead: one subflow at a time, row -> subflow -> path ->
+  // residual is a chain of cache misses. Every subtraction
+  // in a batch removes the same level, so neither the order of the batch
+  // links nor the split into passes changes a bit.
   double level = first_level;
   std::vector<std::uint32_t> batch;
   std::vector<LevelQueue::Event> deferred;
+  std::vector<std::uint32_t> settling;
   while (remaining > 0 && !queue.empty()) {
     batch.clear();
     deferred.clear();
@@ -368,22 +421,67 @@ void FlowSolver::solve(std::vector<Flow>& flows,
       else
         deferred.emplace_back(k, l);
     }
-    for (std::uint32_t l : batch) saturate(l, level);
+    settling.clear();
+    for (std::uint32_t l : batch)
+      for (std::uint32_t i = link_off[l]; i < link_off[l + 1]; ++i) {
+        const std::uint32_t si = link_subs[i];
+        if (!active[si]) continue;
+        active[si] = 0;
+        rate[si] = level;
+        settling.push_back(si);
+      }
+    remaining -= settling.size();
+    const std::size_t n = settling.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + 2 * kSettlePrefetch < n) {
+        __builtin_prefetch(&sub_first[settling[i + 2 * kSettlePrefetch]]);
+        __builtin_prefetch(&sub_weight[settling[i + 2 * kSettlePrefetch]]);
+      }
+      if (i + kSettlePrefetch < n)
+        __builtin_prefetch(
+            &path_links[sub_first[settling[i + kSettlePrefetch]]]);
+      if (i + kSettlePrefetch / 2 < n) {
+        const std::uint32_t ahead = settling[i + kSettlePrefetch / 2];
+        for (std::uint32_t j = sub_first[ahead]; j < sub_first[ahead + 1];
+             ++j) {
+          __builtin_prefetch(&residual[path_links[j]], 1);
+          __builtin_prefetch(&active_count[path_links[j]], 1);
+        }
+      }
+      const std::uint32_t si = settling[i];
+      const std::uint32_t w = sub_weight[si];
+      for (std::uint32_t j = sub_first[si]; j < sub_first[si + 1]; ++j) {
+        const topo::LinkId m = path_links[j];
+        active_count[m] -= w;
+        for (std::uint32_t c = w; c > 0; --c) residual[m] -= level;
+      }
+    }
     for (const LevelQueue::Event& e : deferred) queue.push(e);
   }
-  // Every link with an active crosser is queued, so the loop only ends
-  // once every subflow froze.
-  assert(remaining == 0);
+  // Every link with an active crosser is queued, so the loop ends only
+  // once every subflow froze; the verdict checks that rather than
+  // trusting the tally. A subflow left active keeps the level the fill
+  // reached, so a failed solve still reports defined rates.
+  bool converged = true;
+  for (std::size_t si = 0; si < num_subs; ++si)
+    if (active[si]) {
+      converged = false;
+      rate[si] = level;
+    }
+  if (!converged) g_unconverged.add();
 
-  // A flow's subflows all sit in its sampling chunk, in order, so each
-  // chunk sums its own flows' rates.
+  // A flow's subflows all sit in its sampling chunk, in stratum order, so
+  // each chunk sums its own flows' rates, a run's w times.
   run(nchunks, [&](std::size_t c) {
     const std::size_t lo = c * kSampleChunk;
     const std::size_t hi = std::min(flows.size(), lo + kSampleChunk);
     for (std::size_t f = lo; f < hi; ++f) flows[f].rate = 0.0;
-    for (std::size_t si = sub_base[c]; si < sub_base[c + 1]; ++si)
-      flows[sub_flow[si]].rate += rate[si];
+    for (std::size_t si = sub_base[c]; si < sub_base[c + 1]; ++si) {
+      double& sum = flows[sub_flow[si]].rate;
+      for (std::uint32_t k = sub_weight[si]; k > 0; --k) sum += rate[si];
+    }
   });
+  return converged;
 }
 
 }  // namespace hxmesh::flow

@@ -1,16 +1,32 @@
 // Flow-level steady-state network simulator.
 //
 // Computes max-min fair bandwidth shares for a set of flows with infinite
-// demand. Each flow is spread over `paths_per_flow` randomly sampled minimal
-// paths (approximating the packet-level adaptive routing the paper assumes);
-// water-filling then raises all subflow rates together, freezing subflows
-// as links saturate. The filling is event-driven: links wait in a queue
-// keyed by the fill level at which they saturate, re-keyed lazily as their
-// crossers freeze, and a saturating link freezes exactly its crossers
-// through a link->subflows index. The solve runs until every subflow froze
-// — there is no round cap — so the rates are the converged max-min fair
-// allocation (tests/test_determinism.cpp cross-checks it against the
-// classic full-rescan filling, tests/test_flow.cpp certifies it).
+// demand. Each flow is spread over `paths_per_flow` randomly sampled paths
+// (strata; approximating the packet-level adaptive routing the paper
+// assumes); water-filling then raises all subflow rates together,
+// freezing subflows as links saturate.
+//
+// Subflow runs. Consecutive strata of one flow that draw the same path —
+// most strata of a ring flow between neighbouring accelerators, which has
+// one minimal path — are stored as one subflow with a multiplicity w.
+// The w strata would always freeze together at the same level, so the
+// run stands in for them exactly: every link count is weighted, a
+// crossing takes the level off a residual w times by repeated
+// subtraction (never w * level), and a flow adds its run's rate w times
+// in stratum order. Only consecutive strata merge, so every
+// floating-point operation, and with it every rate bit, is the one the
+// unmerged strata would have made.
+//
+// The filling is event-driven: links wait in a queue keyed by the fill
+// level at which they saturate, re-keyed lazily as their crossers freeze,
+// and a batch of saturating links freezes exactly their crossers through a
+// link->subflows index, in two passes — collect and rate the newly frozen
+// subflows, then settle their paths with the paths prefetched ahead. The
+// solve runs until every subflow froze — there is no round cap — so the
+// rates are the converged max-min fair allocation; solve() returns false
+// if any subflow is left unfrozen (tests/test_determinism.cpp
+// cross-checks the rates against the classic full-rescan filling and pins
+// them bit for bit, tests/test_flow.cpp certifies them).
 //
 // Path sampling draws each flow's paths from its own counter-seeded RNG
 // substream (Rng::substream(seed, flow index)), which makes flows
@@ -22,6 +38,10 @@
 // the same bits for any block count, so the rates are bit-identical for
 // every worker count, including one. The event loop after them is serial,
 // with a deterministic event order: its batches are a few dozen links.
+//
+// Each solve adds to the `flow.solves`, `flow.strata` (sampled) and
+// `flow.subflows` (stored runs) counters, and a solve that did not
+// converge to `flow.unconverged`.
 //
 // This reproduces the steady-state bandwidth numbers of Table II and
 // Figures 11-13/17 for large messages; the packet-level simulator
@@ -64,12 +84,15 @@ class FlowSolver {
 
   /// Computes max-min fair rates for all flows (bytes/s, written into
   /// flows[i].rate). Flows with src == dst get rate 0 and are ignored.
-  void solve(std::vector<Flow>& flows) const {
-    solve(flows, config_.route);
+  /// Returns whether the filling converged: false if some subflow was
+  /// still unfrozen when the event loop ended (such a subflow's rate is
+  /// the fill level reached, a lower bound).
+  bool solve(std::vector<Flow>& flows) const {
+    return solve(flows, config_.route);
   }
   /// Same, with the routing mode overridden per call (engines route one
   /// solver instance under every TrafficSpec of a sweep).
-  void solve(std::vector<Flow>& flows, topo::RouteMode route) const;
+  bool solve(std::vector<Flow>& flows, topo::RouteMode route) const;
 
   const topo::Topology& topology() const { return topology_; }
   const FlowSolverConfig& config() const { return config_; }

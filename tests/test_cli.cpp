@@ -363,6 +363,20 @@ TEST(Cli, RunsAndSweepsReportRoutingOracleCounters) {
   EXPECT_EQ(stats.out.find("oracle"), std::string::npos) << stats.out;
 }
 
+// A ring between neighbouring accelerators mostly has one minimal path, so
+// the solver stores far fewer subflow runs than it samples strata, and
+// the counters line shows it.
+TEST(Cli, RunReportsFlowSolverCounters) {
+  auto r = run({"run", "--topo", "hx2mesh:4x4", "--pattern", "allreduce",
+                "--threads", "1", "--no-cache"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(counter(r.err, "flow.solves"), 1) << r.err;
+  EXPECT_GT(counter(r.err, "flow.subflows"), 0) << r.err;
+  EXPECT_LT(counter(r.err, "flow.subflows"), counter(r.err, "flow.strata"))
+      << r.err;
+  EXPECT_EQ(counter(r.err, "flow.unconverged"), 0) << r.err;
+}
+
 TEST(Cli, RobustnessFlagsAreValidated) {
   const std::vector<std::string> cell = {"--topo", "hx2mesh:2x2", "--pattern",
                                          "perm:msg=64KiB"};

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -24,7 +25,9 @@
 #include <vector>
 
 #include "collectives/models.hpp"
+#include "core/counters.hpp"
 #include "core/fsio.hpp"
+#include "core/hash.hpp"
 #include "core/json_parse.hpp"
 #include "core/rng.hpp"
 #include "engine/factory.hpp"
@@ -245,7 +248,7 @@ int expect_solver_matches_reference(const topo::Topology& topology,
   std::vector<flow::Flow> expected = flows;
   const int rounds = solve_reference(topology, config, expected);
   flow::FlowSolver solver(topology, config);
-  solver.solve(flows);
+  EXPECT_TRUE(solver.solve(flows));
   EXPECT_EQ(flows.size(), expected.size());
   for (std::size_t i = 0; i < flows.size() && i < expected.size(); ++i)
     EXPECT_NEAR(flows[i].rate, expected[i].rate, 1e-9 * expected[i].rate)
@@ -336,6 +339,20 @@ TEST(FlowSolverDeterminism, RatesIndependentOfSampleWorkerCount) {
     for (const flow::Flow& f : flow::shift_pattern(n, shift))
       flows.push_back(f);
   expect_width_invariant(hx, flows);
+}
+
+// Alltoall shift 1 sends mostly to a board neighbour, so many flows draw
+// one path in every stratum and the solver stores them as weighted runs:
+// the runs must stay width-invariant and match the reference, which keeps
+// one subflow per stratum.
+TEST(FlowSolverDeterminism, CollapsedShiftIndependentOfWorkerCount) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 32, .y = 32});
+  auto flows = flow::shift_pattern(hx.num_endpoints(), 1);
+  const counters::Map before = counters::snapshot();
+  expect_width_invariant(hx, flows);
+  const counters::Map grown = counters::delta(before, counters::snapshot());
+  EXPECT_LT(grown.at("flow.subflows"), grown.at("flow.strata"))
+      << "shift 1 no longer collapses any strata";
 }
 
 // The measure_ring flow set: every subflow freezes in the first batch, so
@@ -433,6 +450,80 @@ TEST(FlowSolverDeterminism, FaultedRatesIndependentOfWorkerCount) {
     for (const flow::Flow& f : flow::shift_pattern(n, shift))
       flows.push_back(f);
   expect_width_invariant(*hx, flows);
+}
+
+// FNV-1a over the bit patterns of the flows' rates, in flow order.
+std::uint64_t rate_digest(const std::vector<flow::Flow>& flows) {
+  Fnv1a h;
+  for (const flow::Flow& f : flows) h.update(std::bit_cast<std::uint64_t>(f.rate));
+  return h.digest();
+}
+
+// The measure_ring flow set: every ring of the mapping, both directions.
+std::vector<flow::Flow> ring_flow_set(const topo::Topology& topology) {
+  std::vector<flow::Flow> flows;
+  for (const auto& ring : collectives::build_ring_mapping(topology).rings)
+    for (const flow::Flow& f : flow::ring_flows(ring, /*bidirectional=*/true))
+      flows.push_back(f);
+  return flows;
+}
+
+// Solver rates pinned bit for bit. The reference filling agrees only to
+// 1e-9 relative, so these digests are what proves that a change to the
+// solver's internals (how subflows are stored, batched or settled) kept
+// every floating-point operation. Rings collapse most of their strata
+// into repeated paths; alltoall shift 1 collapses some and shift 5
+// others; the permutation, the repeated-link Valiant mesh and the faulted
+// fabric collapse few.
+TEST(FlowSolverDeterminism, RateDigestsArePinned) {
+  auto digest = [](const topo::Topology& topology,
+                   std::vector<flow::Flow> flows,
+                   flow::FlowSolverConfig config = {}) {
+    EXPECT_TRUE(flow::FlowSolver(topology, config).solve(flows))
+        << "the filling stopped before every subflow froze";
+    return rate_digest(flows);
+  };
+  for (const auto& [spec, expected] :
+       std::vector<std::pair<std::string, std::uint64_t>>{
+           {"hx2mesh:16x16", 0x2124d6b852cd2325ull},
+           {"torus:8x8", 0x432ad359d36cd325ull},
+           {"fattree:256", 0x68f29015b265a325ull}}) {
+    const auto t = engine::make_topology(spec);
+    EXPECT_EQ(digest(*t, ring_flow_set(*t)), expected) << spec << " ring";
+  }
+
+  const auto hx4 = engine::make_topology("hx2mesh:4x4");
+  const int n4 = hx4->num_endpoints();
+  EXPECT_EQ(digest(*hx4, flow::shift_pattern(n4, 1)), 0x8b8d02df5562cf25ull)
+      << "hx2mesh:4x4 shift 1";
+  EXPECT_EQ(digest(*hx4, flow::shift_pattern(n4, 5)), 0x8b8d02df5562cf25ull)
+      << "hx2mesh:4x4 shift 5";
+
+  const auto hx16 = engine::make_topology("hx2mesh:16x16");
+  Rng rng(1);
+  EXPECT_EQ(digest(*hx16, flow::random_permutation(hx16->num_endpoints(), rng)),
+            0x2af4af0b0417d0b6ull)
+      << "hx2mesh:16x16 perm";
+
+  RepeatingValiantMesh valiant_mesh;
+  std::vector<flow::Flow> valiant_flows;
+  for (std::uint64_t seed : {3ull, 5ull, 11ull}) {
+    Rng perm_rng(seed);
+    for (const flow::Flow& f :
+         flow::random_permutation(valiant_mesh.num_endpoints(), perm_rng))
+      valiant_flows.push_back(f);
+  }
+  flow::FlowSolverConfig valiant;
+  valiant.route = topo::RouteMode::kValiant;
+  EXPECT_EQ(digest(valiant_mesh, valiant_flows, valiant), 0xc8739bc3f56e55a6ull)
+      << "repeated-link Valiant mesh";
+
+  const auto faulted = engine::make_topology("hx2mesh:4x4:faults=links:1:seed=5");
+  std::vector<flow::Flow> shifts;
+  for (int shift = 1; shift <= 40; ++shift)
+    for (const flow::Flow& f : flow::shift_pattern(n4, shift))
+      shifts.push_back(f);
+  EXPECT_EQ(digest(*faulted, shifts), 0xe29157dde551cc58ull) << "faulted hx2mesh:4x4";
 }
 
 TEST(FlowSolverDeterminism, SelfFlowsAndRepeatSolvesMatchReference) {
