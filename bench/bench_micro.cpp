@@ -104,7 +104,7 @@ BENCHMARK(BM_FlowEngineShift);
 
 static void BM_FlowSolverAlltoallLarge(benchmark::State& state) {
   // Two shift rounds of the balanced alltoall on the paper's 16384-
-  // accelerator Hx2Mesh, solved exactly as FlowEngine::run_alltoall
+  // accelerator Hx2Mesh, solved exactly as collectives::measure_alltoall
   // solves its sampled ensemble (one flow set per shift): the shape that
   // dominates hx2mesh:64x64 sweep cells.
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 64, .y = 64});

@@ -28,9 +28,8 @@ int main() {
   auto measured = harness.map<Measured>(specs.size(), [&](std::size_t i) {
     auto t = engine::make_topology(specs[i]);
     workload::CommEnv env(*t);
-    const int n = t->num_endpoints();
-    return Measured{env.alltoall_rate(n) * env.plane_factor(),
-                    env.alltoall_alpha(n)};
+    const collectives::MeasuredAlltoall a2a = env.alltoall(t->num_endpoints());
+    return Measured{a2a.rates.mean * env.plane_factor(), a2a.alpha_s};
   });
 
   std::vector<std::string> headers = {"Topology"};

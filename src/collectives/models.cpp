@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "collectives/hamiltonian.hpp"
-#include "engine/flow_engine.hpp"
 #include "flow/patterns.hpp"
 #include "topo/hammingmesh.hpp"
 #include "topo/torus.hpp"
@@ -13,26 +12,27 @@ namespace hxmesh::collectives {
 
 namespace {
 
-// Maps grid-coordinate rings to rank rings via an (x, y) -> rank function.
-template <typename RankAt>
+using Grid = std::vector<std::vector<int>>;
+
 std::vector<int> coords_to_ranks(const std::vector<Coord>& coords,
-                                 RankAt rank_at) {
+                                 const Grid& grid) {
   std::vector<int> ring;
   ring.reserve(coords.size());
-  for (auto [row, col] : coords) ring.push_back(rank_at(col, row));
+  for (auto [row, col] : coords) ring.push_back(grid[row][col]);
   return ring;
 }
 
-template <typename RankAt>
-RingMapping grid_mapping(int rows, int cols, RankAt rank_at) {
+RingMapping grid_mapping(const Grid& grid) {
+  const int rows = static_cast<int>(grid.size());
+  const int cols = static_cast<int>(grid[0].size());
   RingMapping m;
   m.planes_simulated = 1;
   if (disjoint_rings_supported(rows, cols)) {
     DisjointRings rings = disjoint_hamiltonian_rings(rows, cols);
-    m.rings.push_back(coords_to_ranks(rings.red, rank_at));
-    m.rings.push_back(coords_to_ranks(rings.green, rank_at));
+    m.rings.push_back(coords_to_ranks(rings.red, grid));
+    m.rings.push_back(coords_to_ranks(rings.green, grid));
   } else {
-    m.rings.push_back(coords_to_ranks(ring_order_grid(rows, cols), rank_at));
+    m.rings.push_back(coords_to_ranks(ring_order_grid(rows, cols), grid));
   }
   return m;
 }
@@ -47,17 +47,15 @@ RingMapping grid_mapping(int rows, int cols, RankAt rank_at) {
 //          steps down to row k+1 at column k;
 //   green: the transpose, column j visits rows (j, j-1, ..., j+1), then
 //          steps right to column j+1 at row j+1.
-template <typename RankAt>
-RingMapping hyperx_mapping(int n, RankAt rank_at) {
+RingMapping hyperx_mapping(const Grid& grid) {
+  const int n = static_cast<int>(grid.size());
   RingMapping m;
   m.planes_simulated = 1;
   std::vector<int> red, green;
   for (int k = 0; k < n; ++k)
-    for (int i = 0; i < n; ++i)
-      red.push_back(rank_at((k - 1 - i + 2 * n) % n, k));
+    for (int i = 0; i < n; ++i) red.push_back(grid[k][(k - 1 - i + 2 * n) % n]);
   for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i)
-      green.push_back(rank_at(j, (j - i + n) % n));
+    for (int i = 0; i < n; ++i) green.push_back(grid[(j - i + n) % n][j]);
   m.rings.push_back(std::move(red));
   m.rings.push_back(std::move(green));
   return m;
@@ -65,28 +63,57 @@ RingMapping hyperx_mapping(int n, RankAt rank_at) {
 
 }  // namespace
 
+double per_hop_seconds() {
+  return ps_to_s(kCableLatencyPs + kBufferLatencyPs) +
+         static_cast<double>(kPacketBytes) / kLinkBandwidthBps;
+}
+
+Grid rank_grid(const topo::Topology& topology) {
+  auto* hx = dynamic_cast<const topo::HammingMesh*>(&topology);
+  auto* t = dynamic_cast<const topo::Torus*>(&topology);
+  if (!hx && !t) return {};
+  const int width = hx ? hx->accel_x() : t->params().width;
+  const int height = hx ? hx->accel_y() : t->params().height;
+  Grid grid(height, std::vector<int>(width));
+  for (int gy = 0; gy < height; ++gy)
+    for (int gx = 0; gx < width; ++gx)
+      grid[gy][gx] = hx ? hx->rank_at(gx, gy) : t->rank_at(gx, gy);
+  return grid;
+}
+
 RingMapping build_ring_mapping(const topo::Topology& topology) {
-  if (auto* hx = dynamic_cast<const topo::HammingMesh*>(&topology)) {
-    const auto& p = hx->params();
-    if (p.a == 1 && p.b == 1 && p.x == p.y)
-      return hyperx_mapping(p.x, [hx](int gx, int gy) {
-        return hx->rank_at(gx, gy);
-      });
-    return grid_mapping(hx->accel_y(), hx->accel_x(), [hx](int gx, int gy) {
-      return hx->rank_at(gx, gy);
-    });
+  const Grid grid = rank_grid(topology);
+  if (grid.empty()) {
+    // Fat tree / Dragonfly: one bidirectional ring in rank order
+    // (consecutive ranks share leaves/routers) on each of the four
+    // simulated planes.
+    RingMapping m;
+    m.planes_simulated = 4;
+    std::vector<int> ring(topology.num_endpoints());
+    for (int i = 0; i < topology.num_endpoints(); ++i) ring[i] = i;
+    m.rings.push_back(std::move(ring));
+    return m;
   }
-  if (auto* t = dynamic_cast<const topo::Torus*>(&topology))
-    return grid_mapping(t->params().height, t->params().width,
-                        [t](int gx, int gy) { return t->rank_at(gx, gy); });
-  // Fat tree / Dragonfly: one bidirectional ring in rank order (consecutive
-  // ranks share leaves/routers) on each of the four simulated planes.
-  RingMapping m;
-  m.planes_simulated = 4;
-  std::vector<int> ring(topology.num_endpoints());
-  for (int i = 0; i < topology.num_endpoints(); ++i) ring[i] = i;
-  m.rings.push_back(std::move(ring));
-  return m;
+  auto* hx = dynamic_cast<const topo::HammingMesh*>(&topology);
+  if (hx && hx->params().a == 1 && hx->params().b == 1 &&
+      hx->params().x == hx->params().y)
+    return hyperx_mapping(grid);
+  return grid_mapping(grid);
+}
+
+RingRates solve_rings(const flow::FlowSolver& solver,
+                      const std::vector<std::vector<int>>& rings) {
+  std::vector<flow::Flow> flows;
+  for (const auto& ring : rings) {
+    auto f = flow::ring_flows(ring, /*bidirectional=*/true);
+    flows.insert(flows.end(), f.begin(), f.end());
+  }
+  RingRates result;
+  result.converged = solver.solve(flows);
+  result.min_rate_bps = flows.empty() ? 0.0 : flows.front().rate;
+  for (const flow::Flow& f : flows)
+    result.min_rate_bps = std::min(result.min_rate_bps, f.rate);
+  return result;
 }
 
 MeasuredRing measure_ring(const topo::Topology& topology,
@@ -100,15 +127,11 @@ MeasuredRing measure_ring(const topo::Topology& topology,
       topology.injection_bandwidth() * mapping.planes_simulated;
 
   // Concurrent steady-state traffic of all rings in both directions.
-  std::vector<flow::Flow> flows;
-  for (const auto& ring : mapping.rings) {
-    auto f = flow::ring_flows(ring, /*bidirectional=*/true);
-    flows.insert(flows.end(), f.begin(), f.end());
-  }
-  result.converged = engine::FlowEngine(topology, config).solve(flows);
-  double min_rate = flows.empty() ? 0.0 : flows.front().rate;
-  for (const flow::Flow& f : flows) min_rate = std::min(min_rate, f.rate);
-  result.rate_bps = min_rate;
+  const RingRates rates = solve_rings(
+      flow::FlowSolver(topology, flow::scaled_config(topology, config)),
+      mapping.rings);
+  result.rate_bps = rates.min_rate_bps;
+  result.converged = rates.converged;
 
   // Per-step latency from sampled hop distances of the mapping.
   const picoseconds per_hop = kCableLatencyPs + kBufferLatencyPs;
@@ -124,6 +147,34 @@ MeasuredRing measure_ring(const topo::Topology& topology,
   }
   double avg_dist = samples ? dist_sum / samples : 1.0;
   result.alpha_s = avg_dist * ps_to_s(per_hop);
+  return result;
+}
+
+MeasuredAlltoall measure_alltoall(const flow::FlowSolver& solver, int n,
+                                  int samples, topo::RouteMode route) {
+  MeasuredAlltoall result;
+  const int stride = std::max(1, (n - 1) / std::max(1, samples));
+  std::vector<double> rates;
+  // One rate per rank per sampled shift; at hx2mesh:64x64 scale the
+  // reserve keeps the ensemble loop from re-growing a multi-MB vector.
+  rates.reserve(static_cast<std::size_t>((n - 2) / stride + 1) * n);
+  for (int shift = 1; shift < n; shift += stride) {
+    auto flows = flow::shift_pattern(n, shift);
+    result.converged &= solver.solve(flows, route);
+    for (const flow::Flow& f : flows) rates.push_back(f.rate);
+  }
+  result.rates = summarize(std::move(rates));
+
+  // Average per-round latency from sampled hop distances (far peers).
+  const topo::Topology& topology = solver.topology();
+  double dist = 0.0;
+  int hops = 0;
+  const int hop_stride = std::max(1, n / 64);
+  for (int i = 0; i < n; i += hop_stride) {
+    dist += topology.hop_distance(i, (i + n / 2 + 1) % n);
+    ++hops;
+  }
+  result.alpha_s = (hops ? dist / hops : 1.0) * per_hop_seconds();
   return result;
 }
 

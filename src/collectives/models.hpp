@@ -1,5 +1,7 @@
-// Alpha-beta time models for the allreduce algorithms of Section V-A2,
-// parameterized by measurements from the flow-level solver.
+// Flow-level collective measurements and the alpha-beta time models of
+// Section V-A2 they parameterize. Everything here sits on src/flow: the
+// FlowEngine, CommEnv and the benches read their collective rates from
+// these functions, never from their own solve loops.
 //
 // The workflow mirrors the paper: map the algorithm's rings onto the
 // topology, measure (a) the per-step latency alpha from the hop distances
@@ -14,10 +16,18 @@
 
 #include <vector>
 
+#include "core/stats.hpp"
 #include "flow/flow_sim.hpp"
 #include "topo/topology.hpp"
 
 namespace hxmesh::collectives {
+
+/// Per-hop pipeline latency: cable + buffer + one packet serialization.
+double per_hop_seconds();
+
+/// Ranks of a 2D accelerator array, grid[gy][gx] (HammingMesh and torus);
+/// empty for machines without one.
+std::vector<std::vector<int>> rank_grid(const topo::Topology& topology);
 
 /// How the ring algorithm is laid onto a machine.
 struct RingMapping {
@@ -32,6 +42,15 @@ struct RingMapping {
 /// and Dragonfly (over 4 planes).
 RingMapping build_ring_mapping(const topo::Topology& topology);
 
+/// Max-min rates of rings running concurrently, each in both directions.
+struct RingRates {
+  double min_rate_bps = 0.0;  // slowest flow [bytes/s]; 0 for no flows
+  bool converged = true;      // the max-min filling converged
+};
+
+RingRates solve_rings(const flow::FlowSolver& solver,
+                      const std::vector<std::vector<int>>& rings);
+
 /// Flow-solver-measured parameters of a ring mapping.
 struct MeasuredRing {
   int p = 0;                  // ranks
@@ -43,8 +62,23 @@ struct MeasuredRing {
   bool converged = true;      // the ring's max-min filling converged
 };
 
+/// Solves the mapping under `config` and the path rule (scaled_config).
 MeasuredRing measure_ring(const topo::Topology& topology,
                           flow::FlowSolverConfig config = {});
+
+/// The balanced alltoall among ranks [0, n): n-1 shift rounds, measured
+/// over `samples` of them.
+struct MeasuredAlltoall {
+  Summary rates;         // per-flow rates over the sampled shifts [bytes/s]
+  double alpha_s = 0.0;  // per-round latency from far-peer hops [s]
+  bool converged = true; // every sampled shift's filling converged
+};
+
+/// Solves the shifts 1, 1 + stride, ... below n at stride (n-1)/samples,
+/// each on its own, and takes alpha from about 64 far-peer hop distances
+/// (rank i to rank i + n/2 + 1).
+MeasuredAlltoall measure_alltoall(const flow::FlowSolver& solver, int n,
+                                  int samples, topo::RouteMode route);
 
 /// Completion time of the rings allreduce for S total bytes per rank.
 double t_allreduce_rings(const MeasuredRing& ring, double s_bytes);

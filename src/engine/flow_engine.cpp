@@ -1,32 +1,13 @@
 #include "engine/flow_engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace hxmesh::engine {
 
-namespace {
-
-// Per-hop pipeline latency: cable + buffer + one packet serialization.
-double per_hop_seconds() {
-  return ps_to_s(kCableLatencyPs + kBufferLatencyPs) +
-         static_cast<double>(kPacketBytes) / kLinkBandwidthBps;
-}
-
-flow::FlowSolverConfig scaled_config(const topo::Topology& topology,
-                                     flow::FlowSolverConfig config) {
-  flow::FlowSolverConfig defaults;
-  if (config.paths_per_flow == defaults.paths_per_flow &&
-      topology.num_endpoints() > 4096)
-    config.paths_per_flow = 16;
-  return config;
-}
-
-}  // namespace
-
 FlowEngine::FlowEngine(const topo::Topology& topology,
                        flow::FlowSolverConfig config)
-    : SimEngine(topology), solver_(topology, scaled_config(topology, config)) {}
+    : SimEngine(topology),
+      solver_(topology, flow::scaled_config(topology, config)) {}
 
 RunResult FlowEngine::run(const flow::TrafficSpec& spec) {
   switch (spec.kind) {
@@ -58,33 +39,15 @@ RunResult FlowEngine::run_point_to_point(const flow::TrafficSpec& spec) {
 }
 
 RunResult FlowEngine::run_alltoall(const flow::TrafficSpec& spec) {
-  // Sampled-shift ensemble: the (n-1)-round balanced alltoall averaged over
-  // `samples` representative shifts (every bench used this exact loop).
   const int n = topology_.num_endpoints();
+  const collectives::MeasuredAlltoall a2a =
+      collectives::measure_alltoall(solver_, n, spec.samples, spec.route);
   RunResult result;
-  std::vector<double> rates;
-  int stride = std::max(1, (n - 1) / std::max(1, spec.samples));
-  // One rate per endpoint per sampled shift; at hx2mesh:64x64 scale the
-  // reserve keeps the ensemble loop from re-growing a multi-MB vector.
-  rates.reserve(static_cast<std::size_t>((n - 2) / stride + 1) * n);
-  for (int shift = 1; shift < n; shift += stride) {
-    auto flows = flow::shift_pattern(n, shift);
-    result.numerics_ok &= solver_.solve(flows, spec.route);
-    for (const flow::Flow& f : flows) rates.push_back(f.rate);
-  }
-  result.rate_summary = summarize(std::move(rates));
+  result.numerics_ok = a2a.converged;
+  result.rate_summary = a2a.rates;
   result.aggregate_fraction =
       result.rate_summary.mean / topology_.injection_bandwidth();
-
-  // Average per-round latency from sampled hop distances (far peers).
-  double dist = 0.0;
-  int samples = 0;
-  int dstride = std::max(1, n / 64);
-  for (int i = 0; i < n; i += dstride) {
-    dist += topology_.hop_distance(i, (i + n / 2 + 1) % n);
-    ++samples;
-  }
-  result.alpha_s = (samples ? dist / samples : 1.0) * per_hop_seconds();
+  result.alpha_s = a2a.alpha_s;
   if (result.rate_summary.mean > 0)
     result.completion_s =
         (n - 1) * (result.alpha_s + static_cast<double>(spec.message_bytes) /

@@ -1,10 +1,9 @@
 // Flow-level SimEngine: adapter over flow::FlowSolver.
 //
 // Cheap steady-state bandwidth at any scale — the backend behind Table II
-// and Figures 11-13/17. Also the library's single entry point for max-min
-// rate solving: layers that need raw rates for their own models (CommEnv,
-// measure_ring) call solve() here instead of constructing a FlowSolver,
-// so swapping the solver implementation touches one file.
+// and Figures 11-13/17. Point-to-point patterns solve here; alltoall and
+// allreduce read the measurements of src/collectives (measure_alltoall,
+// measure_ring), which CommEnv and the benches share.
 #pragma once
 
 #include <array>
@@ -17,19 +16,12 @@ namespace hxmesh::engine {
 
 class FlowEngine : public SimEngine {
  public:
-  /// The default config bumps paths_per_flow to 16 beyond 4,096 endpoints,
-  /// where the stratified subflows must cover wider rail-tree diversity.
+  /// Solves under `config` and the path rule (flow::scaled_config).
   explicit FlowEngine(const topo::Topology& topology,
                       flow::FlowSolverConfig config = {});
 
   std::string name() const override { return "flow"; }
   RunResult run(const flow::TrafficSpec& spec) override;
-
-  /// Max-min fair rates for an explicit flow list (rates written in place).
-  /// Returns whether the filling converged.
-  bool solve(std::vector<flow::Flow>& flows) const {
-    return solver_.solve(flows);
-  }
 
   const flow::FlowSolverConfig& config() const { return solver_.config(); }
 

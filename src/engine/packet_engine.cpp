@@ -9,8 +9,6 @@
 #include "collectives/models.hpp"
 #include "collectives/runtime.hpp"
 #include "sim/minimpi.hpp"
-#include "topo/hammingmesh.hpp"
-#include "topo/torus.hpp"
 
 namespace hxmesh::engine {
 
@@ -35,27 +33,6 @@ sim::PacketSimConfig routed_config(sim::PacketSimConfig config,
   config.route_mode = spec.route;
   config.route_seed = spec.seed;
   return config;
-}
-
-// Rank grid of a 2D accelerator array, for the torus allreduce algorithm.
-std::vector<std::vector<int>> rank_grid(const topo::Topology& topology) {
-  if (auto* hx = dynamic_cast<const topo::HammingMesh*>(&topology)) {
-    std::vector<std::vector<int>> grid(hx->accel_y(),
-                                       std::vector<int>(hx->accel_x()));
-    for (int gy = 0; gy < hx->accel_y(); ++gy)
-      for (int gx = 0; gx < hx->accel_x(); ++gx)
-        grid[gy][gx] = hx->rank_at(gx, gy);
-    return grid;
-  }
-  if (auto* t = dynamic_cast<const topo::Torus*>(&topology)) {
-    std::vector<std::vector<int>> grid(
-        t->params().height, std::vector<int>(t->params().width));
-    for (int gy = 0; gy < t->params().height; ++gy)
-      for (int gx = 0; gx < t->params().width; ++gx)
-        grid[gy][gx] = t->rank_at(gx, gy);
-    return grid;
-  }
-  return {};
 }
 
 }  // namespace
@@ -158,7 +135,7 @@ RunResult PacketEngine::run_allreduce(const flow::TrafficSpec& spec) {
   }
   picoseconds t = 0;
   if (spec.torus_algorithm) {
-    auto grid = rank_grid(topology_);
+    auto grid = collectives::rank_grid(topology_);
     if (grid.empty())
       throw std::invalid_argument(
           "PacketEngine: torus allreduce needs a 2D accelerator grid");

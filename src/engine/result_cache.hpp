@@ -44,7 +44,7 @@ class ResultCache {
   /// v4: FlowSolver fills to convergence (no 400-round cap), raising the
   /// flow rates of solves the cap used to truncate.
   /// v5: entries store `flow_count` in place of the per-flow rate array.
-  static constexpr int kSchemaVersion = 5;
+  static constexpr int kSchemaVersion = 6;
 
   static constexpr const char* kDefaultDir = ".hxmesh-cache";
 

@@ -81,6 +81,14 @@ class LevelQueue {
 };
 }  // namespace
 
+FlowSolverConfig scaled_config(const topo::Topology& topology,
+                               FlowSolverConfig config) {
+  if (config.paths_per_flow == FlowSolverConfig{}.paths_per_flow &&
+      topology.num_endpoints() > 4096)
+    config.paths_per_flow = 16;
+  return config;
+}
+
 FlowSolver::FlowSolver(const topo::Topology& topology, FlowSolverConfig config)
     : topology_(topology), config_(config) {}
 

@@ -77,6 +77,13 @@ struct FlowSolverConfig {
   topo::RouteMode route = topo::RouteMode::kMinimal;
 };
 
+/// The path rule every flow-level measurement solves under: a config that
+/// keeps the default paths_per_flow gets 16 paths beyond 4,096 endpoints,
+/// where the stratified subflows must cover wider rail-tree diversity.
+/// An explicit path count is kept.
+FlowSolverConfig scaled_config(const topo::Topology& topology,
+                               FlowSolverConfig config);
+
 class FlowSolver {
  public:
   explicit FlowSolver(const topo::Topology& topology,

@@ -389,10 +389,7 @@ void HammingMesh::sample_path(int src, int dst, Rng& rng,
   out.clear();
   switch (mode) {
     case RouteMode::kMinimal:
-      // Clear bit 1 (historically the Valiant flag): minimal mode promises
-      // minimal paths, and route() itself never reads the bit — strata
-      // from the per-flow hash carry arbitrary bits.
-      route(src, dst, stratum & ~2, rng, out);
+      route(src, dst, stratum, rng, out);
       return;
     case RouteMode::kValiant:
       route_valiant(src, dst, stratum, rng, out);
@@ -401,7 +398,7 @@ void HammingMesh::sample_path(int src, int dst, Rng& rng,
       if (rng.uniform(2) != 0)
         route_valiant(src, dst, stratum, rng, out);
       else
-        route(src, dst, stratum & ~2, rng, out);
+        route(src, dst, stratum, rng, out);
       return;
   }
 }
@@ -432,11 +429,11 @@ void HammingMesh::route_valiant(int src, int dst, int stratum, Rng& rng,
                                 std::vector<LinkId>& out) const {
   if (src == dst) return;
   const int n = num_endpoints();
-  if (n <= 2) return route(src, dst, stratum & ~2, rng, out);
+  if (n <= 2) return route(src, dst, stratum, rng, out);
   int mid = src;
   while (mid == src || mid == dst) mid = static_cast<int>(rng.uniform(n));
-  route(src, mid, stratum & ~2, rng, out);
-  route(mid, dst, (stratum & ~2) ^ 1, rng, out);
+  route(src, mid, stratum, rng, out);
+  route(mid, dst, stratum ^ 1, rng, out);
 }
 
 void HammingMesh::route(int src, int dst, int stratum, Rng& rng,

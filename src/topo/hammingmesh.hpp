@@ -146,8 +146,9 @@ class HammingMesh : public Topology {
   void route(int src, int dst, int stratum, Rng& rng,
              std::vector<LinkId>& out) const;
   // Appends a Valiant detour: two minimal route() legs joined at a random
-  // intermediate endpoint (the second leg flips the dimension-order bit so
-  // the join does not double back deterministically).
+  // intermediate endpoint, on strata s and s ^ 1 (the second leg flips the
+  // dimension-order bit so the join does not double back
+  // deterministically; the higher bits, which pick rail spines, are kept).
   void route_valiant(int src, int dst, int stratum, Rng& rng,
                      std::vector<LinkId>& out) const;
 

@@ -1,23 +1,15 @@
 #include "workload/comm_env.hpp"
 
 #include <algorithm>
-#include <cassert>
-
-#include "engine/flow_engine.hpp"
-#include "flow/patterns.hpp"
 
 namespace hxmesh::workload {
 
 namespace {
-// Per-hop pipeline latency: cable + buffer + one packet serialization.
-double per_hop_seconds() {
-  return ps_to_s(kCableLatencyPs + kBufferLatencyPs) +
-         static_cast<double>(kPacketBytes) / kLinkBandwidthBps;
-}
+constexpr int kAlltoallSamples = 8;
 }  // namespace
 
 CommEnv::CommEnv(const topo::Topology& topology, flow::FlowSolverConfig config)
-    : topology_(topology), config_(config) {
+    : solver_(topology, flow::scaled_config(topology, config)) {
   plane_factor_ = topology.ports_per_endpoint() == 1 ? 4 : 1;
 }
 
@@ -27,28 +19,22 @@ MappedRing CommEnv::measure(
   if (rings.empty() || rings[0].size() < 2) {
     result.p = rings.empty() ? 0 : 1;
     result.rate_bps = kLinkBandwidthBps;
-    result.alpha_s = 0.0;
     return result;
   }
   result.p = static_cast<int>(rings[0].size());
-  std::vector<flow::Flow> flows;
   double dist_sum = 0.0;
   int steps = 0;
   for (const auto& ring : rings) {
-    auto f = flow::ring_flows(ring, /*bidirectional=*/true);
-    flows.insert(flows.end(), f.begin(), f.end());
     int n = static_cast<int>(ring.size());
     int stride = std::max(1, n / 64);
     for (int i = 0; i < n; i += stride) {
-      dist_sum += topology_.hop_distance(ring[i], ring[(i + 1) % n]);
+      dist_sum += topology().hop_distance(ring[i], ring[(i + 1) % n]);
       ++steps;
     }
   }
-  engine::FlowEngine(topology_, config_).solve(flows);
-  double min_rate = flows.front().rate;
-  for (const flow::Flow& f : flows) min_rate = std::min(min_rate, f.rate);
-  result.rate_bps = min_rate;
-  result.alpha_s = (steps ? dist_sum / steps : 1.0) * per_hop_seconds();
+  result.rate_bps = collectives::solve_rings(solver_, rings).min_rate_bps;
+  result.alpha_s =
+      (steps ? dist_sum / steps : 1.0) * collectives::per_hop_seconds();
   return result;
 }
 
@@ -72,30 +58,9 @@ MappedRing CommEnv::rings_strided(int n, int stride) const {
   return measure(rings);
 }
 
-double CommEnv::alltoall_rate(int n) const {
-  engine::FlowEngine solver(topology_, config_);
-  double total = 0.0;
-  int samples = 0;
-  int stride = std::max(1, (n - 1) / 8);
-  for (int shift = 1; shift < n; shift += stride) {
-    auto flows = flow::shift_pattern(n, shift);
-    solver.solve(flows);
-    for (const flow::Flow& f : flows) total += f.rate;
-    samples += n;
-  }
-  return samples ? total / samples : 0.0;
-}
-
-double CommEnv::alltoall_alpha(int n) const {
-  // Average hop distance over a sampled shift.
-  double dist = 0.0;
-  int samples = 0;
-  int stride = std::max(1, n / 64);
-  for (int i = 0; i < n; i += stride) {
-    dist += topology_.hop_distance(i, (i + n / 2 + 1) % n);
-    ++samples;
-  }
-  return (samples ? dist / samples : 1.0) * per_hop_seconds();
+collectives::MeasuredAlltoall CommEnv::alltoall(int n) const {
+  return collectives::measure_alltoall(solver_, n, kAlltoallSamples,
+                                       solver_.config().route);
 }
 
 double CommEnv::t_allreduce(const MappedRing& ring, double s_bytes) const {
@@ -112,9 +77,10 @@ double CommEnv::t_p2p(const MappedRing& ring, double s_bytes) const {
 
 double CommEnv::t_alltoall(int p, double per_pair_bytes) const {
   if (p <= 1) return 0.0;
-  double rate = alltoall_rate(p);  // per plane; data splits across planes
-  double alpha = alltoall_alpha(p);
-  return (p - 1) * (alpha + per_pair_bytes / plane_factor_ / rate);
+  // Rates are per plane; the data splits across planes.
+  const collectives::MeasuredAlltoall a2a = alltoall(p);
+  return (p - 1) *
+         (a2a.alpha_s + per_pair_bytes / plane_factor_ / a2a.rates.mean);
 }
 
 }  // namespace hxmesh::workload

@@ -17,6 +17,7 @@
 
 #include <vector>
 
+#include "collectives/models.hpp"
 #include "flow/flow_sim.hpp"
 #include "topo/topology.hpp"
 
@@ -31,10 +32,11 @@ struct MappedRing {
 
 class CommEnv {
  public:
+  /// Solves under `config` and the path rule (flow::scaled_config).
   explicit CommEnv(const topo::Topology& topology,
                    flow::FlowSolverConfig config = {});
 
-  const topo::Topology& topology() const { return topology_; }
+  const topo::Topology& topology() const { return solver_.topology(); }
 
   /// Rings over consecutive groups: {0..g-1}, {g..2g-1}, ... within [0, n).
   MappedRing rings_consecutive(int n, int group_size) const;
@@ -42,11 +44,9 @@ class CommEnv {
   /// Stride rings: for each offset o in [0, stride): {o, o+stride, ...}.
   MappedRing rings_strided(int n, int stride) const;
 
-  /// Steady per-rank alltoall send rate among ranks [0, n) (sampled shifts).
-  double alltoall_rate(int n) const;
-
-  /// Average per-step latency of an alltoall among ranks [0, n).
-  double alltoall_alpha(int n) const;
+  /// Alltoall among ranks [0, n): per-flow rates over 8 sampled shifts
+  /// (one plane) and the per-round latency.
+  collectives::MeasuredAlltoall alltoall(int n) const;
 
   /// Identical planes carrying the collective (4 for one-port topologies).
   int plane_factor() const { return plane_factor_; }
@@ -64,8 +64,7 @@ class CommEnv {
  private:
   MappedRing measure(const std::vector<std::vector<int>>& rings) const;
 
-  const topo::Topology& topology_;
-  flow::FlowSolverConfig config_;
+  flow::FlowSolver solver_;
   int plane_factor_ = 1;
 };
 

@@ -2,6 +2,9 @@
 // cross-topology shape of Section V-B (who wins, roughly by how much).
 #include <gtest/gtest.h>
 
+#include "engine/factory.hpp"
+#include "engine/flow_engine.hpp"
+#include "flow/patterns.hpp"
 #include "paper_topology.hpp"
 #include "topo/zoo.hpp"
 #include "workload/dnn.hpp"
@@ -115,6 +118,24 @@ TEST(CommEnvTest, AlltoallLatencyBoundForTinyMessages) {
   double big = env.t_alltoall(64, 1e6);
   EXPECT_GT(big, tiny);
   EXPECT_GT(tiny, 0.0);
+}
+
+// CommEnv and the flow engine read one alltoall estimate: t_alltoall is
+// the alpha-beta round model over the engine's alltoall:samples=8 row, bit
+// for bit, on a four-port and a one-port (four-plane) machine.
+TEST(CommEnvTest, AlltoallTimeReadsTheFlowEngineEstimate) {
+  for (const char* spec : {"hx2mesh:4x4", "fattree:64"}) {
+    SCOPED_TRACE(spec);
+    auto t = engine::make_topology(spec);
+    const int n = t->num_endpoints();
+    const engine::RunResult row =
+        engine::FlowEngine(*t).run(flow::parse_traffic("alltoall:samples=8"));
+    CommEnv env(*t);
+    const double bytes = 1e6;
+    EXPECT_EQ(env.t_alltoall(n, bytes),
+              (n - 1) * (row.alpha_s + bytes / env.plane_factor() /
+                                           row.rate_summary.mean));
+  }
 }
 
 }  // namespace
