@@ -44,7 +44,11 @@ class ResultCache {
   /// v4: FlowSolver fills to convergence (no 400-round cap), raising the
   /// flow rates of solves the cap used to truncate.
   /// v5: entries store `flow_count` in place of the per-flow rate array.
-  static constexpr int kSchemaVersion = 6;
+  /// v6: HammingMesh Valiant legs keep stratum bit 1.
+  /// v7: one path sampler for every family: Dragonfly `minimal` strata
+  /// stay minimal, fat-tree and HyperX Valiant legs take strata s and
+  /// s ^ 1, and a three-level fat tree's core digit moves with the stratum.
+  static constexpr int kSchemaVersion = 7;
 
   static constexpr const char* kDefaultDir = ".hxmesh-cache";
 

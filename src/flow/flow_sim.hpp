@@ -71,9 +71,10 @@ struct FlowSolverConfig {
   // hardware concurrency), 1 forces a serial solve. Never changes the
   // computed rates — only wall-clock. The harness passes its own width.
   int threads = 0;
-  // Path selection mode handed to sample_path_stratified: minimal,
-  // Valiant (random-intermediate detours), or UGAL (deterministic 50/50
-  // minimal/detour mix over the subflow strata).
+  // Path selection mode handed to sample_path_stratified: minimal
+  // (shortest paths only, on every family), Valiant (every subflow detours
+  // through a random intermediate endpoint), or UGAL's flow-level stand-in
+  // (odd strata detour, even strata stay minimal).
   topo::RouteMode route = topo::RouteMode::kMinimal;
 };
 

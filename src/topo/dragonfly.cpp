@@ -102,61 +102,24 @@ Dragonfly::Dragonfly(DragonflyParams params) : params_(params) {
   set_routing_oracle(std::make_unique<DragonflyOracle>(*this));
 }
 
-void Dragonfly::sample_path(int src, int dst, Rng& rng,
-                            std::vector<LinkId>& out, RouteMode mode) const {
-  // walk_minimal's precomputed router distances describe the healthy
-  // fabric; degraded graphs and detour modes use the generic machinery.
-  if (faulted() || mode != RouteMode::kMinimal)
-    return Topology::sample_path(src, dst, rng, out, mode);
-  out.clear();
-  if (src == dst) return;
-  int r1 = router_of(src), r2 = router_of(dst);
+void Dragonfly::route(int src, int dst, int stratum, Rng& rng,
+                      std::vector<LinkId>& out) const {
+  (void)stratum;
+  const int r1 = router_of(src), r2 = router_of(dst);
   out.push_back(graph_.find_link(endpoint_node(src), routers_[r1]));
-  walk_minimal(r1, r2, rng, out);
-  out.push_back(graph_.find_link(routers_[r2], endpoint_node(dst)));
-}
-
-void Dragonfly::walk_minimal(int from, int to, Rng& rng,
-                             std::vector<LinkId>& out) const {
   // Random minimal walk on the router graph using the distance matrix.
-  int cur = from;
+  int cur = r1;
   std::vector<std::pair<int, LinkId>> cand;
-  while (cur != to) {
+  while (cur != r2) {
     cand.clear();
-    int d = router_dist(cur, to);
+    const int d = router_dist(cur, r2);
     for (auto [v, l] : radj_[cur])
-      if (router_dist(v, to) == d - 1) cand.push_back({v, l});
+      if (router_dist(v, r2) == d - 1) cand.push_back({v, l});
     assert(!cand.empty());
     auto [v, l] = cand[rng.uniform(cand.size())];
     out.push_back(l);
     cur = v;
   }
-}
-
-void Dragonfly::sample_path_stratified(int src, int dst, int k,
-                                       int num_strata, Rng& rng,
-                                       std::vector<LinkId>& out,
-                                       RouteMode mode) const {
-  if (faulted() || mode != RouteMode::kMinimal)
-    return Topology::sample_path_stratified(src, dst, k, num_strata, rng, out,
-                                            mode);
-  (void)num_strata;
-  const int g = params_.groups;
-  int r1 = router_of(src), r2 = router_of(dst);
-  int g1 = group_of_router(r1), g2 = group_of_router(r2);
-  if ((k & 1) == 0 || g1 == g2 || g < 3) {
-    sample_path(src, dst, rng, out);
-    return;
-  }
-  // Valiant: detour through a random router of a third group.
-  int gi = static_cast<int>(rng.uniform(g));
-  while (gi == g1 || gi == g2) gi = static_cast<int>(rng.uniform(g));
-  int ri = gi * params_.routers_per_group +
-           static_cast<int>(rng.uniform(params_.routers_per_group));
-  out.clear();
-  out.push_back(graph_.find_link(endpoint_node(src), routers_[r1]));
-  walk_minimal(r1, ri, rng, out);
-  walk_minimal(ri, r2, rng, out);
   out.push_back(graph_.find_link(routers_[r2], endpoint_node(dst)));
 }
 

@@ -23,7 +23,7 @@ struct DragonflyParams {
   int planes = 16;
 };
 
-class Dragonfly : public Topology {
+class Dragonfly : public RoutedTopology<Dragonfly> {
  public:
   explicit Dragonfly(DragonflyParams params);
 
@@ -32,26 +32,11 @@ class Dragonfly : public Topology {
   int ports_per_endpoint() const override { return 1; }
   int diameter_formula() const override { return 2 + router_diameter_; }
 
-  void sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
-                   RouteMode mode = RouteMode::kMinimal) const override;
-
-  /// Odd strata take a Valiant detour through a random third group — the
-  /// flow-level stand-in for UGAL's non-minimal adaptive routing.
-  void sample_path_stratified(int src, int dst, int k, int num_strata,
-                              Rng& rng, std::vector<LinkId>& out,
-                              RouteMode mode = RouteMode::kMinimal)
-      const override;
-
   // -- structure accessors -------------------------------------------------
   const DragonflyParams& params() const { return params_; }
   int num_routers() const { return static_cast<int>(routers_.size()); }
   NodeId router_node(int router) const { return routers_[router]; }
   int router_of(int rank) const { return rank / params_.endpoints_per_router; }
-  int group_of_router(int router) const {
-    return router / params_.routers_per_group;
-  }
-  void walk_minimal(int from, int to, Rng& rng,
-                    std::vector<LinkId>& out) const;
 
   /// Minimal router-to-router hop distance (precomputed all-pairs).
   int router_dist(int r1, int r2) const {
@@ -59,6 +44,12 @@ class Dragonfly : public Topology {
   }
 
  private:
+  friend class Topology;  // the sampler calls route()
+  // Appends a uniformly random minimal walk over the router graph; the
+  // stratum is unused. Non-minimal paths come from route=valiant|ugal.
+  void route(int src, int dst, int stratum, Rng& rng,
+             std::vector<LinkId>& out) const;
+
   DragonflyParams params_;
   std::vector<NodeId> routers_;
   // Router-level adjacency: (peer router, link id), locals + globals.

@@ -162,46 +162,16 @@ LinkId FatTree::random_link_between(NodeId a, NodeId b, Rng& rng) const {
   return ls[rng.uniform(ls.size())];
 }
 
-void FatTree::sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
-                          RouteMode mode) const {
-  if (faulted() || mode != RouteMode::kMinimal)
-    return Topology::sample_path(src, dst, rng, out, mode);
-  if (levels_ == 2) {
-    // A uniformly random stratum of a large stratification: each spine
-    // (src + k) mod spines is equally likely.
-    constexpr int kStrata = 1 << 20;
-    sample_path_stratified(src, dst, static_cast<int>(rng.uniform(kStrata)),
-                           kStrata, rng, out);
-    return;
-  }
-  // One uniform draw over every (pod L2, core) pair.
-  const int pair = static_cast<int>(rng.uniform(l2_per_pod_ * l3_group_size_));
-  route(src, dst, pair % l2_per_pod_, pair / l2_per_pod_, rng, out);
+int FatTree::stratum(int src, int dst, int k, int num_strata) const {
+  (void)dst;
+  const int ups = levels_ == 2 ? num_spines() : l2_per_pod_;
+  const int j = src + k * std::max(1, ups / num_strata);
+  if (levels_ == 2) return j % ups;
+  return j % ups + ups * ((j + k) % l3_group_size_);
 }
 
-void FatTree::sample_path_stratified(int src, int dst, int k, int num_strata,
-                                     Rng& rng, std::vector<LinkId>& out,
-                                     RouteMode mode) const {
-  if (faulted() || mode != RouteMode::kMinimal)
-    return Topology::sample_path_stratified(src, dst, k, num_strata, rng, out,
-                                            mode);
-  if (levels_ == 2) {
-    // Strided spine choice: subflow k of a flow from `src` lands on a
-    // distinct spine, and across sources the strides cover all spines
-    // uniformly (approximating packet spraying).
-    const int s = num_spines();
-    route(src, dst, (src + k * std::max(1, s / num_strata)) % s, 0, rng, out);
-    return;
-  }
-  route(src, dst,
-        (src + k * std::max(1, l2_per_pod_ / num_strata)) % l2_per_pod_,
-        (src + k) % l3_group_size_, rng, out);
-}
-
-void FatTree::route(int src, int dst, int up, int core, Rng& rng,
+void FatTree::route(int src, int dst, int stratum, Rng& rng,
                     std::vector<LinkId>& out) const {
-  out.clear();
-  if (src == dst) return;
   NodeId se = endpoint_node(src), de = endpoint_node(dst);
   int sl = leaf_of(src), dl = leaf_of(dst);
   out.push_back(graph_.find_link(se, leaves_[sl]));
@@ -210,10 +180,12 @@ void FatTree::route(int src, int dst, int up, int core, Rng& rng,
     return;
   }
   if (levels_ == 2) {
-    NodeId spine = spines_[up];
+    NodeId spine = spines_[stratum % num_spines()];
     out.push_back(random_link_between(leaves_[sl], spine, rng));
     out.push_back(random_link_between(spine, leaves_[dl], rng));
   } else {
+    const int up = stratum % l2_per_pod_;
+    const int core = stratum / l2_per_pod_ % l3_group_size_;
     int sg = pod_of_leaf(sl), dg = pod_of_leaf(dl);
     NodeId sl2 = l2_[sg * l2_per_pod_ + up];
     out.push_back(random_link_between(leaves_[sl], sl2, rng));

@@ -22,7 +22,7 @@ struct FatTreeParams {
   int planes = 16;     // accelerator has 16 ports; one NIC port per plane
 };
 
-class FatTree : public Topology {
+class FatTree : public RoutedTopology<FatTree> {
  public:
   explicit FatTree(FatTreeParams params);
 
@@ -30,13 +30,6 @@ class FatTree : public Topology {
   int planes() const override { return params_.planes; }
   int ports_per_endpoint() const override { return 1; }
   int diameter_formula() const override { return levels_ == 2 ? 4 : 6; }
-
-  void sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
-                   RouteMode mode = RouteMode::kMinimal) const override;
-  void sample_path_stratified(int src, int dst, int k, int num_strata,
-                              Rng& rng, std::vector<LinkId>& out,
-                              RouteMode mode = RouteMode::kMinimal)
-      const override;
 
   // -- structure accessors (used by tests and the cost model) -------------
   const FatTreeParams& params() const { return params_; }
@@ -55,14 +48,22 @@ class FatTree : public Topology {
   int pod_of_leaf(int leaf) const { return levels_ == 3 ? leaf / leaves_per_pod_ : 0; }
 
  private:
+  friend class Topology;  // the sampler calls route() and stratum()
   class Oracle;  // closed-form routing oracle (defined in fattree.cpp)
 
   void build_two_level();
   void build_three_level();
-  // The minimal path src -> dst through spine `up` (2 levels), or through
-  // pod L2 `up` and core `core` of group `up` (3 levels).
-  void route(int src, int dst, int up, int core, Rng& rng,
+  // Appends the minimal path src -> dst through spine `stratum mod
+  // spines` (2 levels), or through pod L2 `u = stratum mod l2_per_pod` and
+  // core `stratum / l2_per_pod mod l3_group_size` of group u (3 levels).
+  void route(int src, int dst, int stratum, Rng& rng,
              std::vector<LinkId>& out) const;
+  // Strided up-link choice: subflow k of a flow from `src` lands on a
+  // distinct spine (pod L2), and across sources the strides cover them
+  // uniformly, approximating packet spraying. A three-level tree offsets
+  // its core digit by k once more, so the core does not repeat the L2's
+  // residue once the stride is 1.
+  int stratum(int src, int dst, int k, int num_strata) const;
   LinkId random_link_between(NodeId a, NodeId b, Rng& rng) const;
 
   FatTreeParams params_;

@@ -380,65 +380,8 @@ void HammingMesh::emit_rail(int dim, int line, int from_board, int to_board,
   out.push_back(2 * r.port(line, to_board, to_side) + 1);
 }
 
-void HammingMesh::sample_path(int src, int dst, Rng& rng,
-                              std::vector<LinkId>& out,
-                              RouteMode mode) const {
-  // The closed forms below describe the healthy fabric only.
-  if (faulted()) return Topology::sample_path(src, dst, rng, out, mode);
-  const int stratum = static_cast<int>(rng.uniform(1 << 20));
-  out.clear();
-  switch (mode) {
-    case RouteMode::kMinimal:
-      route(src, dst, stratum, rng, out);
-      return;
-    case RouteMode::kValiant:
-      route_valiant(src, dst, stratum, rng, out);
-      return;
-    case RouteMode::kUgal:
-      if (rng.uniform(2) != 0)
-        route_valiant(src, dst, stratum, rng, out);
-      else
-        route(src, dst, stratum, rng, out);
-      return;
-  }
-}
-
-void HammingMesh::sample_path_stratified(int src, int dst, int k,
-                                         int num_strata, Rng& rng,
-                                         std::vector<LinkId>& out,
-                                         RouteMode mode) const {
-  if (faulted())
-    return Topology::sample_path_stratified(src, dst, k, num_strata, rng,
-                                            out, mode);
-  // A per-flow hash decorrelates the strata of different flows: without it
-  // every flow's k-th subflow would pick the k-th parallel rail cable and
-  // k-th spine, overloading a fixed subset of tree links. Adding k keeps
-  // the direction bit alternating within a flow.
-  std::uint32_t h = static_cast<std::uint32_t>(src) * 2654435761u ^
-                    static_cast<std::uint32_t>(dst) * 0x9e3779b9u;
-  const int stratum = static_cast<int>((h >> 8) & 0xffff) + k;
-  out.clear();
-  if (mode == RouteMode::kValiant ||
-      (mode == RouteMode::kUgal && (k & 1) != 0))
-    route_valiant(src, dst, stratum, rng, out);
-  else
-    route(src, dst, stratum, rng, out);
-}
-
-void HammingMesh::route_valiant(int src, int dst, int stratum, Rng& rng,
-                                std::vector<LinkId>& out) const {
-  if (src == dst) return;
-  const int n = num_endpoints();
-  if (n <= 2) return route(src, dst, stratum, rng, out);
-  int mid = src;
-  while (mid == src || mid == dst) mid = static_cast<int>(rng.uniform(n));
-  route(src, mid, stratum, rng, out);
-  route(mid, dst, stratum ^ 1, rng, out);
-}
-
 void HammingMesh::route(int src, int dst, int stratum, Rng& rng,
                         std::vector<LinkId>& out) const {
-  if (src == dst) return;
   int gx = gx_of(src), gy = gy_of(src);
   const int dgx = gx_of(dst), dgy = gy_of(dst);
 

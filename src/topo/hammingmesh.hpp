@@ -45,7 +45,7 @@ struct HxMeshParams {
   int planes = 4;
 };
 
-class HammingMesh : public Topology {
+class HammingMesh : public RoutedTopology<HammingMesh> {
  public:
   explicit HammingMesh(HxMeshParams params);
 
@@ -60,13 +60,6 @@ class HammingMesh : public Topology {
   int planes() const override { return params_.planes; }
   int ports_per_endpoint() const override { return 4; }
   int diameter_formula() const override;
-
-  void sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
-                   RouteMode mode = RouteMode::kMinimal) const override;
-  void sample_path_stratified(int src, int dst, int k, int num_strata,
-                              Rng& rng, std::vector<LinkId>& out,
-                              RouteMode mode = RouteMode::kMinimal)
-      const override;
 
   // -- coordinates ---------------------------------------------------------
   const HxMeshParams& params() const { return params_; }
@@ -95,6 +88,7 @@ class HammingMesh : public Topology {
   }
 
  private:
+  friend class Topology;  // the sampler calls route()
   class Oracle;  // closed-form routing oracle (defined in hammingmesh.cpp)
 
   // The rails of one dimension (dim 0 = x, W/E ports; dim 1 = y, S/N),
@@ -142,15 +136,10 @@ class HammingMesh : public Topology {
   void emit_rail(int dim, int line, int from_board, int to_board,
                  int from_side, int to_side, int stratum,
                  std::vector<LinkId>& out) const;
-  // Appends a minimal path (dimension order from the stratum's low bit).
+  // Appends a minimal path: dimension order from the stratum's low bit,
+  // rail spines and parallel cables from the rest (see emit_rail).
   void route(int src, int dst, int stratum, Rng& rng,
              std::vector<LinkId>& out) const;
-  // Appends a Valiant detour: two minimal route() legs joined at a random
-  // intermediate endpoint, on strata s and s ^ 1 (the second leg flips the
-  // dimension-order bit so the join does not double back
-  // deterministically; the higher bits, which pick rail spines, are kept).
-  void route_valiant(int src, int dst, int stratum, Rng& rng,
-                     std::vector<LinkId>& out) const;
 
   HxMeshParams params_;
   std::array<RailShape, 2> rails_;

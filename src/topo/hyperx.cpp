@@ -60,30 +60,9 @@ HyperX::HyperX(HyperXParams params) : params_(params) {
   set_routing_oracle(std::make_unique<Oracle>(*this));
 }
 
-void HyperX::sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
-                         RouteMode mode) const {
-  if (faulted() || mode != RouteMode::kMinimal)
-    return Topology::sample_path(src, dst, rng, out, mode);
-  route(src, dst, static_cast<int>(rng.uniform(1 << 20)), rng, out);
-}
-
-void HyperX::sample_path_stratified(int src, int dst, int k, int num_strata,
-                                    Rng& rng, std::vector<LinkId>& out,
-                                    RouteMode mode) const {
-  if (faulted() || mode != RouteMode::kMinimal)
-    return Topology::sample_path_stratified(src, dst, k, num_strata, rng, out,
-                                            mode);
-  (void)num_strata;
-  std::uint32_t h = static_cast<std::uint32_t>(src) * 2654435761u ^
-                    static_cast<std::uint32_t>(dst) * 0x9e3779b9u;
-  route(src, dst, static_cast<int>((h >> 8) & 0xffff) + k, rng, out);
-}
-
 void HyperX::route(int src, int dst, int stratum, Rng& rng,
                    std::vector<LinkId>& out) const {
   (void)rng;
-  out.clear();
-  if (src == dst) return;
   int s1 = src / params_.endpoints_per_switch;
   int s2 = dst / params_.endpoints_per_switch;
   NodeId cur = switches_[s1];

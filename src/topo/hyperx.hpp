@@ -24,7 +24,7 @@ struct HyperXParams {
   int planes = 4;
 };
 
-class HyperX : public Topology {
+class HyperX : public RoutedTopology<HyperX> {
  public:
   explicit HyperX(HyperXParams params);
 
@@ -46,19 +46,14 @@ class HyperX : public Topology {
            (s1 / params_.x != s2 / params_.x);
   }
 
-  void sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
-                   RouteMode mode = RouteMode::kMinimal) const override;
-  void sample_path_stratified(int src, int dst, int k, int num_strata,
-                              Rng& rng, std::vector<LinkId>& out,
-                              RouteMode mode = RouteMode::kMinimal)
-      const override;
-
   const HyperXParams& params() const { return params_; }
   int switch_at(int col, int row) const { return row * params_.x + col; }
 
  private:
+  friend class Topology;  // the sampler calls route()
   class Oracle;  // closed-form routing oracle (defined in hyperx.cpp)
 
+  // Appends a minimal path, dimension order from the stratum's low bit.
   void route(int src, int dst, int stratum, Rng& rng,
              std::vector<LinkId>& out) const;
 

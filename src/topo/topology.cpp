@@ -176,18 +176,19 @@ Topology::DistField Topology::dist_field(NodeId dst_node) const {
   return field;
 }
 
-void Topology::sample_path(int src, int dst, Rng& rng,
-                           std::vector<LinkId>& out, RouteMode mode) const {
-  if (mode == RouteMode::kValiant) return sample_valiant_path(src, dst, rng, out);
-  if (mode == RouteMode::kUgal && rng.uniform(2) != 0)
-    return sample_valiant_path(src, dst, rng, out);
-  // Minimal (also UGAL's minimal half): random minimal walk over the BFS
-  // distance field — at each node pick uniformly among healthy links that
-  // strictly decrease the distance.
-  out.clear();
+void Topology::sample_path_stratified(int src, int dst, int k, int num_strata,
+                                      Rng& rng, std::vector<LinkId>& out,
+                                      RouteMode mode) const {
+  sample_stratified(*this, src, dst, k, num_strata, rng, out, mode);
+}
+
+void Topology::route(int src, int dst, int stratum, Rng& rng,
+                     std::vector<LinkId>& out) const {
+  (void)stratum;
+  // At each node pick uniformly among healthy links that strictly
+  // decrease the distance to the destination.
   NodeId cur = endpoint_node(src);
-  NodeId goal = endpoint_node(dst);
-  if (cur == goal) return;
+  const NodeId goal = endpoint_node(dst);
   DistField field = dist_field(goal);
   const auto& dist = *field;
   assert(dist[cur] >= 0 && "destination unreachable");
@@ -203,37 +204,6 @@ void Topology::sample_path(int src, int dst, Rng& rng,
     out.push_back(pick);
     cur = graph_.link(pick).dst;
   }
-}
-
-void Topology::sample_path_stratified(int src, int dst, int k, int num_strata,
-                                      Rng& rng, std::vector<LinkId>& out,
-                                      RouteMode mode) const {
-  (void)num_strata;
-  if (mode == RouteMode::kValiant)
-    return sample_valiant_path(src, dst, rng, out);
-  if (mode == RouteMode::kUgal) {
-    // Deterministic 50/50 over the strata: odd subflows detour, even ones
-    // stay minimal — the subflow ensemble realizes the mode's mix without
-    // consuming an extra RNG draw per path.
-    if ((k & 1) != 0) return sample_valiant_path(src, dst, rng, out);
-    return sample_path_stratified(src, dst, k, num_strata, rng, out,
-                                  RouteMode::kMinimal);
-  }
-  sample_path(src, dst, rng, out, RouteMode::kMinimal);
-}
-
-void Topology::sample_valiant_path(int src, int dst, Rng& rng,
-                                   std::vector<LinkId>& out) const {
-  out.clear();
-  if (src == dst) return;
-  const int n = num_endpoints();
-  if (n <= 2) return sample_path(src, dst, rng, out, RouteMode::kMinimal);
-  int mid = src;
-  while (mid == src || mid == dst) mid = static_cast<int>(rng.uniform(n));
-  sample_path(src, mid, rng, out, RouteMode::kMinimal);
-  std::vector<LinkId> tail;
-  sample_path(mid, dst, rng, tail, RouteMode::kMinimal);
-  out.insert(out.end(), tail.begin(), tail.end());
 }
 
 int Topology::diameter(int exact_limit) const {

@@ -34,11 +34,13 @@ namespace hxmesh::topo {
 /// \brief Routing mode of a path sample or packet route (per-TrafficSpec,
 /// `route=minimal|valiant|ugal`).
 ///
-/// kMinimal is the default everywhere and is byte-identical to the
-/// pre-mode behavior. kValiant routes via a uniformly random intermediate
-/// endpoint (two minimal legs — Valiant's load balancing). kUgal picks
-/// minimal or Valiant per path: the flow-level stand-in draws 50/50, the
-/// packet simulator compares queue-occupancy x distance products (UGAL-L).
+/// kMinimal is the default everywhere and takes minimal paths only.
+/// kValiant routes via a uniformly random intermediate endpoint (two
+/// minimal legs — Valiant's load balancing). kUgal picks minimal or
+/// Valiant per path: the flow-level stand-in detours odd strata (see
+/// Topology::sample_path_stratified), the packet simulator compares
+/// queue-occupancy x distance products (UGAL-L). Families never see the
+/// mode: the base class owns it.
 enum class RouteMode : std::uint8_t { kMinimal = 0, kValiant = 1, kUgal = 2 };
 
 inline constexpr int kNumRouteModes = 3;
@@ -79,25 +81,20 @@ class Topology {
     return ports_per_endpoint() * kLinkBandwidthBps;
   }
 
-  /// Samples a random path (link id sequence) from the endpoint `src` to
-  /// the endpoint `dst` under `mode`. kMinimal (the default) draws a
-  /// uniformly random minimal path: the base walks the BFS distance field
-  /// (exact minimal, cached per destination, failed links skipped);
-  /// topologies override it with closed-form constructions for speed at
-  /// scale, deferring back to the base when the fabric is degraded or the
-  /// mode is non-minimal (unless they implement it natively, as
-  /// HammingMesh does).
-  virtual void sample_path(int src, int dst, Rng& rng,
-                           std::vector<LinkId>& out,
-                           RouteMode mode = RouteMode::kMinimal) const;
-
-  /// Samples path `k` of `num_strata` for a flow. Topologies override this
-  /// to spread a flow's subflows evenly over the minimal-path diversity
-  /// (e.g. strided spine choice in fat trees), which is how the flow-level
-  /// model approximates per-packet adaptive routing / packet spraying.
-  /// Defaults to an independent sample_path() draw; under kUgal, even
-  /// strata go minimal and odd strata take the Valiant detour, so a flow's
-  /// subflow ensemble is the 50/50 mix the mode prescribes.
+  /// Samples path `k` of `num_strata` for a flow from the endpoint `src`
+  /// to the endpoint `dst` under `mode`: the one path sampler of every
+  /// family, through which the flow-level model spreads a flow over its
+  /// subflows ("strata") to stand in for per-packet adaptive routing.
+  /// kMinimal takes the family's minimal route() on stratum
+  /// stratum(src, dst, k, num_strata). kValiant joins two such routes at
+  /// one uniformly random intermediate endpoint, the legs on strata s and
+  /// s ^ 1 (so a family that picks its dimension order from the stratum's
+  /// low bit does not double back at the join). kUgal's flow-level stand-in
+  /// detours the odd strata and keeps the even ones minimal, so a flow's
+  /// subflows are the mode's 50/50 mix. On a faulted fabric every leg is
+  /// the distance-field walk of Topology::route instead. This base runs
+  /// it on Topology::route; a family inherits it from RoutedTopology,
+  /// which runs the same body on the family's route() and stratum().
   virtual void sample_path_stratified(int src, int dst, int k, int num_strata,
                                       Rng& rng, std::vector<LinkId>& out,
                                       RouteMode mode = RouteMode::kMinimal)
@@ -165,12 +162,29 @@ class Topology {
   const FaultSpec& fault_spec() const { return fault_spec_; }
 
  protected:
-  /// Valiant path: a uniformly random intermediate endpoint (distinct from
-  /// src and dst) joined by two minimal legs sampled through the virtual
-  /// sample_path — families' closed forms serve the legs on healthy
-  /// fabrics. Falls back to one minimal leg when no intermediate exists.
-  void sample_valiant_path(int src, int dst, Rng& rng,
-                           std::vector<LinkId>& out) const;
+  /// Appends a minimal path from `src` to `dst` (never equal) on the
+  /// healthy fabric. `stratum` is the family's choice among minimal paths
+  /// (spine, dimension order, ...); `rng` breaks the ties it leaves. A
+  /// family hides this with its own closed form. This one walks the
+  /// distance field uniformly at random, skipping failed links, and
+  /// ignores the stratum; it is also every family's route on a faulted
+  /// fabric, where closed forms no longer hold.
+  void route(int src, int dst, int stratum, Rng& rng,
+             std::vector<LinkId>& out) const;
+  /// The stratum route() gets for subflow `k` of `num_strata`: a per-pair
+  /// hash plus `k`. The hash decorrelates the subflows of different flows,
+  /// and `k` alternates the low bit within a flow. A family may hide it.
+  int stratum(int src, int dst, int k, int /*num_strata*/) const {
+    const std::uint32_t h = static_cast<std::uint32_t>(src) * 2654435761u ^
+                            static_cast<std::uint32_t>(dst) * 0x9e3779b9u;
+    return static_cast<int>((h >> 8) & 0xffff) + k;
+  }
+  /// sample_path_stratified's one body, over `family`'s route() and
+  /// stratum().
+  template <class Family>
+  void sample_stratified(const Family& family, int src, int dst, int k,
+                         int num_strata, Rng& rng, std::vector<LinkId>& out,
+                         RouteMode mode) const;
   /// Registers a new endpoint node; returns its rank.
   int add_endpoint();
   /// Registers a new switch node.
@@ -201,5 +215,48 @@ class Topology {
   // instead of shifting the whole order vector.
   mutable std::deque<NodeId> dist_cache_order_;
 };
+
+/// The base of every family F: `class F : public RoutedTopology<F>`. F
+/// hides Topology::route with its closed form (and Topology::stratum, if
+/// it picks strata its own way) and befriends Topology, and the sampler
+/// calls both directly. A virtual call per stratum instead made sampling
+/// the short paths of `hx2mesh:256x256` `shift:1` about 20% slower.
+template <class Family>
+class RoutedTopology : public Topology {
+ public:
+  void sample_path_stratified(int src, int dst, int k, int num_strata,
+                              Rng& rng, std::vector<LinkId>& out,
+                              RouteMode mode = RouteMode::kMinimal)
+      const override {
+    sample_stratified(static_cast<const Family&>(*this), src, dst, k,
+                      num_strata, rng, out, mode);
+  }
+};
+
+template <class Family>
+void Topology::sample_stratified(const Family& family, int src, int dst,
+                                 int k, int num_strata, Rng& rng,
+                                 std::vector<LinkId>& out,
+                                 RouteMode mode) const {
+  out.clear();
+  if (src == dst) return;
+  // The closed-form routes describe the healthy fabric only.
+  const bool healthy = !faulted();
+  auto leg = [&](int from, int to, int s) {
+    if (healthy)
+      family.route(from, to, s, rng, out);
+    else
+      Topology::route(from, to, s, rng, out);
+  };
+  const int s = family.stratum(src, dst, k, num_strata);
+  const int n = num_endpoints();
+  const bool detour = mode == RouteMode::kValiant ||
+                      (mode == RouteMode::kUgal && (k & 1) != 0);
+  if (!detour || n <= 2) return leg(src, dst, s);
+  int mid = src;
+  while (mid == src || mid == dst) mid = static_cast<int>(rng.uniform(n));
+  leg(src, mid, s);
+  leg(mid, dst, s ^ 1);
+}
 
 }  // namespace hxmesh::topo

@@ -63,14 +63,9 @@ std::string Torus::name() const {
          " 2D torus";
 }
 
-void Torus::sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
-                        RouteMode mode) const {
-  // The staircase below assumes every ring link exists; degraded fabrics
-  // and detour modes route over the generic BFS machinery instead.
-  if (faulted() || mode != RouteMode::kMinimal)
-    return Topology::sample_path(src, dst, rng, out, mode);
-  out.clear();
-  if (src == dst) return;
+void Torus::route(int src, int dst, int stratum, Rng& rng,
+                  std::vector<LinkId>& out) const {
+  (void)stratum;
   const int X = params_.width, Y = params_.height;
   auto steps_of = [&](int from, int to, int size) {
     int fwd = (to - from + size) % size;

@@ -21,7 +21,7 @@ struct TorusParams {
   int planes = 4;
 };
 
-class Torus : public Topology {
+class Torus : public RoutedTopology<Torus> {
  public:
   explicit Torus(TorusParams params);
 
@@ -31,9 +31,6 @@ class Torus : public Topology {
   int diameter_formula() const override {
     return params_.width / 2 + params_.height / 2;
   }
-
-  void sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
-                   RouteMode mode = RouteMode::kMinimal) const override;
 
   int hop_distance(int src, int dst) const override {
     if (faulted()) return Topology::hop_distance(src, dst);
@@ -55,6 +52,11 @@ class Torus : public Topology {
   int y_of(int rank) const { return rank / params_.width; }
 
  private:
+  friend class Topology;  // the sampler calls route()
+  // Appends a uniformly random minimal staircase; the stratum is unused.
+  void route(int src, int dst, int stratum, Rng& rng,
+             std::vector<LinkId>& out) const;
+
   TorusParams params_;
 };
 

@@ -142,7 +142,7 @@ TEST(HyperXTopo, SampledPathsAreMinimal) {
     int src = static_cast<int>(rng.uniform(hx.num_endpoints()));
     int dst = static_cast<int>(rng.uniform(hx.num_endpoints()));
     if (src == dst) continue;
-    hx.sample_path(src, dst, rng, path);
+    hx.sample_path_stratified(src, dst, trial % 8, 8, rng, path);
     topo::NodeId cur = hx.endpoint_node(src);
     for (auto l : path) {
       ASSERT_EQ(hx.graph().link(l).src, cur);

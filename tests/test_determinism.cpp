@@ -21,6 +21,7 @@
 #include <queue>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -287,18 +288,22 @@ TEST(FlowSolverDeterminism, RandomPermutationsMatchReference) {
 // the solver used to stop at: a capped solve froze every subflow still
 // rising at round 400 and understated their rates.
 TEST(FlowSolverDeterminism, ConvergesPastFormerRoundCap) {
-  // (topology, seed): dragonfly:small needs ~940 rounds, hx2mesh:64x64
-  // ~2,800 (the reference's cost keeps the latter to one seed).
+  // (topology, seed, route): dragonfly:small under UGAL needs ~1,140
+  // rounds (minimal paths alone converge in ~360), hx2mesh:64x64 ~2,800
+  // (the reference's cost keeps the latter to one seed).
   auto dragonfly = test::paper_topology(topo::PaperTopology::kDragonfly,
                                         topo::ClusterSize::kSmall);
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 64, .y = 64});
-  const std::pair<const topo::Topology*, std::uint64_t> instances[] = {
-      {dragonfly.get(), 1}, {dragonfly.get(), 7}, {&hx, 1}};
-  for (const auto& [t, seed] : instances) {
+  const std::tuple<const topo::Topology*, std::uint64_t, topo::RouteMode>
+      instances[] = {{dragonfly.get(), 1, topo::RouteMode::kUgal},
+                     {dragonfly.get(), 7, topo::RouteMode::kUgal},
+                     {&hx, 1, topo::RouteMode::kMinimal}};
+  for (const auto& [t, seed, route] : instances) {
     Rng rng(seed);
     auto flows = flow::random_permutation(t->num_endpoints(), rng);
     flow::FlowSolverConfig config;
     config.seed = seed;
+    config.route = route;
     const int rounds =
         expect_solver_matches_reference(*t, std::move(flows), config);
     EXPECT_GT(rounds, 400) << "instance no longer exercises the old cap";

@@ -90,7 +90,7 @@ TEST(TopologyThreading, DistFieldSafeUnderConcurrentAccess) {
           mismatches.fetch_add(1);
       int src = static_cast<int>(rng.uniform(n));
       if (src != dst) {
-        hx.sample_path(src, dst, rng, path);
+        hx.sample_path_stratified(src, dst, iter % 8, 8, rng, path);
         if (static_cast<int>(path.size()) != hx.hop_distance(src, dst))
           mismatches.fetch_add(1);
       }

@@ -118,7 +118,7 @@ TEST(RoutingOracle, NodeDistancesAndFillsMatchBfsEverywhere) {
 
 // Candidate sets must match the BFS-field filter exactly — same links, in
 // the same (out-link) order. Order is what keeps packet-sim tie-breaking
-// and sample_path RNG consumption bit-identical.
+// and path-sampling RNG consumption bit-identical.
 TEST(RoutingOracle, NextHopCandidatesMatchBfsMembershipAndOrder) {
   for (const auto& [name, t] : oracle_zoo()) {
     const Graph& g = t->graph();
@@ -159,9 +159,9 @@ TEST(RoutingOracle, DistFieldAndHopDistanceAgreeWithBfs) {
   }
 }
 
-// Sampled paths must be connected, minimal (length == oracle distance),
-// and end at the destination — across every family and both sampling
-// entry points.
+// Minimal-mode paths must be connected, minimal (length == oracle
+// distance), and end at the destination — on every family and every
+// stratum: detours belong to route=valiant|ugal only.
 TEST(RoutingOracle, SampledPathsAreMinimalUnderTheOracle) {
   for (const auto& [name, t] : oracle_zoo()) {
     const RoutingOracle& oracle = t->routing_oracle();
@@ -172,26 +172,56 @@ TEST(RoutingOracle, SampledPathsAreMinimalUnderTheOracle) {
       const int src = static_cast<int>(rng.uniform(n));
       const int dst = static_cast<int>(rng.uniform(n));
       if (src == dst) continue;
-      if (trial % 2 == 0)
-        t->sample_path(src, dst, rng, path);
-      else
-        t->sample_path_stratified(src, dst, trial % 8, 8, rng, path);
+      t->sample_path_stratified(src, dst, trial % 8, 8, rng, path);
       NodeId cur = t->endpoint_node(src);
-      int non_minimal_budget =
-          trial % 2 == 1 ? 1 << 20 : 0;  // stratified may detour (Valiant)
       for (LinkId l : path) {
         ASSERT_EQ(t->graph().link(l).src, cur) << name << ": disconnected";
         cur = t->graph().link(l).dst;
       }
       ASSERT_EQ(cur, t->endpoint_node(dst)) << name;
-      const int minimal =
-          oracle.node_dist(t->endpoint_node(src), t->endpoint_node(dst));
-      if (non_minimal_budget == 0)
-        ASSERT_EQ(static_cast<int>(path.size()), minimal)
-            << name << ": sample_path not minimal for " << src << "->"
-            << dst;
-      else
-        ASSERT_GE(static_cast<int>(path.size()), minimal) << name;
+      ASSERT_EQ(static_cast<int>(path.size()),
+                oracle.node_dist(t->endpoint_node(src), t->endpoint_node(dst)))
+          << name << ": sampled path not minimal for " << src << "->" << dst
+          << " (stratum " << trial % 8 << ")";
+    }
+  }
+}
+
+// Valiant and UGAL paths must be connected walks from source to
+// destination that use healthy links only, no shorter than minimal, on
+// every family, healthy and faulted; Valiant must detour at least once.
+TEST(RouteMode, ValiantPathsAreConnectedWalks) {
+  for (const auto& [name, t] : oracle_zoo()) {
+    for (const bool faulted : {false, true}) {
+      SCOPED_TRACE(name + (faulted ? " (faulted)" : ""));
+      if (faulted) t->apply_faults(FaultSpec::parse("faults=links:3:seed=5"));
+      ASSERT_EQ(t->faulted(), faulted);
+      const Graph& g = t->graph();
+      Rng rng(3);
+      std::vector<LinkId> path;
+      const int n = t->num_endpoints();
+      bool saw_detour = false;
+      for (int trial = 0; trial < 32; ++trial) {
+        const int src = static_cast<int>(rng.uniform(n));
+        int dst = src;
+        while (dst == src) dst = static_cast<int>(rng.uniform(n));
+        const int minimal = t->hop_distance(src, dst);
+        for (RouteMode m : {RouteMode::kValiant, RouteMode::kUgal}) {
+          t->sample_path_stratified(src, dst, trial % 8, 8, rng, path, m);
+          NodeId cur = t->endpoint_node(src);
+          for (LinkId l : path) {
+            ASSERT_FALSE(g.link_failed(l)) << "path uses a failed link";
+            ASSERT_EQ(g.link(l).src, cur) << "disconnected path";
+            cur = g.link(l).dst;
+          }
+          ASSERT_EQ(cur, t->endpoint_node(dst));
+          ASSERT_GE(static_cast<int>(path.size()), minimal);
+          if (m == RouteMode::kValiant &&
+              static_cast<int>(path.size()) > minimal)
+            saw_detour = true;
+        }
+      }
+      EXPECT_TRUE(saw_detour);
     }
   }
 }
@@ -308,7 +338,7 @@ TEST(RoutingOracle, DegradedSampledPathsAvoidFailedLinks) {
       const int src = static_cast<int>(rng.uniform(n));
       const int dst = static_cast<int>(rng.uniform(n));
       if (src == dst) continue;
-      t->sample_path(src, dst, rng, path);
+      t->sample_path_stratified(src, dst, trial % 8, 8, rng, path);
       NodeId cur = t->endpoint_node(src);
       for (LinkId l : path) {
         ASSERT_FALSE(g.link_failed(l)) << name << ": path uses failed link";
@@ -318,7 +348,7 @@ TEST(RoutingOracle, DegradedSampledPathsAvoidFailedLinks) {
       ASSERT_EQ(cur, t->endpoint_node(dst)) << name;
       const auto ref = reference_bfs_to(g, t->endpoint_node(dst));
       ASSERT_EQ(static_cast<int>(path.size()), ref[t->endpoint_node(src)])
-          << name << ": degraded sample_path not minimal " << src << "->"
+          << name << ": degraded sampled path not minimal " << src << "->"
           << dst;
     }
   }

@@ -214,11 +214,12 @@ TEST(GraphIndex, AddingAfterFinalizeThrows) {
   EXPECT_EQ(g.out_links(a).size(), 1u);
 }
 
-// Validates that a sampled path is a connected minimal walk src -> dst.
-void expect_valid_minimal_path(const Topology& t, int src, int dst,
+// Validates that sampled path `k` of 8 is a connected minimal walk
+// src -> dst.
+void expect_valid_minimal_path(const Topology& t, int src, int dst, int k,
                                Rng& rng) {
   std::vector<LinkId> path;
-  t.sample_path(src, dst, rng, path);
+  t.sample_path_stratified(src, dst, k, 8, rng, path);
   NodeId cur = t.endpoint_node(src);
   for (LinkId l : path) {
     ASSERT_EQ(t.graph().link(l).src, cur) << "path not connected";
@@ -236,7 +237,7 @@ void check_sampled_paths(const Topology& t, int trials, unsigned seed = 7) {
     int src = static_cast<int>(rng.uniform(t.num_endpoints()));
     int dst = static_cast<int>(rng.uniform(t.num_endpoints()));
     if (src == dst) continue;
-    expect_valid_minimal_path(t, src, dst, rng);
+    expect_valid_minimal_path(t, src, dst, i % 8, rng);
   }
 }
 
@@ -302,27 +303,36 @@ TEST(FatTree, SameLeafPathLengthTwo) {
   FatTree ft({.num_endpoints = 1024, .radix = 64, .taper = 1.0});
   Rng rng(1);
   std::vector<LinkId> path;
-  ft.sample_path(0, 1, rng, path);  // ranks 0 and 1 share leaf 0
+  ft.sample_path_stratified(0, 1, 0, 1, rng, path);  // both on leaf 0
   EXPECT_EQ(path.size(), 2u);
 }
 
-// The single-path sampler, which both Valiant legs use, must reach every
-// core switch of a three-level tree (2-core groups on fattree:4096, 8-core
-// groups on fattree:16384), not only the cores its L2 choice implies.
-TEST(FatTree, SinglePathSamplerCrossesEveryCore) {
+// A permutation's strata must reach every core switch of a three-level
+// tree (2-core groups on fattree:4096, 8-core groups on fattree:16384) at
+// every strata count, also once the L2 stride is 1 (32 and 64 strata),
+// where a core digit tied to the L2 digit would reach one core per L2.
+TEST(FatTree, StrataCrossEveryCore) {
   for (int n : {4096, 16384}) {
-    SCOPED_TRACE(n);
     FatTree ft({.num_endpoints = n});
     ASSERT_EQ(ft.levels(), 3);
-    Rng rng(5);
-    std::set<NodeId> cores;
-    std::vector<LinkId> path;
-    for (const flow::Flow& f : flow::random_permutation(n, rng)) {
-      ft.sample_path(f.src, f.dst, rng, path);
-      // Cross-pod paths climb e -> leaf -> L2 -> core: link 2 ends at it.
-      if (path.size() == 6) cores.insert(ft.graph().link(path[2]).dst);
+    Rng perm_rng(5);
+    const auto flows = flow::random_permutation(n, perm_rng);
+    for (int strata : {8, 16, 32, 64}) {
+      SCOPED_TRACE(std::to_string(n) + " endpoints, " +
+                   std::to_string(strata) + " strata");
+      std::set<NodeId> cores;
+      std::vector<LinkId> path;
+      for (std::size_t f = 0; f < flows.size(); ++f) {
+        Rng rng = Rng::substream(1, f);
+        for (int k = 0; k < strata; ++k) {
+          ft.sample_path_stratified(flows[f].src, flows[f].dst, k, strata,
+                                    rng, path);
+          // Cross-pod paths climb e -> leaf -> L2 -> core: link 2 ends at it.
+          if (path.size() == 6) cores.insert(ft.graph().link(path[2]).dst);
+        }
+      }
+      EXPECT_EQ(static_cast<int>(cores.size()), ft.num_spines());
     }
-    EXPECT_EQ(static_cast<int>(cores.size()), ft.num_spines());
   }
 }
 
@@ -577,13 +587,13 @@ std::vector<flow::Flow> route_perm(int n) {
 // Calls fn(flow, path) for every stratum of every flow.
 template <typename Fn>
 void for_each_path(const Topology& t, const std::vector<flow::Flow>& flows,
-                   RouteMode mode, Fn&& fn) {
+                   RouteMode mode, Fn&& fn, int strata = kRouteStrata) {
   std::vector<LinkId> path;
   for (std::size_t f = 0; f < flows.size(); ++f) {
     Rng rng = Rng::substream(1, f);
-    for (int k = 0; k < kRouteStrata; ++k) {
-      t.sample_path_stratified(flows[f].src, flows[f].dst, k, kRouteStrata,
-                               rng, path, mode);
+    for (int k = 0; k < strata; ++k) {
+      t.sample_path_stratified(flows[f].src, flows[f].dst, k, strata, rng,
+                               path, mode);
       fn(flows[f], path);
     }
   }
@@ -591,13 +601,15 @@ void for_each_path(const Topology& t, const std::vector<flow::Flow>& flows,
 
 std::uint64_t path_digest(const Topology& t,
                           const std::vector<flow::Flow>& flows,
-                          RouteMode mode) {
+                          RouteMode mode, int strata = kRouteStrata) {
   Fnv1a h;
-  for_each_path(t, flows, mode, [&](const flow::Flow&,
-                                    const std::vector<LinkId>& path) {
-    h.update(static_cast<std::uint64_t>(path.size()));
-    for (LinkId l : path) h.update(static_cast<std::uint64_t>(l));
-  });
+  for_each_path(
+      t, flows, mode,
+      [&](const flow::Flow&, const std::vector<LinkId>& path) {
+        h.update(static_cast<std::uint64_t>(path.size()));
+        for (LinkId l : path) h.update(static_cast<std::uint64_t>(l));
+      },
+      strata);
   return h.digest();
 }
 
@@ -667,6 +679,64 @@ TEST(HxMeshRoutes, ValiantStrataCrossEveryRailSwitch) {
   }
   EXPECT_EQ(switches, 768);
   EXPECT_EQ(reached, switches);
+}
+
+// --------------------------------------------------------- FamilyRoutes --
+// Every family samples through one Topology::sample_path_stratified. These
+// digests, in path_digest's format over the seed-42 permutation, were
+// recorded from the per-family samplers it replaced, and pin what it
+// kept: the minimal strata of the torus, HyperX and both fat-tree depths
+// at 8 and 16 strata, Dragonfly's Valiant and UGAL paths, and every
+// mode's distance-field walk on one faulted instance of every family.
+TEST(FamilyRoutes, PathDigestsArePinned) {
+  struct Case {
+    const char* spec;
+    RouteMode mode;
+    int strata;
+    std::uint64_t digest;
+  };
+  constexpr RouteMode kMin = RouteMode::kMinimal, kVal = RouteMode::kValiant,
+                      kUgal = RouteMode::kUgal;
+  const Case cases[] = {
+      {"torus:16x16", kMin, 8, 0x2e9187d7c5a267caull},
+      {"torus:16x16", kMin, 16, 0x0d3377b192521b18ull},
+      {"hyperx:16x16", kMin, 8, 0xa877e845ce0b7ed5ull},
+      {"hyperx:16x16", kMin, 16, 0x47bd554d5de75705ull},
+      {"fattree:256", kMin, 8, 0x0a5a6be86957545dull},
+      {"fattree:256", kMin, 16, 0x848ab164ebaccbfdull},
+      {"fattree:4096", kMin, 8, 0x81939839c21724bdull},
+      {"fattree:4096", kMin, 16, 0x26037f33abb9d561ull},
+      {"dragonfly:small", kVal, 8, 0x3013c87f4f25a525ull},
+      {"dragonfly:small", kUgal, 8, 0x5094ea4bf5652a71ull},
+      {"hx2mesh:4x4:faults=links:0.02:seed=7", kMin, 8, 0x8b1a7ef84ed2c465ull},
+      {"hx2mesh:4x4:faults=links:0.02:seed=7", kVal, 8, 0xd19e179742d7e4ecull},
+      {"hx2mesh:4x4:faults=links:0.02:seed=7", kUgal, 8, 0x21b744734c59a85aull},
+      {"torus:8x8:faults=links:0.02:seed=7", kMin, 8, 0x0ad3dfdfec4a1badull},
+      {"torus:8x8:faults=links:0.02:seed=7", kVal, 8, 0xe4ee38352cbb19f3ull},
+      {"torus:8x8:faults=links:0.02:seed=7", kUgal, 8, 0xbc0c5102fc2ec9beull},
+      {"hyperx:4x4:faults=links:0.02:seed=7", kMin, 8, 0xe8be383d6091d4c5ull},
+      {"hyperx:4x4:faults=links:0.02:seed=7", kVal, 8, 0x5466162f47e04285ull},
+      {"hyperx:4x4:faults=links:0.02:seed=7", kUgal, 8, 0xca28bd374f954ef8ull},
+      {"fattree:256:faults=links:0.02:seed=7", kMin, 8, 0xdb165caba611b56dull},
+      {"fattree:256:faults=links:0.02:seed=7", kVal, 8, 0xc737f67410ca4f2cull},
+      {"fattree:256:faults=links:0.02:seed=7", kUgal, 8, 0x880bffc779eec5d1ull},
+      {"dragonfly:4:2:2:5:faults=links:0.02:seed=7", kMin, 8,
+       0x1d5ffb442e4b90edull},
+      {"dragonfly:4:2:2:5:faults=links:0.02:seed=7", kVal, 8,
+       0xb5c0e8dec26a8e43ull},
+      {"dragonfly:4:2:2:5:faults=links:0.02:seed=7", kUgal, 8,
+       0x11bbe2beedd8c788ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.spec) + " " + route_mode_name(c.mode) + " " +
+                 std::to_string(c.strata));
+    auto t = engine::make_topology(c.spec);
+    ASSERT_EQ(t->faulted(), std::string(c.spec).find("faults=") !=
+                                std::string::npos);
+    EXPECT_EQ(path_digest(*t, route_perm(t->num_endpoints()), c.mode,
+                          c.strata),
+              c.digest);
+  }
 }
 
 // ------------------------------------------------------------- Diameters --
