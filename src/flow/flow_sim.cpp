@@ -1,6 +1,7 @@
 #include "flow/flow_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <functional>
 #include <limits>
@@ -16,6 +17,7 @@ namespace hxmesh::flow {
 namespace {
 Counter g_solves("flow.solves");
 Counter g_strata("flow.strata");
+Counter g_draws("flow.draws");
 Counter g_subflows("flow.subflows");
 Counter g_unconverged("flow.unconverged");
 
@@ -42,29 +44,26 @@ std::pair<std::size_t, std::size_t> block_range(std::size_t n,
 
 // Min-queue of (saturation level, link) events: the initial keys, sorted
 // by the caller and consumed front to back, plus a binary heap for
-// re-keyed links. Pair order breaks level ties by link id, so the pop
-// order is total.
+// re-keyed links.
 class LevelQueue {
  public:
-  using Event = std::pair<double, std::uint32_t>;
-
-  explicit LevelQueue(std::vector<Event> sorted_initial)
+  explicit LevelQueue(std::vector<LevelKey> sorted_initial)
       : initial_(std::move(sorted_initial)) {
     assert(std::is_sorted(initial_.begin(), initial_.end()));
   }
 
   bool empty() const { return next_ == initial_.size() && heap_.empty(); }
-  const Event& top() const {
+  const LevelKey& top() const {
     return from_initial() ? initial_[next_] : heap_.front();
   }
-  Event pop() {
+  LevelKey pop() {
     if (from_initial()) return initial_[next_++];
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Event e = heap_.back();
+    const LevelKey e = heap_.back();
     heap_.pop_back();
     return e;
   }
-  void push(Event e) {
+  void push(LevelKey e) {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
@@ -75,11 +74,45 @@ class LevelQueue {
            (heap_.empty() || initial_[next_] < heap_.front());
   }
 
-  std::vector<Event> initial_;
+  std::vector<LevelKey> initial_;
   std::size_t next_ = 0;
-  std::vector<Event> heap_;
+  std::vector<LevelKey> heap_;
 };
 }  // namespace
+
+void sort_level_keys(std::vector<LevelKey>& keys) {
+  // Six passes of 11 bits each, least significant first; every pass is a
+  // stable counting sort, so the input's link order breaks level ties.
+  // All six histograms come from one read, and a pass whose digit is the
+  // same in every key moves nothing.
+  constexpr int kDigit = 11, kPasses = (64 + kDigit - 1) / kDigit;
+  constexpr std::uint64_t kMask = (1u << kDigit) - 1;
+  const std::size_t n = keys.size();
+  if (n < 2) return;
+  auto digit = [](const LevelKey& e, int pass) {
+    return (std::bit_cast<std::uint64_t>(e.level) >> (kDigit * pass)) & kMask;
+  };
+  std::vector<std::uint32_t> count(kPasses << kDigit, 0);
+  for (const LevelKey& e : keys) {
+    assert(e.level > 0 && "a keyed link has residual above zero");
+    for (int p = 0; p < kPasses; ++p) ++count[(p << kDigit) + digit(e, p)];
+  }
+  std::unique_ptr<LevelKey[]> scratch;
+  LevelKey* from = keys.data();
+  for (int p = 0; p < kPasses; ++p) {
+    std::uint32_t* cursor = count.data() + (p << kDigit);
+    if (cursor[digit(from[0], p)] == n) continue;
+    if (!scratch) scratch = std::make_unique_for_overwrite<LevelKey[]>(n);
+    LevelKey* to = from == keys.data() ? scratch.get() : keys.data();
+    std::uint32_t sum = 0;
+    for (std::size_t d = 0; d <= kMask; ++d)
+      sum += std::exchange(cursor[d], sum);
+    for (std::size_t i = 0; i < n; ++i)
+      to[cursor[digit(from[i], p)]++] = from[i];
+    from = to;
+  }
+  if (from != keys.data()) std::copy(from, from + n, keys.data());
+}
 
 FlowSolverConfig scaled_config(const topo::Topology& topology,
                                FlowSolverConfig config) {
@@ -137,7 +170,10 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
   // Sample subflow paths. Each flow draws from its own counter-seeded RNG
   // substream, so chunks of flows are independent jobs: the fan-out over
   // the pool produces exactly the serial paths for every worker count.
-  // A stratum whose path equals the previous stratum's joins its run.
+  // A stratum whose path equals the previous stratum's joins its run. A
+  // pair with one path draws stratum 0 alone: every stratum would return
+  // that path and join one run of weight paths_per_flow, and the draws
+  // left out come from the flow's own substream, which nothing else reads.
   struct Run {
     int flow;
     std::uint32_t length;  // path links
@@ -146,7 +182,7 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
   struct Chunk {
     std::vector<topo::LinkId> links;  // concatenated run paths
     std::vector<Run> runs;
-    std::size_t strata = 0;
+    std::size_t strata = 0, draws = 0;
   };
   const std::size_t nchunks =
       (flows.size() + kSampleChunk - 1) / kSampleChunk;
@@ -159,14 +195,16 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
     std::vector<topo::LinkId> path;
     const std::size_t lo = c * kSampleChunk;
     const std::size_t hi = std::min(flows.size(), lo + kSampleChunk);
+    const int strata = config_.paths_per_flow;
     for (std::size_t f = lo; f < hi; ++f) {
       if (flows[f].src == flows[f].dst) continue;
       Rng rng = Rng::substream(config_.seed, f);
-      for (int k = 0; k < config_.paths_per_flow; ++k) {
+      const bool once = topology_.one_path(flows[f].src, flows[f].dst, route);
+      chunk.strata += strata;
+      for (int k = 0; k < (once ? 1 : strata); ++k) {
         topology_.sample_path_stratified(flows[f].src, flows[f].dst, k,
-                                         config_.paths_per_flow, rng, path,
-                                         route);
-        ++chunk.strata;
+                                         strata, rng, path, route);
+        ++chunk.draws;
         if (k > 0 && path.size() == chunk.runs.back().length &&
             std::equal(path.begin(), path.end(),
                        chunk.links.end() - path.size())) {
@@ -177,6 +215,7 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
                               static_cast<std::uint32_t>(path.size()), 1});
         chunk.links.insert(chunk.links.end(), path.begin(), path.end());
       }
+      if (once) chunk.runs.back().weight = static_cast<std::uint32_t>(strata);
     }
     chunks[c] = std::move(chunk);
   });
@@ -190,16 +229,18 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
   // purpose: every slot is written by exactly one copy job.
   std::vector<std::size_t> sub_base(nchunks + 1, 0);
   std::vector<std::size_t> link_base(nchunks + 1, 0);
-  std::size_t strata = 0;
+  std::size_t strata = 0, draws = 0;
   for (std::size_t c = 0; c < nchunks; ++c) {
     sub_base[c + 1] = sub_base[c] + chunks[c].runs.size();
     link_base[c + 1] = link_base[c] + chunks[c].links.size();
     strata += chunks[c].strata;
+    draws += chunks[c].draws;
   }
   const std::size_t num_subs = sub_base[nchunks];
   const std::size_t total_links = link_base[nchunks];
   g_solves.add();
   g_strata.add(strata);
+  g_draws.add(draws);
   g_subflows.add(num_subs);
   auto sub_flow = std::make_unique_for_overwrite<int[]>(num_subs);
   auto sub_first =
@@ -361,10 +402,11 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
   for (std::size_t n : frozen) remaining -= n;
 
   // Settle the batch per link and key the links that keep an active
-  // crosser. Each link range sorts its own keys, then the ranges merge
-  // pairwise; the (level, link) order is total, so the queue is the same
-  // for any range count.
-  std::vector<std::vector<LevelQueue::Event>> keys(blocks);
+  // crosser, in link order. Each link range then sorts its own keys once
+  // the block counts are freed, so the sort's scratch copy of the keys
+  // never coexists with them, and the ranges merge pairwise; the (level,
+  // link) order is total, so the queue is the same for any range count.
+  std::vector<std::vector<LevelKey>> keys(blocks);
   run(blocks, [&](std::size_t r) {
     const auto [lo, hi] = block_range(num_links, blocks, r);
     for (std::size_t l = lo; l < hi; ++l) {
@@ -374,16 +416,16 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
       active_count[l] -= n;
       for (; n > 0; --n) residual[l] -= first_level;
       const auto link = static_cast<std::uint32_t>(l);
-      if (active_count[l] > 0) keys[r].emplace_back(key(link), link);
+      if (active_count[l] > 0) keys[r].push_back({key(link), link});
     }
-    std::sort(keys[r].begin(), keys[r].end());
   });
   crossings.reset();
+  run(blocks, [&](std::size_t r) { sort_level_keys(keys[r]); });
   for (std::size_t width = 1; width < blocks; width *= 2) {
     run((blocks + 2 * width - 1) / (2 * width), [&](std::size_t p) {
       const std::size_t a = 2 * width * p, b = a + width;
       if (b >= blocks) return;
-      std::vector<LevelQueue::Event> merged(keys[a].size() + keys[b].size());
+      std::vector<LevelKey> merged(keys[a].size() + keys[b].size());
       std::merge(keys[a].begin(), keys[a].end(), keys[b].begin(),
                  keys[b].end(), merged.begin());
       keys[a] = std::move(merged);
@@ -409,13 +451,13 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
   // links nor the split into passes changes a bit.
   double level = first_level;
   std::vector<std::uint32_t> batch;
-  std::vector<LevelQueue::Event> deferred;
+  std::vector<LevelKey> deferred;
   std::vector<std::uint32_t> settling;
   while (remaining > 0 && !queue.empty()) {
     batch.clear();
     deferred.clear();
     while (!queue.empty() &&
-           (batch.empty() || queue.top().first <= level + eps)) {
+           (batch.empty() || queue.top().level <= level + eps)) {
       const auto [k, l] = queue.pop();
       if (active_count[l] == 0) continue;
       const double current = key(l);
@@ -427,7 +469,7 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
       if (saturated_at(l, level))
         batch.push_back(l);
       else
-        deferred.emplace_back(k, l);
+        deferred.push_back({k, l});
     }
     settling.clear();
     for (std::uint32_t l : batch)
@@ -464,7 +506,7 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
         for (std::uint32_t c = w; c > 0; --c) residual[m] -= level;
       }
     }
-    for (const LevelQueue::Event& e : deferred) queue.push(e);
+    for (const LevelKey& e : deferred) queue.push(e);
   }
   // Every link with an active crosser is queued, so the loop ends only
   // once every subflow froze; the verdict checks that rather than

@@ -15,7 +15,11 @@
 // subtraction (never w * level), and a flow adds its run's rate w times
 // in stratum order. Only consecutive strata merge, so every
 // floating-point operation, and with it every rate bit, is the one the
-// unmerged strata would have made.
+// unmerged strata would have made. A flow whose pair has one path
+// (Topology::one_path: minimal routing on a healthy fabric, and the family
+// says the pair has exactly one minimal path) draws stratum 0 alone and
+// stores the run of weight paths_per_flow that its strata would have
+// collapsed into.
 //
 // The filling is event-driven: links wait in a queue keyed by the fill
 // level at which they saturate, re-keyed lazily as their crossers freeze,
@@ -34,12 +38,15 @@
 // over one thread pool per solve: sampling, the flat path layout, the
 // link->subflows index (a counting sort over contiguous subflow blocks),
 // the first level's batch (a collective ring freezes everything there)
-// and the sort of the initial queue keys. Each of these phases computes
-// the same bits for any block count, so the rates are bit-identical for
-// every worker count, including one. The event loop after them is serial,
-// with a deterministic event order: its batches are a few dozen links.
+// and the sort of the initial queue keys (sort_level_keys, a stable radix
+// sort per link range, then a pairwise merge). Each of these phases
+// computes the same bits for any block count, so the rates are
+// bit-identical for every worker count, including one. The event loop
+// after them is serial, with a deterministic event order: its batches are
+// a few dozen links.
 //
-// Each solve adds to the `flow.solves`, `flow.strata` (sampled) and
+// Each solve adds to the `flow.solves`, `flow.strata` (the strata its
+// flows stand for), `flow.draws` (the strata actually sampled) and
 // `flow.subflows` (stored runs) counters, and a solve that did not
 // converge to `flow.unconverged`.
 //
@@ -84,6 +91,25 @@ struct FlowSolverConfig {
 /// An explicit path count is kept.
 FlowSolverConfig scaled_config(const topo::Topology& topology,
                                FlowSolverConfig config);
+
+/// One queued link of the solver: the fill level at which it saturates.
+/// Keys order by (level, link), so the pop order is total. The operators
+/// are written out: with a defaulted <=> (a partial ordering, over a
+/// double) the solver's event loop ran about 15% slower.
+struct LevelKey {
+  double level;
+  std::uint32_t link;
+  friend bool operator<(const LevelKey& a, const LevelKey& b) {
+    return a.level < b.level || (a.level == b.level && a.link < b.link);
+  }
+  friend bool operator>(const LevelKey& a, const LevelKey& b) { return b < a; }
+};
+
+/// Sorts `keys` into (level, link) order. The solver builds its initial
+/// keys in non-decreasing link order with positive levels (asserted), so a
+/// stable LSD radix sort on the level's bit pattern (positive doubles
+/// order like their bits) gives exactly that order.
+void sort_level_keys(std::vector<LevelKey>& keys);
 
 class FlowSolver {
  public:

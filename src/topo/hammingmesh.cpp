@@ -453,4 +453,29 @@ void HammingMesh::route(int src, int dst, int stratum, Rng& rng,
   apply_dim(x_first ? 1 : 0, x_first ? dgy : dgx);
 }
 
+bool HammingMesh::one_minimal_path(int src, int dst) const {
+  // Both coordinates differing leaves two dimension orders.
+  const bool moves_x = gx_of(src) != gx_of(dst);
+  if (moves_x == (gy_of(src) != gy_of(dst))) return false;
+  const int dim = moves_x ? 0 : 1;
+  const int c = moves_x ? gx_of(src) : gy_of(src);
+  const int target = moves_x ? gx_of(dst) : gy_of(dst);
+  const std::vector<std::int32_t>& boards = moves_x ? bx_of_gx_ : by_of_gy_;
+  const std::vector<std::int32_t>& offs = moves_x ? ox_of_gx_ : oy_of_gy_;
+  const RailShape& r = rails_[dim];
+  const int n = r.n, bi = boards[c], bj = boards[target];
+  const int i = offs[c], j = offs[target];
+  if (bi == bj) {  // route()'s options on one board: exactly one is best
+    const int rail = rail_hops(dim, bi, bj);
+    const int direct = std::abs(i - j), wrap1 = i + rail + (n - 1 - j),
+              wrap2 = (n - 1 - i) + rail + j;
+    const int best = std::min({direct, wrap1, wrap2});
+    return (direct == best) + (wrap1 == best) + (wrap2 == best) == 1;
+  }
+  // Across boards: one leaf joins them, and neither edge pick is a tie (on
+  // a 1-wide board it always is: its two side cables are parallel).
+  return r.leaf_of_board[bi] == r.leaf_of_board[bj] && 2 * i != n - 1 &&
+         2 * j != n - 1;
+}
+
 }  // namespace hxmesh::topo

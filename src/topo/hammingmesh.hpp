@@ -140,6 +140,13 @@ class HammingMesh : public RoutedTopology<HammingMesh> {
   // rail spines and parallel cables from the rest (see emit_rail).
   void route(int src, int dst, int stratum, Rng& rng,
              std::vector<LinkId>& out) const;
+  // One coordinate differs, and route() has no choice to make: on one
+  // board one of the direct mesh line and the two wraps is strictly
+  // shortest; across boards one rail leaf joins them and neither edge pick
+  // is a tie. Every other pair has more than one minimal path, save on a
+  // rail whose leaves reach one spine over one cable each (answered false:
+  // the solver then draws every stratum).
+  bool one_minimal_path(int src, int dst) const override;
 
   HxMeshParams params_;
   std::array<RailShape, 2> rails_;

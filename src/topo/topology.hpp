@@ -100,6 +100,16 @@ class Topology {
                                       RouteMode mode = RouteMode::kMinimal)
       const;
 
+  /// True when sample_path_stratified returns one and the same path for
+  /// src -> dst under `mode` at every stratum and RNG state: the mode is
+  /// minimal, the fabric healthy, and the family says the pair has exactly
+  /// one minimal path (one_minimal_path). The flow solver then draws such
+  /// a flow once instead of once per stratum.
+  bool one_path(int src, int dst, RouteMode mode) const {
+    return mode == RouteMode::kMinimal && src != dst && !faulted() &&
+           one_minimal_path(src, dst);
+  }
+
   /// Network diameter in cables between accelerators, answered through the
   /// routing oracle (closed-form node_dist per endpoint pair; BFS only on
   /// fallback oracles). For machines with more than `exact_limit` endpoints
@@ -171,6 +181,16 @@ class Topology {
   /// fabric, where closed forms no longer hold.
   void route(int src, int dst, int stratum, Rng& rng,
              std::vector<LinkId>& out) const;
+  /// Next to route(): whether `src` -> `dst` (never equal) has exactly one
+  /// minimal path on the healthy fabric, counting parallel cables as
+  /// distinct paths, so that route() returns it at every stratum. A
+  /// family may answer false for a pair that has one (the solver then
+  /// draws every stratum), never true for one that has more. This base
+  /// always answers false. one_path() asks only on a healthy fabric in
+  /// minimal mode.
+  virtual bool one_minimal_path(int /*src*/, int /*dst*/) const {
+    return false;
+  }
   /// The stratum route() gets for subflow `k` of `num_strata`: a per-pair
   /// hash plus `k`. The hash decorrelates the subflows of different flows,
   /// and `k` alternates the low bit within a flow. A family may hide it.

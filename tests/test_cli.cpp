@@ -374,6 +374,11 @@ TEST(Cli, RunReportsFlowSolverCounters) {
   EXPECT_GT(counter(r.err, "flow.subflows"), 0) << r.err;
   EXPECT_LT(counter(r.err, "flow.subflows"), counter(r.err, "flow.strata"))
       << r.err;
+  // A ring pair with one minimal path is drawn once, not per stratum.
+  EXPECT_LE(counter(r.err, "flow.subflows"), counter(r.err, "flow.draws"))
+      << r.err;
+  EXPECT_LT(counter(r.err, "flow.draws"), counter(r.err, "flow.strata"))
+      << r.err;
   EXPECT_EQ(counter(r.err, "flow.unconverged"), 0) << r.err;
 }
 

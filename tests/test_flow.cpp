@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
+#include "core/counters.hpp"
+#include "core/rng.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
 #include "paper_topology.hpp"
@@ -201,6 +205,77 @@ TEST(FlowSolver, HxMeshNeighborRingFullRate) {
   auto flows = ring_flows(ring, true);
   solver.solve(flows);
   for (const Flow& f : flows) EXPECT_GT(f.rate, 0.9 * kLink);
+}
+
+// A pair with one minimal path draws one stratum, which stands for all of
+// them: flow.strata counts every stratum, flow.draws only the sampled
+// ones, and the flow's one run carries weight paths_per_flow.
+TEST(FlowSolver, PairsWithOnePathDrawOnce) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 4, .y = 4});
+  FlowSolverConfig config;
+  config.paths_per_flow = 16;
+  FlowSolver solver(hx, config);
+  std::vector<int> ring;
+  for (int gx = 0; gx < hx.accel_x(); ++gx) ring.push_back(hx.rank_at(gx, 0));
+  auto flows = ring_flows(ring, true);
+  flows.push_back({hx.rank_at(0, 0), hx.rank_at(3, 3)});  // two orders
+  std::uint64_t once = 0;
+  for (const Flow& f : flows)
+    once += hx.one_path(f.src, f.dst, topo::RouteMode::kMinimal);
+  ASSERT_GT(once, 0u);
+  ASSERT_LT(once, flows.size());
+  const counters::Map before = counters::snapshot();
+  EXPECT_TRUE(solver.solve(flows));
+  const counters::Map grew = counters::delta(before, counters::snapshot());
+  EXPECT_EQ(grew.at("flow.strata"), 16 * flows.size());
+  EXPECT_EQ(grew.at("flow.draws"), once + 16 * (flows.size() - once));
+  EXPECT_LE(grew.at("flow.subflows"), grew.at("flow.draws"));
+  // Under Valiant no pair has one path: every stratum is drawn.
+  const counters::Map valiant = counters::snapshot();
+  solver.solve(flows, topo::RouteMode::kValiant);
+  EXPECT_EQ(counters::delta(valiant, counters::snapshot()).at("flow.draws"),
+            16 * flows.size());
+}
+
+// The initial queue order: sort_level_keys (a radix sort on the level's
+// bits, stable in link order) must equal std::sort by (level, link) on
+// keys built in link order, with level ties, duplicate keys, a range of
+// one level and a one-element range. The rate digests cannot see a
+// tie-order change.
+TEST(LevelKeys, RadixSortEqualsSortByLevelThenLink) {
+  std::vector<std::vector<LevelKey>> inputs = {
+      {},
+      {{3.5e9, 7}},
+      {{2.0, 0}, {1.0, 1}},
+      {{1e9, 4}, {1e9, 5}, {1e9, 5}, {1e9, 9}},  // one level, a duplicate
+  };
+  Rng rng(7);
+  for (int distinct : {1, 3, 40, 1 << 20}) {
+    // Levels as the solver makes them: capacity left over crossers, few
+    // distinct values at a time, in ascending (repeated) link order.
+    std::vector<LevelKey> keys;
+    std::uint32_t link = 0;
+    for (int i = 0; i < 5000; ++i) {
+      link += static_cast<std::uint32_t>(rng.uniform(3));  // 0: duplicate
+      const double v = static_cast<double>(rng.uniform(distinct));
+      const double left = kLink - v * (kLink / (distinct + 1));
+      keys.push_back({left / static_cast<double>(1 + rng.uniform(4)), link});
+    }
+    inputs.push_back(keys);
+  }
+  for (const std::vector<LevelKey>& input : inputs) {
+    SCOPED_TRACE(input.size());
+    std::vector<LevelKey> expected = input, got = input;
+    std::sort(expected.begin(), expected.end());
+    sort_level_keys(got);
+    ASSERT_EQ(got.size(), expected.size());
+    const auto same = [](const LevelKey& a, const LevelKey& b) {
+      return a.level == b.level && a.link == b.link;
+    };
+    const auto [at, _] =
+        std::mismatch(got.begin(), got.end(), expected.begin(), same);
+    EXPECT_EQ(at - got.begin(), got.end() - got.begin()) << "first mismatch";
+  }
 }
 
 // --------------------------------------------------------- patterns ------

@@ -3,6 +3,8 @@
 // vs BFS, and minimal-path sampling validity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -736,6 +738,101 @@ TEST(FamilyRoutes, PathDigestsArePinned) {
     EXPECT_EQ(path_digest(*t, route_perm(t->num_endpoints()), c.mode,
                           c.strata),
               c.digest);
+  }
+}
+
+// ------------------------------------------------------- OneMinimalPath --
+// The flow solver draws a flow once when Topology::one_path says every
+// stratum returns the same path. Checked on every pair against an
+// independent count of shortest link sequences (parallel cables count
+// apart): a claimed pair must have exactly one, and strata 0..63 under
+// several seeds must all return it.
+
+// Shortest link sequences from `src` to every node over healthy links,
+// saturated at 2 ("more than one").
+std::vector<int> shortest_path_counts(const Graph& g, NodeId src) {
+  std::vector<int> dist(g.num_nodes(), -1), count(g.num_nodes(), 0);
+  std::vector<NodeId> frontier{src};
+  dist[src] = 0;
+  count[src] = 1;
+  for (std::size_t i = 0; i < frontier.size(); ++i) {
+    const NodeId u = frontier[i];
+    for (LinkId l : g.out_links(u)) {
+      if (g.link_failed(l)) continue;
+      const NodeId v = g.link(l).dst;
+      if (dist[v] < 0) {
+        dist[v] = dist[u] + 1;
+        frontier.push_back(v);
+      }
+      if (dist[v] == dist[u] + 1) count[v] = std::min(2, count[v] + count[u]);
+    }
+  }
+  return count;
+}
+
+TEST(OneMinimalPath, ClaimedPairsHaveOneShortestPathAndOneSample) {
+  struct Case {
+    const char* spec;
+    // The family's answer is exact: it claims every pair that has one
+    // shortest path (HammingMesh's closed form), not only some.
+    bool exact;
+  };
+  const Case cases[] = {
+      // Every family's small instance; the others keep the base's false.
+      {"torus:8x6", false},
+      {"torus:5x7", false},
+      {"hyperx:4x3", false},
+      {"fattree:256", false},
+      {"dragonfly:4:2:2:5", false},
+      // HammingMesh: single-switch and two-level rails, tapered, odd and
+      // asymmetric boards, 1-wide boards (the 1x1 board claims no pair).
+      {"hx2mesh:2x2", true},
+      {"hx2mesh:4x4", true},
+      {"hx2mesh:40x4", true},
+      {"hx2mesh:40x4:taper=0.5", true},
+      {"hx4mesh:4x4", true},
+      {"hxmesh:3x3:3x3", true},
+      {"hxmesh:1x1:4x4", true},
+      {"hxmesh:1x2:4x4", true},
+      // A faulted fabric walks distance fields: never one path.
+      {"hx2mesh:4x4:faults=links:0.02:seed=7", false},
+  };
+  constexpr int kStrata = 64;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.spec);
+    auto t = engine::make_topology(c.spec);
+    const Graph& g = t->graph();
+    const int n = t->num_endpoints();
+    int claimed = 0, single = 0, bad = 0;
+    std::vector<LinkId> first, path;
+    for (int src = 0; src < n; ++src) {
+      const std::vector<int> count =
+          shortest_path_counts(g, t->endpoint_node(src));
+      for (int dst = 0; dst < n; ++dst) {
+        EXPECT_FALSE(t->one_path(src, dst, RouteMode::kValiant));
+        EXPECT_FALSE(t->one_path(src, dst, RouteMode::kUgal));
+        single += src != dst && count[t->endpoint_node(dst)] == 1;
+        if (!t->one_path(src, dst, RouteMode::kMinimal)) continue;
+        ++claimed;
+        if (count[t->endpoint_node(dst)] != 1 && bad++ < 3)
+          ADD_FAILURE() << src << " -> " << dst << ": "
+                        << "claimed one path, the graph has more";
+        Rng rng0 = Rng::substream(0, 0);
+        t->sample_path_stratified(src, dst, 0, kStrata, rng0, first);
+        for (std::uint64_t seed : {1u, 2u, 99u}) {
+          Rng rng = Rng::substream(seed, static_cast<std::uint64_t>(src));
+          for (int k = 0; k < kStrata; ++k) {
+            t->sample_path_stratified(src, dst, k, kStrata, rng, path);
+            if (path != first && bad++ < 3)
+              ADD_FAILURE() << src << " -> " << dst << ": stratum " << k
+                            << " under seed " << seed << " differs";
+          }
+        }
+      }
+    }
+    EXPECT_EQ(bad, 0);
+    if (c.exact) EXPECT_EQ(claimed, single);
+    if (t->faulted()) EXPECT_EQ(claimed, 0);
   }
 }
 
