@@ -1,6 +1,7 @@
 #include "collectives/runtime.hpp"
 
 #include <cassert>
+#include <deque>
 #include <functional>
 #include <memory>
 
@@ -26,26 +27,30 @@ float alltoall_fill(int rank) { return static_cast<float>(rank + 1); }
 // accumulates chunk (i - r - 1); afterwards position i owns chunk (i + 1).
 // Allgather rounds g = 0..p-2: position i sends chunk (i + 1 - g), then
 // copies chunk (i - g).
-class RingOp : public std::enable_shared_from_this<RingOp> {
+//
+// The run_* call that creates an op owns it until mpi.run() returns; its
+// receive handlers hold a raw pointer to it (plus two ints, which keeps
+// them in std::function's inline storage).
+class RingOp {
  public:
   enum class Kind { kReduceScatter, kAllGather, kAllReduce };
 
-  static std::shared_ptr<RingOp> create(
-      MiniMpi& mpi, Kind kind, std::vector<int> ring,
-      std::vector<std::vector<float>>* data, std::size_t lo, std::size_t hi,
-      int tag_base, std::function<void(int pos)> on_rank_done) {
-    auto op = std::shared_ptr<RingOp>(new RingOp());
-    op->mpi_ = &mpi;
-    op->kind_ = kind;
-    op->ring_ = std::move(ring);
-    op->data_ = data;
-    op->lo_ = lo;
-    op->hi_ = hi;
-    op->tag_base_ = tag_base;
-    op->on_rank_done_ = std::move(on_rank_done);
-    op->p_ = static_cast<int>(op->ring_.size());
-    return op;
-  }
+  RingOp(MiniMpi& mpi, Kind kind, std::vector<int> ring,
+         std::vector<std::vector<float>>* data, std::size_t lo,
+         std::size_t hi, int tag_base,
+         std::function<void(int pos)> on_rank_done = nullptr)
+      : p_(static_cast<int>(ring.size())),
+        mpi_(&mpi),
+        kind_(kind),
+        ring_(std::move(ring)),
+        data_(data),
+        lo_(lo),
+        hi_(hi),
+        tag_base_(tag_base),
+        on_rank_done_(std::move(on_rank_done)),
+        chunks_(ring_.size()) {}
+  RingOp(const RingOp&) = delete;
+  RingOp& operator=(const RingOp&) = delete;
 
   /// Starts participation of ring position `pos` (its data must be ready).
   void activate(int pos) {
@@ -66,11 +71,7 @@ class RingOp : public std::enable_shared_from_this<RingOp> {
     for (int i = 0; i < p_; ++i) activate(i);
   }
 
-  int size() const { return p_; }
-
  private:
-  RingOp() = default;
-
   int p_ = 0;
   MiniMpi* mpi_ = nullptr;
   Kind kind_ = Kind::kAllReduce;
@@ -79,15 +80,28 @@ class RingOp : public std::enable_shared_from_this<RingOp> {
   std::size_t lo_ = 0, hi_ = 0;
   int tag_base_ = 0;
   std::function<void(int)> on_rank_done_;
+  // Per position: the chunk buffers it has sent. One only this pool
+  // still references (MiniMPI drops a payload once its handler ran) is
+  // free for the next send.
+  std::vector<std::vector<std::shared_ptr<std::vector<float>>>> chunks_;
 
   std::size_t chunk_begin(int c) const {
     return lo_ + (hi_ - lo_) * static_cast<std::size_t>(c) / p_;
   }
   std::size_t chunk_end(int c) const { return chunk_begin(c + 1); }
-  MiniMpi::SharedPayload chunk_copy(int rank, int c) const {
-    const auto& v = (*data_)[rank];
-    return std::make_shared<const std::vector<float>>(
-        v.begin() + chunk_begin(c), v.begin() + chunk_end(c));
+  // Copies chunk c of position pos's data into a free pooled buffer.
+  MiniMpi::SharedPayload chunk_copy(int pos, int c) {
+    const auto& v = (*data_)[ring_[pos]];
+    const auto first = v.begin() + static_cast<std::ptrdiff_t>(chunk_begin(c));
+    const auto last = v.begin() + static_cast<std::ptrdiff_t>(chunk_end(c));
+    auto& pool = chunks_[pos];
+    for (const auto& buf : pool)
+      if (buf.use_count() == 1) {
+        buf->assign(first, last);
+        return buf;
+      }
+    pool.push_back(std::make_shared<std::vector<float>>(first, last));
+    return pool.back();
   }
 
   bool do_reduce() const { return kind_ != Kind::kAllGather; }
@@ -98,15 +112,14 @@ class RingOp : public std::enable_shared_from_this<RingOp> {
 
   void send_to_next(int pos, int chunk, int tag) {
     int next = mod(pos + 1, p_);
-    mpi_->send(ring_[pos], ring_[next], tag, chunk_copy(ring_[pos], chunk));
+    mpi_->send(ring_[pos], ring_[next], tag, chunk_copy(pos, chunk));
   }
 
   void post_reduce_recv(int pos, int round) {
     int prev = mod(pos - 1, p_);
-    auto self = shared_from_this();
     mpi_->recv(ring_[pos], ring_[prev], tag_base_ + round,
-               [self, pos, round](const std::vector<float>& payload) {
-                 self->on_reduce_recv(pos, round, payload);
+               [this, pos, round](const std::vector<float>& payload) {
+                 on_reduce_recv(pos, round, payload);
                });
   }
 
@@ -131,10 +144,9 @@ class RingOp : public std::enable_shared_from_this<RingOp> {
 
   void post_gather_recv(int pos, int g) {
     int prev = mod(pos - 1, p_);
-    auto self = shared_from_this();
     mpi_->recv(ring_[pos], ring_[prev], gather_tag(g),
-               [self, pos, g](const std::vector<float>& payload) {
-                 self->on_gather_recv(pos, g, payload);
+               [this, pos, g](const std::vector<float>& payload) {
+                 on_gather_recv(pos, g, payload);
                });
   }
 
@@ -156,9 +168,9 @@ class RingOp : public std::enable_shared_from_this<RingOp> {
 
 picoseconds run_allreduce_ring(sim::MiniMpi& mpi, const std::vector<int>& ring,
                                std::vector<std::vector<float>>& data) {
-  auto op = RingOp::create(mpi, RingOp::Kind::kAllReduce, ring, &data, 0,
-                           data[ring[0]].size(), /*tag_base=*/0, nullptr);
-  op->activate_all();
+  RingOp op(mpi, RingOp::Kind::kAllReduce, ring, &data, 0,
+            data[ring[0]].size(), /*tag_base=*/0);
+  op.activate_all();
   return mpi.run();
 }
 
@@ -167,13 +179,12 @@ picoseconds run_allreduce_bidir(sim::MiniMpi& mpi,
                                 std::vector<std::vector<float>>& data) {
   const std::size_t n = data[ring[0]].size();
   const int p = static_cast<int>(ring.size());
-  std::vector<int> reversed(ring.rbegin(), ring.rend());
-  auto fwd = RingOp::create(mpi, RingOp::Kind::kAllReduce, ring, &data, 0,
-                            n / 2, 0, nullptr);
-  auto bwd = RingOp::create(mpi, RingOp::Kind::kAllReduce, reversed, &data,
-                            n / 2, n, 2 * p + 1, nullptr);
-  fwd->activate_all();
-  bwd->activate_all();
+  RingOp fwd(mpi, RingOp::Kind::kAllReduce, ring, &data, 0, n / 2, 0);
+  RingOp bwd(mpi, RingOp::Kind::kAllReduce,
+             std::vector<int>(ring.rbegin(), ring.rend()), &data, n / 2, n,
+             2 * p + 1);
+  fwd.activate_all();
+  bwd.activate_all();
   return mpi.run();
 }
 
@@ -194,10 +205,11 @@ picoseconds run_allreduce_two_rings(sim::MiniMpi& mpi,
                               {&red_rev, n / 4, n / 2, 2 * p + 1},
                               {&green, n / 2, 3 * n / 4, 4 * p + 2},
                               {&green_rev, 3 * n / 4, n, 6 * p + 3}};
+  std::deque<RingOp> ops;  // stable addresses for the handlers
   for (const Quarter& q : quarters) {
-    auto op = RingOp::create(mpi, RingOp::Kind::kAllReduce, *q.ring, &data,
-                             q.lo, q.hi, q.tag_base, nullptr);
-    op->activate_all();
+    ops.emplace_back(mpi, RingOp::Kind::kAllReduce, *q.ring, &data, q.lo,
+                     q.hi, q.tag_base);
+    ops.back().activate_all();
   }
   return mpi.run();
 }
@@ -216,33 +228,33 @@ picoseconds run_allreduce_torus2d(sim::MiniMpi& mpi,
   };
 
   // Phase 3: row allgather ops (positions activated as columns finish).
-  std::vector<std::shared_ptr<RingOp>> row_ag(rows);
+  std::deque<RingOp> row_ag;
   for (int r = 0; r < rows; ++r)
-    row_ag[r] = RingOp::create(mpi, RingOp::Kind::kAllGather, grid[r], &data,
-                               0, n, base_ag, nullptr);
+    row_ag.emplace_back(mpi, RingOp::Kind::kAllGather, grid[r], &data, 0, n,
+                        base_ag);
 
   // Phase 2: one column allreduce per column c, operating on the chunk that
   // column owns after the row reduce-scatter (chunk (c + 1) mod cols).
-  std::vector<std::shared_ptr<RingOp>> col_ar(cols);
+  std::deque<RingOp> col_ar;
   for (int c = 0; c < cols; ++c) {
     int chunk = mod(c + 1, cols);
     std::vector<int> col_ring(rows);
     for (int r = 0; r < rows; ++r) col_ring[r] = grid[r][c];
-    col_ar[c] = RingOp::create(
-        mpi, RingOp::Kind::kAllReduce, col_ring, &data, chunk_lo(chunk),
-        chunk_lo(chunk + 1), base_col, [&row_ag, c](int row_pos) {
-          row_ag[row_pos]->activate(c);
-        });
+    col_ar.emplace_back(mpi, RingOp::Kind::kAllReduce, std::move(col_ring),
+                        &data, chunk_lo(chunk), chunk_lo(chunk + 1), base_col,
+                        [&row_ag, c](int row_pos) {
+                          row_ag[row_pos].activate(c);
+                        });
   }
 
   // Phase 1: row reduce-scatter; each rank joins its column when done.
-  std::vector<std::shared_ptr<RingOp>> row_rs(rows);
+  std::deque<RingOp> row_rs;
   for (int r = 0; r < rows; ++r) {
-    row_rs[r] = RingOp::create(mpi, RingOp::Kind::kReduceScatter, grid[r],
-                               &data, 0, n, 0, [&col_ar, r](int pos) {
-                                 col_ar[pos]->activate(r);
-                               });
-    row_rs[r]->activate_all();
+    row_rs.emplace_back(mpi, RingOp::Kind::kReduceScatter, grid[r], &data, 0,
+                        n, 0, [&col_ar, r](int pos) {
+                          col_ar[pos].activate(r);
+                        });
+    row_rs.back().activate_all();
   }
   return mpi.run();
 }
@@ -250,9 +262,12 @@ picoseconds run_allreduce_torus2d(sim::MiniMpi& mpi,
 picoseconds run_alltoall(sim::MiniMpi& mpi, const std::vector<int>& ranks,
                          int elems_per_pair, bool* blocks_ok) {
   const int p = static_cast<int>(ranks.size());
-  // Shared with the handlers: a receive that never matched stays posted
-  // in `mpi` after this call returns.
-  auto ok = std::make_shared<bool>(true);
+  // What the receive handlers check and record; owned by this call (a
+  // handler holds its address and the sender's rank).
+  struct Check {
+    std::size_t elems;
+    bool ok = true;
+  } check{static_cast<std::size_t>(elems_per_pair)};
   for (int j = 0; j < p; ++j) {
     // One block per sender, shared by the messages to all its peers.
     const auto block = std::make_shared<const std::vector<float>>(
@@ -261,18 +276,17 @@ picoseconds run_alltoall(sim::MiniMpi& mpi, const std::vector<int>& ranks,
       mpi.send(ranks[j], ranks[(j + r) % p], r, block);
       const int from = ranks[mod(j - r, p)];
       mpi.recv(ranks[j], from, r,
-               [ok, from, elems_per_pair](const std::vector<float>& got) {
+               [c = &check, from](const std::vector<float>& got) {
                  const float want = alltoall_fill(from);
                  // A branch-free count (no early exit) vectorizes.
                  std::size_t wrong = 0;
                  for (float v : got) wrong += v != want;
-                 *ok = *ok && wrong == 0 &&
-                       got.size() == static_cast<std::size_t>(elems_per_pair);
+                 c->ok = c->ok && wrong == 0 && got.size() == c->elems;
                });
     }
   }
   const picoseconds end = mpi.run();
-  if (blocks_ok) *blocks_ok = *ok;
+  if (blocks_ok) *blocks_ok = check.ok;
   return end;
 }
 

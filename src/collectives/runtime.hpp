@@ -11,6 +11,12 @@
 //     allreduce, row allgather                         S*beta*(1+2sqrt(p))/
 //                                                      (4sqrt(p))
 //   - balanced-shift alltoall (p-1 rounds)
+//
+// Each run_* call owns the state its receive handlers point to (ring ops,
+// chunk buffers, the alltoall's check) and runs `mpi` to completion
+// before returning. A run that ends with messages undelivered (a
+// deadlocked network) leaves receives posted that point at that state,
+// so such an `mpi` must not send or run again.
 #pragma once
 
 #include <vector>

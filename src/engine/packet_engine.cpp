@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "collectives/models.hpp"
 #include "collectives/runtime.hpp"
@@ -34,6 +41,55 @@ sim::PacketSimConfig routed_config(sim::PacketSimConfig config,
   config.route_seed = spec.seed;
   return config;
 }
+
+// The allreduce's per-rank float buffers (ranks x message bytes: 256 MiB
+// for 256 ranks at 1 MiB) are the largest allocation a packet cell makes.
+// A sweep runs cells of different topology groups on different threads,
+// so without a bound its peak RSS would be set by how many of these cells
+// happen to overlap, which changes from run to run. The process-wide
+// budget admits a cell's buffers only while the admitted total stays
+// within kRankBufferBudget; a cell waits until others release theirs, and
+// one alone is always admitted, so no cell waits forever. The lease is
+// declared before the buffers, so they are freed before it is released;
+// glibc keeps freed blocks of a thread's arena resident, so the release
+// trims the heap first; otherwise the next admitted cell, on another
+// thread, would add its buffers on top of those still held. Buffers
+// under kRankBufferFloor cannot move the peak and take no lease, so small
+// cells never wait and never stall other threads' allocations in a trim.
+constexpr std::uint64_t kRankBufferBudget = std::uint64_t{512} << 20;
+constexpr std::uint64_t kRankBufferFloor = std::uint64_t{64} << 20;
+
+class RankBufferLease {
+ public:
+  explicit RankBufferLease(std::uint64_t bytes)
+      : bytes_(bytes < kRankBufferFloor ? 0 : bytes) {
+    if (bytes_ == 0) return;
+    std::unique_lock lock(mutex_);
+    admitted_.wait(lock, [&] {
+      return in_use_ == 0 || in_use_ + bytes_ <= kRankBufferBudget;
+    });
+    in_use_ += bytes_;
+  }
+  ~RankBufferLease() {
+    if (bytes_ == 0) return;
+#ifdef __GLIBC__
+    malloc_trim(0);
+#endif
+    {
+      std::lock_guard lock(mutex_);
+      in_use_ -= bytes_;
+    }
+    admitted_.notify_all();
+  }
+  RankBufferLease(const RankBufferLease&) = delete;
+  RankBufferLease& operator=(const RankBufferLease&) = delete;
+
+ private:
+  std::uint64_t bytes_;
+  static inline std::mutex mutex_;
+  static inline std::condition_variable admitted_;
+  static inline std::uint64_t in_use_ = 0;
+};
 
 }  // namespace
 
@@ -117,6 +173,8 @@ RunResult PacketEngine::run_allreduce(const flow::TrafficSpec& spec) {
 
   // Every rank contributes a constant vector; the reduced value must equal
   // the sum of the constants — numerical proof, not just timing.
+  const RankBufferLease lease(static_cast<std::uint64_t>(n) * elems *
+                              sizeof(float));
   std::vector<std::vector<float>> data(n);
   float expected = 0.0f;
   for (int r = 0; r < n; ++r) {

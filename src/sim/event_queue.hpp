@@ -112,7 +112,14 @@ class EventQueue {
         }
         const Event e = b[head_++];
         if (head_ == b.size()) {
-          b.clear();
+          // A drained bucket that held a burst gives its storage back:
+          // synchronized collectives send a burst through every bucket
+          // in turn, and letting each keep its peak capacity held tens
+          // of MiB per run for a few thousand pending events.
+          if (b.capacity() > kKeepEvents)
+            std::vector<Event>().swap(b);
+          else
+            b.clear();
           head_ = 0;
         }
         --occupancy_[cur_];
@@ -141,6 +148,7 @@ class EventQueue {
 
  private:
   static constexpr std::size_t kMinBuckets = 16;
+  static constexpr std::size_t kKeepEvents = 64;  // per drained bucket
 
   static int log2_ceil(std::uint64_t v) {
     int l = 0;

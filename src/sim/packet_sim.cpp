@@ -20,6 +20,8 @@ constexpr std::uint64_t kViaStream = 0x71a0'57ed;
 // Packet work, bumped once per run() rather than per event.
 Counter g_events("sim.events");
 Counter g_packet_hops("sim.packet_hops");
+Counter g_head_checks("sim.head_checks");
+Counter g_ugal_detours("sim.ugal_detours");
 }  // namespace
 
 PacketSim::PacketSim(const topo::Topology& topology, PacketSimConfig config)
@@ -56,7 +58,10 @@ PacketSim::PacketSim(const topo::Topology& topology, PacketSimConfig config)
         ready_offset_[n] + static_cast<std::uint32_t>((slots + 63) / 64);
   }
   ready_.assign(ready_offset_.back(), 0);
-  inject_queue_.resize(topology_.num_endpoints());
+  asleep_.assign(ready_offset_.back(), 0);
+  credit_wait_.assign(ready_offset_.back(), 0);
+  node_wake_.assign(g.num_nodes(), kNever);
+  injectors_.resize(topology_.num_endpoints());
 }
 
 std::unique_ptr<PacketSim::RouteTable> PacketSim::build_route_table(
@@ -165,9 +170,17 @@ void PacketSim::send_message(int src, int dst, std::uint64_t bytes,
   m.bytes = bytes == 0 ? 1 : bytes;  // zero-byte messages still carry a header
   m.packets_total = (m.bytes + config_.packet_bytes - 1) / config_.packet_bytes;
   m.on_delivered = std::move(on_delivered);
-  messages_.push_back(std::move(m));
+  std::uint32_t id;
+  if (!free_messages_.empty()) {
+    id = free_messages_.back();
+    free_messages_.pop_back();
+    messages_[id] = std::move(m);
+  } else {
+    id = static_cast<std::uint32_t>(messages_.size());
+    messages_.push_back(std::move(m));
+  }
   ++unfinished_;
-  inject_queue_[src].push_back(static_cast<std::uint32_t>(messages_.size() - 1));
+  injectors_[src].queue.push_back(id);
   try_inject(src);
 }
 
@@ -184,25 +197,62 @@ void PacketSim::schedule_in(picoseconds delay, std::function<void()> fn) {
   events_.schedule_in(delay, EventKind::kUserCallback, slot);
 }
 
+PacketSim::Hop PacketSim::pick_hop(NodeId node, NodeId target,
+                                   std::uint32_t bytes, int vc, int phase) {
+  // Among minimal next hops that are free and have credit, the one with
+  // the most downstream buffer space; the first such in candidate order
+  // on ties.
+  const RouteTable& rt = route_to(target);
+  const picoseconds now = events_.now();
+  Hop hop;
+  std::uint64_t best_credit = 0;
+  for (std::uint32_t i = rt.offset[node]; i < rt.offset[node + 1]; ++i) {
+    const LinkId l = rt.links[i];
+    if (link_busy_until_[l] > now) {
+      hop.wake_at = std::min(hop.wake_at, link_busy_until_[l]);
+      continue;
+    }
+    const int v = vc_after(vc, phase, l);
+    const std::uint64_t credit = credits(l, v);
+    if (credit < bytes) {
+      hop.credit_wait = true;
+      continue;
+    }
+    if (credit > best_credit) {
+      hop.link = l;
+      hop.vc = v;
+      best_credit = credit;
+    }
+  }
+  return hop;
+}
+
 void PacketSim::try_inject(int src) {
-  NodeId node = topology_.endpoint_node(src);
-  auto& queue = inject_queue_[src];
+  const NodeId node = topology_.endpoint_node(src);
+  Injector& inj = injectors_[src];
+  if (inj.asleep) {
+    if (events_.now() < inj.wake_at) {
+#ifndef NDEBUG
+      const Message& m = messages_[inj.queue.front()];
+      assert(pick_hop(node, topology_.endpoint_node(m.dst),
+                      next_packet_bytes(m), 0, 0)
+                     .link == topo::kInvalidLink &&
+             "try_inject: a sleeping injection could move");
+#endif
+      return;
+    }
+    inj.asleep = false;
+  }
+  auto& queue = inj.queue;
   while (!queue.empty()) {
     const std::uint32_t mid = queue.front();
     Message& m = messages_[mid];
-    assert(m.packets_injected <= m.packets_total &&
-           "try_inject: injected more packets than the message has");
-    if (m.packets_injected == m.packets_total) {
-      queue.pop_front();
-      continue;
-    }
-    // Per-message state, hoisted once the head message is known to still
-    // need packets: destination, candidate hops, and this packet's size.
+    assert(m.packets_injected < m.packets_total &&
+           "try_inject: a fully injected message is still queued");
+    // Per-message state, hoisted once the head message is known: its
+    // destination and this packet's size.
     const NodeId dst_node = topology_.endpoint_node(m.dst);
-    const std::uint64_t remaining =
-        m.bytes - m.packets_injected * config_.packet_bytes;
-    const std::uint32_t pkt_bytes = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(config_.packet_bytes, remaining));
+    const std::uint32_t pkt_bytes = next_packet_bytes(m);
     // Non-minimal modes pick this packet's intermediate endpoint here; a
     // blocked injection retries with a fresh draw, which is deterministic
     // (single-threaded sim, one RNG) and keeps the port choice adaptive.
@@ -214,25 +264,20 @@ void PacketSim::try_inject(int src) {
                 ? v
                 : ugal_choice(node, dst_node, v, pkt_bytes);
     }
-    const RouteTable& rt =
-        route_to(via != topo::kInvalidNode ? via : dst_node);
-    // Adaptive injection: among minimal next hops that are free and have
-    // credit, pick the one with the most downstream buffer space.
-    LinkId best = topo::kInvalidLink;
-    int best_vc = 0;
-    std::uint64_t best_credit = 0;
-    for (std::uint32_t i = rt.offset[node]; i < rt.offset[node + 1]; ++i) {
-      LinkId l = rt.links[i];
-      if (link_busy_until_[l] > events_.now()) continue;
-      int vc = vc_bump_[l] ? std::min<int>(1, config_.num_vcs - 1) : 0;
-      if (credits(l, vc) < pkt_bytes) continue;
-      if (credits(l, vc) > best_credit) {
-        best = l;
-        best_vc = vc;
-        best_credit = credits(l, vc);
+    // Adaptive injection: the packet enters in VC 0 of leg 1.
+    const Hop hop = pick_hop(
+        node, via != topo::kInvalidNode ? via : dst_node, pkt_bytes, 0, 0);
+    if (hop.link == topo::kInvalidLink) {
+      // Retried on link-free / credit return. A minimal retry repeats
+      // this exact scan, so the injection sleeps until it can succeed; a
+      // non-minimal retry draws again and must run.
+      if (config_.route_mode == topo::RouteMode::kMinimal) {
+        inj.asleep = true;
+        inj.wake_at = hop.wake_at;
+        inj.credit_wait = hop.credit_wait;
       }
+      return;
     }
-    if (best == topo::kInvalidLink) return;  // retried on link-free / credit
 
     std::uint32_t pid;
     if (!free_packets_.empty()) {
@@ -247,12 +292,17 @@ void PacketSim::try_inject(int src) {
     p.bytes = pkt_bytes;
     p.dst_node = dst_node;
     p.via_node = via;
-    p.vc = static_cast<std::uint8_t>(best_vc);
+    p.vc = static_cast<std::uint8_t>(hop.vc);
     p.phase = 0;
     p.hops = 0;
     p.injected_at = events_.now();
-    ++m.packets_injected;
-    start_transmission(pid, best);
+    if (via != topo::kInvalidNode &&
+        config_.route_mode == topo::RouteMode::kUgal)
+      ++stats_.ugal_detours;
+    // The last packet takes the message off the queue, so a delivered
+    // message's slot is never still queued when it is recycled.
+    if (++m.packets_injected == m.packets_total) queue.pop_front();
+    start_transmission(pid, hop.link);
   }
 }
 
@@ -283,9 +333,18 @@ void PacketSim::on_link_free(NodeId src_node) {
 void PacketSim::on_credit_return(LinkId link, int vc, std::uint32_t bytes) {
   credits(link, vc) += bytes;
   NodeId n = topology_.graph().link(link).src;
+  // Wake the heads waiting for credit at n; most nodes have none.
+  for (std::uint32_t w = ready_offset_[n]; w < ready_offset_[n + 1]; ++w) {
+    asleep_[w] &= ~credit_wait_[w];
+    credit_wait_[w] = 0;
+  }
   try_forward(n);
   int rank = topology_.rank_of(n);
-  if (rank >= 0) try_inject(rank);
+  if (rank >= 0) {
+    Injector& inj = injectors_[rank];
+    if (inj.credit_wait) inj.asleep = false;
+    try_inject(rank);
+  }
 }
 
 void PacketSim::on_packet_arrive(std::uint32_t packet_id, LinkId link) {
@@ -302,7 +361,8 @@ void PacketSim::on_packet_arrive(std::uint32_t packet_id, LinkId link) {
   // delivered once its detour obligation is cleared.
   if (lnk.dst == pkt.dst_node && pkt.via_node == topo::kInvalidNode) {
     // Delivered: the endpoint consumes instantly; return the credit.
-    Message& m = messages_[pkt.message];
+    const std::uint32_t mid = pkt.message;
+    Message& m = messages_[mid];
     m.bytes_delivered += pkt.bytes;
     ++stats_.packets_delivered;
     stats_.packet_hops += pkt.hops;
@@ -313,13 +373,11 @@ void PacketSim::on_packet_arrive(std::uint32_t packet_id, LinkId link) {
     if (m.bytes_delivered >= m.bytes) {
       ++stats_.messages_delivered;
       --unfinished_;
-      if (m.on_delivered) {
-        // Move the callback out first: it may send_message(), and the
-        // resulting messages_ reallocation would free the closure's
-        // storage mid-call if it still lived inside the vector.
-        std::function<void()> done = std::move(m.on_delivered);
-        done();
-      }
+      // Move the callback out and free the slot first: the callback may
+      // send_message(), which may reuse the slot or reallocate messages_.
+      std::function<void()> done = std::move(m.on_delivered);
+      free_messages_.push_back(mid);
+      if (done) done();
     }
     return;
   }
@@ -342,51 +400,85 @@ void PacketSim::try_forward(NodeId node) {
   if (ins.empty()) return;
   const std::uint32_t slots =
       static_cast<std::uint32_t>(ins.size()) * total_vcs_;
+  const std::uint32_t words = (slots + 63) / 64;
   std::uint64_t* ready = ready_.data() + ready_offset_[node];
+  std::uint64_t* asleep = asleep_.data() + ready_offset_[node];
+  std::uint64_t* credit_wait = credit_wait_.data() + ready_offset_[node];
+  auto buffer = [&](std::uint32_t slot) -> InputBuffer& {
+    return input_[static_cast<std::size_t>(ins[slot / total_vcs_]) *
+                      total_vcs_ +
+                  slot % total_vcs_];
+  };
+  auto target = [](const Packet& p) {
+    return p.via_node != topo::kInvalidNode ? p.via_node : p.dst_node;
+  };
+  const picoseconds now = events_.now();
+  if (now >= node_wake_[node]) {
+    // Wake the heads whose wake time has come; the rest set the next one.
+    picoseconds next = kNever;
+    for (std::uint32_t w = 0; w < words; ++w)
+      for (std::uint64_t bits = asleep[w]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t slot =
+            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+        const picoseconds at = buffer(slot).wake_at;
+        if (at <= now) {
+          asleep[w] &= ~(std::uint64_t{1} << slot % 64);
+          credit_wait[w] &= ~(std::uint64_t{1} << slot % 64);
+        } else {
+          next = std::min(next, at);
+        }
+      }
+    node_wake_[node] = next;
+  }
+#ifndef NDEBUG
+  // Serving a head only makes links busier and credit scarcer, so a head
+  // blocked now stays blocked for the whole pass that skips it.
+  for (std::uint32_t w = 0; w < words; ++w)
+    for (std::uint64_t bits = asleep[w]; bits != 0; bits &= bits - 1) {
+      const Packet& p = packets_[buffer(w * 64 + static_cast<std::uint32_t>(
+                                                     std::countr_zero(bits)))
+                                     .queue.front()];
+      assert(pick_hop(node, target(p), p.bytes, p.vc, p.phase).link ==
+                 topo::kInvalidLink &&
+             "try_forward: a sleeping head could move");
+    }
+#endif
 
   // Serves the head of (in-link, VC) slot `slot` if some minimal next hop
-  // is free and has credit for it.
+  // is free and has credit for it, and puts it to sleep otherwise.
   auto serve = [&](std::uint32_t slot) {
-    LinkId in_link = ins[slot / total_vcs_];
-    int in_vc = static_cast<int>(slot % total_vcs_);
-    auto& buf =
-        input_[static_cast<std::size_t>(in_link) * total_vcs_ + in_vc];
-    std::uint32_t pid = buf.queue.front();
+    ++stats_.head_checks;
+    InputBuffer& buf = buffer(slot);
+    const std::uint32_t pid = buf.queue.front();
     Packet& p = packets_[pid];
-    const RouteTable& rt = route_to(
-        p.via_node != topo::kInvalidNode ? p.via_node : p.dst_node);
-    LinkId best = topo::kInvalidLink;
-    int best_vc = 0;
-    std::uint64_t best_credit = 0;
-    for (std::uint32_t i = rt.offset[node]; i < rt.offset[node + 1]; ++i) {
-      LinkId l = rt.links[i];
-      if (link_busy_until_[l] > events_.now()) continue;
-      int vc = vc_after(p, l);
-      if (credits(l, vc) < p.bytes) continue;
-      if (credits(l, vc) > best_credit) {
-        best = l;
-        best_vc = vc;
-        best_credit = credits(l, vc);
-      }
+    const Hop hop = pick_hop(node, target(p), p.bytes, p.vc, p.phase);
+    const std::uint64_t bit = std::uint64_t{1} << slot % 64;
+    if (hop.link == topo::kInvalidLink) {
+      asleep[slot / 64] |= bit;
+      if (hop.credit_wait) credit_wait[slot / 64] |= bit;
+      buf.wake_at = hop.wake_at;
+      node_wake_[node] = std::min(node_wake_[node], hop.wake_at);
+      return;
     }
-    if (best == topo::kInvalidLink) return;  // head blocked on this buffer
 
     buf.queue.pop_front();
-    if (buf.queue.empty()) ready[slot / 64] &= ~(std::uint64_t{1} << slot % 64);
+    if (buf.queue.empty()) ready[slot / 64] &= ~bit;
     rr_[node] = slot + 1;  // fairness: resume after the serviced buffer
     // Return the input-buffer credit to the upstream sender.
+    const LinkId in_link = ins[slot / total_vcs_];
     const topo::Link& in = topology_.graph().link(in_link);
     events_.schedule_in(in.latency_ps, EventKind::kCreditReturn, in_link,
-                        static_cast<std::uint32_t>(in_vc), p.bytes);
-    p.vc = static_cast<std::uint8_t>(best_vc);
-    start_transmission(pid, best);
+                        slot % total_vcs_, p.bytes);
+    p.vc = static_cast<std::uint8_t>(hop.vc);
+    start_transmission(pid, hop.link);
   };
-  // Visits the non-empty slots of [lo, hi) in ascending order. Only
-  // served slots can drain, and each is visited once, so iterating over
-  // a copy of each mask word sees exactly the slots a full sweep would.
+  // Visits the awake non-empty slots of [lo, hi) in ascending order. Only
+  // the visited slot changes state, and each is visited once, so
+  // iterating over a copy of each mask word sees exactly the slots a full
+  // sweep would examine; a sleeping slot would fail without side effects.
   auto serve_range = [&](std::uint32_t lo, std::uint32_t hi) {
     for (std::uint32_t w = lo / 64; w * 64 < hi; ++w) {
-      std::uint64_t bits = ready[w];
+      std::uint64_t bits = ready[w] & ~asleep[w];
       if (w == lo / 64) bits &= ~std::uint64_t{0} << (lo % 64);
       if (hi - w * 64 < 64) bits &= (std::uint64_t{1} << (hi - w * 64)) - 1;
       for (; bits != 0; bits &= bits - 1)
@@ -402,6 +494,8 @@ void PacketSim::try_forward(NodeId node) {
 picoseconds PacketSim::run() {
   const std::uint64_t events_before = events_.events_processed();
   const std::uint64_t hops_before = stats_.packet_hops;
+  const std::uint64_t checks_before = stats_.head_checks;
+  const std::uint64_t detours_before = stats_.ugal_detours;
   while (!events_.empty()) {
     const Event e = events_.pop();
     switch (e.kind) {
@@ -422,6 +516,8 @@ picoseconds PacketSim::run() {
   }
   g_events.add(events_.events_processed() - events_before);
   g_packet_hops.add(stats_.packet_hops - hops_before);
+  g_head_checks.add(stats_.head_checks - checks_before);
+  g_ugal_detours.add(stats_.ugal_detours - detours_before);
   return events_.now();
 }
 

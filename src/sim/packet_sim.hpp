@@ -16,15 +16,31 @@
 // per-destination next-hop candidate tables instead of filtering all
 // out-links through a distance field, the per-link VC escalation rule
 // is a flat bool array, and arbitration visits only the input buffers a
-// per-node occupancy bitmask marks non-empty. All of it is observationally
+// per-node occupancy bitmask marks non-empty.
+//
+// Only heads that can move are examined. A head whose every candidate
+// link is busy or lacks credit goes to sleep: it records the earliest
+// time one of its busy candidates frees and whether a free candidate
+// lacked credit. Its node wakes it once `now` reaches that time (the
+// link's own free event calls back at exactly that time, so no later
+// examination is ever missed) or when credit returns over one of the
+// node's out-links, and arbitration skips it until then. Nothing else
+// can unblock a head: a busy link's free time only moves once it is free,
+// and credit only rises on a credit return. In minimal mode a blocked
+// injection sleeps the same way; Valiant and UGAL retry every attempt,
+// because each attempt draws an intermediate from the routing RNG. Debug
+// builds re-scan every skipped head and injection and assert it blocked.
+// Message slots are recycled, so a long run's message table stays as
+// large as its peak of messages in flight. All of it is observationally
 // identical to the straightforward implementation — same event order,
 // same tie-breaks, same delivered-byte sequence — only faster.
 //
 // Messages are sequences of packets; the caller gets a callback when the
 // last byte of a message arrives. Payload bytes are not simulated — timing
-// is bandwidth/latency-accurate, and the completion callback owns whatever
-// the message carries (MiniMpi captures a shared, immutable payload in it,
-// so one buffer can ride many messages).
+// is bandwidth/latency-accurate, and the completion callback reaches
+// whatever the message carries (MiniMpi's captures the index of the
+// envelope that holds the payload, so it fits std::function's inline
+// storage).
 #pragma once
 
 #include <cstdint>
@@ -58,6 +74,11 @@ struct PacketSimStats {
   std::uint64_t packets_delivered = 0;
   std::uint64_t packet_hops = 0;
   std::uint64_t messages_delivered = 0;
+  // Arbitration head examinations (served or found blocked); sleeping
+  // heads are not examined.
+  std::uint64_t head_checks = 0;
+  // Packets UGAL-L injected toward an intermediate endpoint.
+  std::uint64_t ugal_detours = 0;
   double sum_packet_latency_s = 0.0;
 
   double avg_packet_latency_s() const {
@@ -109,6 +130,9 @@ class PacketSim {
   const std::vector<std::uint64_t>& link_bytes() const { return link_bytes_; }
 
  private:
+  // Messages live in recycled slots: a slot is freed when its message is
+  // delivered, and it has left its injection queue by then (the queue
+  // entry is popped as the last packet leaves).
   struct Message {
     int src, dst;
     std::uint64_t bytes;
@@ -116,6 +140,11 @@ class PacketSim {
     std::uint64_t packets_total = 0, packets_injected = 0;
     std::function<void()> on_delivered;
   };
+  std::uint32_t next_packet_bytes(const Message& m) const {
+    const std::uint64_t sent = m.packets_injected * config_.packet_bytes;
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(config_.packet_bytes, m.bytes - sent));
+  }
   struct Packet {
     std::uint32_t message;
     std::uint32_t bytes;
@@ -131,6 +160,15 @@ class PacketSim {
   // One per-(input link, VC) FIFO at the downstream node of each link.
   struct InputBuffer {
     std::deque<std::uint32_t> queue;  // packet ids
+    picoseconds wake_at = 0;  // while the head sleeps: see PacketSim::Hop
+  };
+  // Per endpoint: messages waiting to emit packets, head first, and the
+  // sleep state of the head's next injection (minimal mode only).
+  struct Injector {
+    std::deque<std::uint32_t> queue;  // message slots
+    bool asleep = false;
+    bool credit_wait = false;
+    picoseconds wake_at = 0;
   };
   // Routing table toward one destination: the minimal next-hop links of
   // every node, flattened CSR-style. Candidate order matches the graph's
@@ -141,6 +179,18 @@ class PacketSim {
     std::vector<std::uint32_t> offset;  // per node, into links
     std::vector<topo::LinkId> links;
   };
+  // The adaptive choice among a packet's minimal next hops: the free
+  // candidate with credit and the most of it, or none. When there is
+  // none, wake_at is the earliest free time of a busy candidate (kNever
+  // if none is busy) and credit_wait says whether a free candidate lacked
+  // credit: until one of the two happens the packet cannot move.
+  struct Hop {
+    topo::LinkId link = topo::kInvalidLink;
+    int vc = 0;
+    picoseconds wake_at = kNever;
+    bool credit_wait = false;
+  };
+  static constexpr picoseconds kNever = ~picoseconds{0};
 
   void try_inject(int src);
   void try_forward(topo::NodeId node);
@@ -156,18 +206,22 @@ class PacketSim {
   // per-node candidate-link table from it once, lock-free thereafter.
   const RouteTable& route_to(topo::NodeId dst_node);
   std::unique_ptr<RouteTable> build_route_table(topo::NodeId dst_node) const;
+  // The adaptive next hop at `node` of a packet of `bytes` that holds VC
+  // `vc` in leg `phase`, routing toward `target`.
+  Hop pick_hop(topo::NodeId node, topo::NodeId target, std::uint32_t bytes,
+               int vc, int phase);
   void start_transmission(std::uint32_t packet_id, topo::LinkId link);
   // Phase-aware VC escalation: each leg escalates within its own
   // num_vcs-wide range; the leg-1 -> leg-2 hand-off at the intermediate
   // endpoint re-enters at the leg-2 injection VC. Minimal mode has a
   // single range (total_vcs_ == num_vcs) and reduces to the original rule.
-  int vc_after(const Packet& p, topo::LinkId link) const {
-    const int base = p.phase ? config_.num_vcs : 0;
-    int v = p.vc;
-    if (v < base)
+  // A packet being injected holds VC 0 in leg 1.
+  int vc_after(int vc, int phase, topo::LinkId link) const {
+    const int base = phase ? config_.num_vcs : 0;
+    if (vc < base)
       return base + (vc_bump_[link] ? std::min(1, config_.num_vcs - 1) : 0);
-    return vc_bump_[link] ? std::min<int>(v + 1, base + config_.num_vcs - 1)
-                          : v;
+    return vc_bump_[link] ? std::min<int>(vc + 1, base + config_.num_vcs - 1)
+                          : vc;
   }
   std::uint64_t& credits(topo::LinkId link, int vc) {
     return credits_[static_cast<std::size_t>(link) * total_vcs_ + vc];
@@ -194,6 +248,7 @@ class PacketSim {
   std::vector<std::uint8_t> vc_bump_;
 
   std::vector<Message> messages_;
+  std::vector<std::uint32_t> free_messages_;
   std::vector<Packet> packets_;
   std::vector<std::uint32_t> free_packets_;
 
@@ -213,13 +268,18 @@ class PacketSim {
   // A node's slot of (in-link i, vc) is i * total_vcs_ + vc, where i is the
   // link's position in the graph's in-row of the node.
   std::vector<std::uint32_t> in_slot_;
-  // Per node: bitmask of the slots whose input buffer holds a packet, so
-  // arbitration visits occupied buffers only. A node's words start at
-  // ready_[ready_offset_[node]]; a switch can have more than 64 slots.
+  // Per-node slot bitmasks. A node's words start at ready_offset_[node];
+  // a switch can have more than 64 slots. ready_: the slot's buffer holds
+  // a packet, so arbitration visits occupied buffers only. asleep_: its
+  // head is blocked (a subset of ready_), and credit_wait_: a credit
+  // return at the node wakes it (a subset of asleep_).
   std::vector<std::uint64_t> ready_;
+  std::vector<std::uint64_t> asleep_;
+  std::vector<std::uint64_t> credit_wait_;
   std::vector<std::uint32_t> ready_offset_;
-  // Injection queues: per endpoint, messages waiting to emit packets.
-  std::vector<std::deque<std::uint32_t>> inject_queue_;
+  // Per node: no sleeping head's wake time is earlier than this.
+  std::vector<picoseconds> node_wake_;
+  std::vector<Injector> injectors_;  // per endpoint
   int unfinished_ = 0;
 };
 

@@ -64,6 +64,12 @@ class FatTree : public RoutedTopology<FatTree> {
   // its core digit by k once more, so the core does not repeat the L2's
   // residue once the stride is 1.
   int stratum(int src, int dst, int k, int num_strata) const;
+  // Both ends on one leaf: endpoint -> leaf -> endpoint. Pairs across
+  // leaves answer false, as the base does (they usually have a path per
+  // spine and parallel cable).
+  bool one_minimal_path(int src, int dst) const override {
+    return leaf_of(src) == leaf_of(dst);
+  }
   LinkId random_link_between(NodeId a, NodeId b, Rng& rng) const;
 
   FatTreeParams params_;

@@ -98,4 +98,12 @@ void Torus::route(int src, int dst, int stratum, Rng& rng,
   }
 }
 
+bool Torus::one_minimal_path(int src, int dst) const {
+  const int dx = x_of(dst) - x_of(src), dy = y_of(dst) - y_of(src);
+  if ((dx != 0) == (dy != 0)) return false;  // two dimensions: many orders
+  const int size = dx != 0 ? params_.width : params_.height;
+  const int d = std::abs(dx != 0 ? dx : dy);
+  return 2 * d != size;
+}
+
 }  // namespace hxmesh::topo

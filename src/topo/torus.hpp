@@ -56,6 +56,9 @@ class Torus : public RoutedTopology<Torus> {
   // Appends a uniformly random minimal staircase; the stratum is unused.
   void route(int src, int dst, int stratum, Rng& rng,
              std::vector<LinkId>& out) const;
+  // One coordinate differs and its ring has no half-way tie: route()'s
+  // staircase is then a straight run one way round.
+  bool one_minimal_path(int src, int dst) const override;
 
   TorusParams params_;
 };

@@ -382,6 +382,23 @@ TEST(Cli, RunReportsFlowSolverCounters) {
   EXPECT_EQ(counter(r.err, "flow.unconverged"), 0) << r.err;
 }
 
+// UGAL-L decides at the injecting accelerator. HammingMesh accelerators
+// have four ports, so under a shift some packets see their detour port
+// emptier than the minimal one and take it; minimal routing takes none.
+TEST(Cli, PacketUgalShiftDetoursOnHammingMesh) {
+  auto ugal = run({"run", "--engine", "packet", "--topo", "hx2mesh:4x4",
+                   "--pattern", "shift:1:msg=256KiB:route=ugal", "--threads",
+                   "1", "--no-cache"});
+  ASSERT_EQ(ugal.code, 0) << ugal.err;
+  EXPECT_GT(counter(ugal.err, "sim.ugal_detours"), 0) << ugal.err;
+  EXPECT_GT(counter(ugal.err, "sim.head_checks"), 0) << ugal.err;
+  auto minimal = run({"run", "--engine", "packet", "--topo", "hx2mesh:4x4",
+                      "--pattern", "shift:1:msg=256KiB", "--threads", "1",
+                      "--no-cache"});
+  ASSERT_EQ(minimal.code, 0) << minimal.err;
+  EXPECT_EQ(counter(minimal.err, "sim.ugal_detours"), 0) << minimal.err;
+}
+
 TEST(Cli, RobustnessFlagsAreValidated) {
   const std::vector<std::string> cell = {"--topo", "hx2mesh:2x2", "--pattern",
                                          "perm:msg=64KiB"};

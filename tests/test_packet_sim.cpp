@@ -175,6 +175,27 @@ TEST(PacketSim, RunBumpsPacketWorkCounters) {
   EXPECT_GT(sim.stats().packet_hops, 0u);
   EXPECT_EQ(moved.at("sim.packet_hops"), sim.stats().packet_hops);
   EXPECT_EQ(moved.at("sim.events"), 3 * sim.stats().packet_hops);
+  EXPECT_EQ(moved.at("sim.head_checks"), sim.stats().head_checks);
+  EXPECT_EQ(moved.at("sim.ugal_detours"), 0u);
+}
+
+// Incast on one leaf: 31 senders share the leaf's link to rank 0, so the
+// leaf holds up to 31 blocked heads. A blocked head sleeps until that
+// link frees, so it is examined about once per packet the link carries,
+// not once more on every arrival and credit return at the leaf.
+TEST(PacketSim, IncastExaminesBlockedHeadsOncePerLinkFree) {
+  topo::FatTree ft({.num_endpoints = 64});
+  PacketSim sim(ft);
+  constexpr int kSenders = 31;
+  for (int i = 1; i <= kSenders; ++i)
+    sim.send_message(i, 0, 32 * kPacketBytes, nullptr);
+  sim.run();
+  ASSERT_EQ(sim.unfinished_messages(), 0);
+  const std::uint64_t packets = sim.stats().packets_delivered;
+  EXPECT_EQ(packets, kSenders * 32u);
+  // Per packet the hot link carries: each waiting head once, plus the
+  // packet's own examination when it reaches the head of its buffer.
+  EXPECT_LE(sim.stats().head_checks, (kSenders + 1) * packets);
 }
 
 // --------------------------------------------------------------- MiniMpi --
@@ -224,6 +245,50 @@ TEST(MiniMpi, SharedPayloadReachesManyRanksIntact) {
   mpi.run();
   for (int r = 1; r < 64; ++r) EXPECT_EQ(got[r], values) << "rank " << r;
   EXPECT_EQ(block.use_count(), 1);
+}
+
+// Two messages and two receives per (src, tag) over 700 keys at one rank,
+// receives posted first in one round and messages arriving first in the
+// other: each key matches its own messages, oldest first, while the match
+// table grows and its entries come and go. All ranks sit on one leaf, so
+// messages of one key arrive in send order.
+TEST(MiniMpi, EqualKeysMatchInFifoOrderAcrossManyKeys) {
+  topo::FatTree ft({.num_endpoints = 64});
+  constexpr int kDst = 3, kTags = 100;
+  const int srcs[] = {0, 1, 2, 4, 5, 6, 7};
+  auto value = [](int src, int tag, int k) {
+    return static_cast<float>((src * kTags + tag) * 2 + k);
+  };
+  for (const bool receives_first : {true, false}) {
+    SCOPED_TRACE(receives_first ? "receives first" : "messages first");
+    MiniMpi mpi(ft);
+    std::vector<std::vector<float>> got(8 * kTags);
+    auto post = [&] {
+      for (int src : srcs)
+        for (int tag = 0; tag < kTags; ++tag)
+          for (int k = 0; k < 2; ++k)
+            mpi.recv(kDst, src, tag,
+                     [&got, key = src * kTags + tag](
+                         const std::vector<float>& v) {
+                       got[key].push_back(v.at(0));
+                     });
+    };
+    if (receives_first) post();
+    for (int k = 0; k < 2; ++k)
+      for (int src : srcs)
+        for (int tag = 0; tag < kTags; ++tag)
+          mpi.send(src, kDst, tag, payload({value(src, tag, k)}));
+    mpi.run();
+    if (!receives_first) {
+      post();
+      mpi.run();
+    }
+    for (int src : srcs)
+      for (int tag = 0; tag < kTags; ++tag)
+        EXPECT_EQ(got[src * kTags + tag],
+                  (std::vector<float>{value(src, tag, 0), value(src, tag, 1)}))
+            << src << " -> " << kDst << " tag " << tag;
+  }
 }
 
 TEST(MiniMpi, ComputeDelaysCallback) {

@@ -774,15 +774,17 @@ TEST(OneMinimalPath, ClaimedPairsHaveOneShortestPathAndOneSample) {
   struct Case {
     const char* spec;
     // The family's answer is exact: it claims every pair that has one
-    // shortest path (HammingMesh's closed form), not only some.
+    // shortest path, not only some.
     bool exact;
   };
   const Case cases[] = {
-      // Every family's small instance; the others keep the base's false.
-      {"torus:8x6", false},
-      {"torus:5x7", false},
+      // Every family's small instance. The torus (one ring, no half-way
+      // tie) and the two-level fat tree (one leaf) answer exactly; the
+      // others keep the base's false.
+      {"torus:8x6", true},
+      {"torus:5x7", true},
       {"hyperx:4x3", false},
-      {"fattree:256", false},
+      {"fattree:256", true},
       {"dragonfly:4:2:2:5", false},
       // HammingMesh: single-switch and two-level rails, tapered, odd and
       // asymmetric boards, 1-wide boards (the 1x1 board claims no pair).
