@@ -1,7 +1,8 @@
 // Quickstart: build a small HammingMesh from a spec string, look at its
 // structure and price, then run a real allreduce over two edge-disjoint
 // Hamiltonian rings on the packet-level engine — completion time comes
-// from the simulator and the float payloads are verified numerically.
+// from the simulator, and every rank is verified to end with every rank's
+// contribution.
 //
 //   $ ./quickstart
 #include <cstdio>
@@ -26,7 +27,7 @@ int main() {
 
   // The packet engine maps the allreduce onto the two edge-disjoint
   // Hamiltonian cycles of the accelerator grid (Appendix D) and verifies
-  // the reduced floats.
+  // the contribution witnesses of the reduced buffers.
   auto eng = engine::make_engine("packet", *t);
   flow::TrafficSpec spec;
   spec.kind = flow::PatternKind::kAllreduce;

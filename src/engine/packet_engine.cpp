@@ -1,17 +1,10 @@
 #include "engine/packet_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
-
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
 
 #include "collectives/models.hpp"
 #include "collectives/runtime.hpp"
@@ -21,10 +14,10 @@ namespace hxmesh::engine {
 
 namespace {
 
-// Float elements of a per-rank/per-peer payload. The MiniMPI collectives
-// take int element counts; multi-GiB packet-level collectives are out of
+// 4-byte words of a per-rank/per-peer message. The MiniMPI collectives
+// take int word counts; multi-GiB packet-level collectives are out of
 // this engine's scope (that is what the flow engine is for), so oversized
-// specs fail loudly instead of overflowing into a tiny silent payload.
+// specs fail loudly instead of overflowing into a tiny silent message.
 int payload_elems(std::uint64_t message_bytes) {
   std::uint64_t elems = std::max<std::uint64_t>(1, message_bytes / sizeof(float));
   if (elems > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
@@ -41,55 +34,6 @@ sim::PacketSimConfig routed_config(sim::PacketSimConfig config,
   config.route_seed = spec.seed;
   return config;
 }
-
-// The allreduce's per-rank float buffers (ranks x message bytes: 256 MiB
-// for 256 ranks at 1 MiB) are the largest allocation a packet cell makes.
-// A sweep runs cells of different topology groups on different threads,
-// so without a bound its peak RSS would be set by how many of these cells
-// happen to overlap, which changes from run to run. The process-wide
-// budget admits a cell's buffers only while the admitted total stays
-// within kRankBufferBudget; a cell waits until others release theirs, and
-// one alone is always admitted, so no cell waits forever. The lease is
-// declared before the buffers, so they are freed before it is released;
-// glibc keeps freed blocks of a thread's arena resident, so the release
-// trims the heap first; otherwise the next admitted cell, on another
-// thread, would add its buffers on top of those still held. Buffers
-// under kRankBufferFloor cannot move the peak and take no lease, so small
-// cells never wait and never stall other threads' allocations in a trim.
-constexpr std::uint64_t kRankBufferBudget = std::uint64_t{512} << 20;
-constexpr std::uint64_t kRankBufferFloor = std::uint64_t{64} << 20;
-
-class RankBufferLease {
- public:
-  explicit RankBufferLease(std::uint64_t bytes)
-      : bytes_(bytes < kRankBufferFloor ? 0 : bytes) {
-    if (bytes_ == 0) return;
-    std::unique_lock lock(mutex_);
-    admitted_.wait(lock, [&] {
-      return in_use_ == 0 || in_use_ + bytes_ <= kRankBufferBudget;
-    });
-    in_use_ += bytes_;
-  }
-  ~RankBufferLease() {
-    if (bytes_ == 0) return;
-#ifdef __GLIBC__
-    malloc_trim(0);
-#endif
-    {
-      std::lock_guard lock(mutex_);
-      in_use_ -= bytes_;
-    }
-    admitted_.notify_all();
-  }
-  RankBufferLease(const RankBufferLease&) = delete;
-  RankBufferLease& operator=(const RankBufferLease&) = delete;
-
- private:
-  std::uint64_t bytes_;
-  static inline std::mutex mutex_;
-  static inline std::condition_variable admitted_;
-  static inline std::uint64_t in_use_ = 0;
-};
 
 }  // namespace
 
@@ -147,18 +91,18 @@ RunResult PacketEngine::run_point_to_point(const flow::TrafficSpec& spec) {
 
 RunResult PacketEngine::run_alltoall(const flow::TrafficSpec& spec) {
   const int n = topology_.num_endpoints();
-  const int elems = payload_elems(spec.message_bytes);
+  const int words = payload_elems(spec.message_bytes);
   sim::MiniMpi mpi(topology_, routed_config(config_, spec));
   std::vector<int> ranks(n);
   std::iota(ranks.begin(), ranks.end(), 0);
   mpi.sim().prebuild_routes(ranks);  // every rank receives in an alltoall
   bool blocks_ok = false;
-  picoseconds t = collectives::run_alltoall(mpi, ranks, elems, &blocks_ok);
+  picoseconds t = collectives::run_alltoall(mpi, ranks, words, &blocks_ok);
   RunResult result;
   result.completion_s = ps_to_s(t);
   result.numerics_ok = mpi.sim().unfinished_messages() == 0 && blocks_ok;
   double sent_per_rank =
-      static_cast<double>(n - 1) * elems * sizeof(float);
+      static_cast<double>(n - 1) * words * sizeof(float);
   if (result.completion_s > 0) {
     double rate = sent_per_rank / result.completion_s;
     result.rate_summary = summarize({rate});
@@ -169,20 +113,7 @@ RunResult PacketEngine::run_alltoall(const flow::TrafficSpec& spec) {
 
 RunResult PacketEngine::run_allreduce(const flow::TrafficSpec& spec) {
   const int n = topology_.num_endpoints();
-  const int elems = payload_elems(spec.message_bytes);
-
-  // Every rank contributes a constant vector; the reduced value must equal
-  // the sum of the constants — numerical proof, not just timing.
-  const RankBufferLease lease(static_cast<std::uint64_t>(n) * elems *
-                              sizeof(float));
-  std::vector<std::vector<float>> data(n);
-  float expected = 0.0f;
-  for (int r = 0; r < n; ++r) {
-    float v = static_cast<float>(r % 7 + 1) * 0.25f;
-    data[r].assign(elems, v);
-    expected += v;
-  }
-
+  const int words = payload_elems(spec.message_bytes);
   sim::MiniMpi mpi(topology_, routed_config(config_, spec));
   collectives::RingMapping mapping = collectives::build_ring_mapping(topology_);
   {
@@ -191,27 +122,28 @@ RunResult PacketEngine::run_allreduce(const flow::TrafficSpec& spec) {
     std::iota(ranks.begin(), ranks.end(), 0);
     mpi.sim().prebuild_routes(ranks);
   }
+  // The witnesses prove every rank ends with every rank's contribution.
+  bool reduced = false;
   picoseconds t = 0;
   if (spec.torus_algorithm) {
     auto grid = collectives::rank_grid(topology_);
     if (grid.empty())
       throw std::invalid_argument(
           "PacketEngine: torus allreduce needs a 2D accelerator grid");
-    t = collectives::run_allreduce_torus2d(mpi, grid, data);
+    t = collectives::run_allreduce_torus2d(mpi, grid, words, &reduced);
   } else if (mapping.rings.size() >= 2) {
     t = collectives::run_allreduce_two_rings(mpi, mapping.rings[0],
-                                             mapping.rings[1], data);
+                                             mapping.rings[1], words,
+                                             &reduced);
   } else {
-    t = collectives::run_allreduce_bidir(mpi, mapping.rings[0], data);
+    t = collectives::run_allreduce_bidir(mpi, mapping.rings[0], words,
+                                         &reduced);
   }
 
   RunResult result;
   result.completion_s = ps_to_s(t);
-  result.numerics_ok = mpi.sim().unfinished_messages() == 0;
-  for (float v : data[0])
-    if (std::abs(v - expected) > 1e-3f * std::abs(expected))
-      result.numerics_ok = false;
-  double s_bytes = static_cast<double>(elems) * sizeof(float);
+  result.numerics_ok = mpi.sim().unfinished_messages() == 0 && reduced;
+  double s_bytes = static_cast<double>(words) * sizeof(float);
   if (result.completion_s > 0) {
     double achieved = s_bytes / result.completion_s;
     result.fraction_of_peak =

@@ -4,9 +4,10 @@
 // evaluation path. Point-to-point specs inject one message per flow and
 // measure per-flow goodput; collective specs run the real MiniMPI
 // collective implementations (two edge-disjoint Hamiltonian rings where
-// the topology supports them) on live float buffers and verify the
-// allreduce sums and every alltoall block's contents, so a RunResult from
-// this engine carries both timing and numerical proof.
+// the topology supports them) and verify their contribution witnesses:
+// every allreduce segment of every rank holds every rank's contribution,
+// and every alltoall block arrived from its sender. So a RunResult from
+// this engine carries both timing and a verified payload.
 #pragma once
 
 #include "engine/engine.hpp"

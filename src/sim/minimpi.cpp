@@ -5,6 +5,14 @@
 
 namespace hxmesh::sim {
 
+Witness Witness::of(int rank) {
+  // splitmix64's finalizer: distinct ranks get unrelated keys.
+  std::uint64_t z = static_cast<std::uint32_t>(rank) + 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return {1, z ^ (z >> 31)};
+}
+
 std::uint32_t MiniMpi::new_envelope() {
   if (!free_envelopes_.empty()) {
     const std::uint32_t slot = free_envelopes_.back();
@@ -17,21 +25,21 @@ std::uint32_t MiniMpi::new_envelope() {
 
 void MiniMpi::free_envelope(std::uint32_t slot) {
   Envelope& e = envelopes_[slot];
-  e.data.reset();
   e.handler = nullptr;
   e.next = kNone;
   free_envelopes_.push_back(slot);
 }
 
-void MiniMpi::send(int src, int dst, int tag, SharedPayload data) {
-  auto bytes = static_cast<std::uint64_t>(data->size()) * sizeof(float);
+void MiniMpi::send(int src, int dst, int tag, std::uint64_t bytes,
+                   Witness witness) {
   const std::uint32_t slot = new_envelope();
   Envelope& e = envelopes_[slot];
   e.rank = dst;
   e.src = src;
   e.tag = tag;
-  e.data = std::move(data);
-  // The payload waits in the envelope and is handed to the receiver when
+  e.bytes = bytes;
+  e.witness = witness;
+  // The message waits in the envelope and is handed to the receiver when
   // the final packet arrives.
   sim_.send_message(src, dst, bytes, [this, slot] { deliver(slot); });
 }
@@ -55,13 +63,13 @@ void MiniMpi::recv(int rank, int src, int tag, RecvHandler handler) {
 }
 
 void MiniMpi::fire(std::uint32_t slot) {
-  // Move both out first: the handler may send or recv, which may reuse
-  // the slot or reallocate envelopes_. The payload reference drops when
-  // the handler returns.
+  // Take everything out first: the handler may send or recv, which may
+  // reuse the slot or reallocate envelopes_.
   const RecvHandler handler = std::move(envelopes_[slot].handler);
-  const SharedPayload data = std::move(envelopes_[slot].data);
+  const std::uint64_t bytes = envelopes_[slot].bytes;
+  const Witness witness = envelopes_[slot].witness;
   free_envelope(slot);
-  handler(*data);
+  handler(bytes, witness);
 }
 
 void MiniMpi::deliver(std::uint32_t slot) {

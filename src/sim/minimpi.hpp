@@ -1,23 +1,18 @@
 // MiniMPI: a tiny message-passing runtime on top of the packet simulator.
 //
 // Rank programs are message-driven state machines: send() injects a tagged
-// payload, recv() registers a one-shot handler for a (src, tag) match.
-// Payloads are real float vectors, so collective implementations can be
-// verified for numerical correctness, not just timing (the paper runs
-// "slightly modified full MPI applications" inside SST; this is our
-// equivalent). Message timing is simulated by PacketSim; payloads hop onto
+// message, recv() registers a one-shot handler for a (src, tag) match.
+// A message is a byte count, which PacketSim charges in full, plus a
+// 16-byte Witness of whose contributions the data it stands for holds.
+// Collectives reduce and copy witnesses the way they would reduce and copy
+// floats, so a lost, duplicated or stale contribution shows at any scale
+// without carrying the data (the paper runs "slightly modified full MPI
+// applications" inside SST; this is our equivalent). The witness hops onto
 // the destination when the last packet arrives.
 //
 // Lifetimes:
-//   - A payload is immutable and shared: the sender hands over a
-//     shared_ptr<const vector>, each message in flight or waiting
-//     unmatched holds one reference, and a receive handler reads it by
-//     const reference for the duration of the call (copy what must
-//     outlive it). MiniMPI drops its reference as soon as the handler
-//     returns, so a sender that pools its buffers can tell a free one by
-//     its use count. One buffer can therefore go to many ranks — an
-//     alltoall block to every peer — while the simulator still charges
-//     every message its full byte count.
+//   - A message's byte count and witness sit inline in its envelope, and a
+//     receive handler gets them by value.
 //   - A handler is moved into MiniMPI by recv() and destroyed right after
 //     it runs; one that never matches lives until the MiniMpi does.
 //     Whatever a handler points to must outlive its run (the collectives
@@ -33,28 +28,47 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/packet_sim.hpp"
 
 namespace hxmesh::sim {
 
+/// Who contributed to a message's data: a contributor count and a wrapping
+/// 64-bit sum of the contributors' keys, where a rank's key is a hash of
+/// the rank. Adding witnesses models reducing their data, so two equal
+/// witnesses name the same contributions (up to a key-sum collision).
+struct Witness {
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+
+  /// The contribution of `rank` alone.
+  static Witness of(int rank);
+  /// Data mixed from pieces with different witnesses: its count is no
+  /// rank count, so it equals no sum of contributions. Collectives only
+  /// copy it: the segments a reduce-scatter message spans are all equal.
+  static Witness poisoned() { return {~std::uint64_t{0}, 0}; }
+
+  Witness& operator+=(const Witness& other) {
+    count += other.count;
+    sum += other.sum;
+    return *this;
+  }
+  friend bool operator==(const Witness&, const Witness&) = default;
+};
+
 class MiniMpi {
  public:
-  using Payload = std::vector<float>;
-  using SharedPayload = std::shared_ptr<const Payload>;
-  using RecvHandler = std::function<void(const Payload&)>;
+  using RecvHandler = std::function<void(std::uint64_t bytes, Witness witness)>;
 
   explicit MiniMpi(const topo::Topology& topology, PacketSimConfig config = {})
       : sim_(topology, config), table_(16) {}
 
   int num_ranks() const { return sim_.topology().num_endpoints(); }
 
-  /// Sends `data` from `src` to `dst` with a tag. Transfer time models
-  /// sizeof(float) * data->size() bytes. The same payload may be sent to
-  /// any number of destinations.
-  void send(int src, int dst, int tag, SharedPayload data);
+  /// Sends a message of `bytes` bytes carrying `witness` from `src` to
+  /// `dst` with a tag.
+  void send(int src, int dst, int tag, std::uint64_t bytes, Witness witness);
 
   /// Registers a one-shot receive at `rank` matching (src, tag); fires at
   /// message arrival time (or immediately-next-event if already arrived).
@@ -75,11 +89,13 @@ class MiniMpi {
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  // A message (data set) or a posted receive (handler set); a message
-  // matched by a later receive carries both until its zero-delay fire.
+  // A message (bytes and witness set) or a posted receive (handler set); a
+  // message matched by a later receive carries both until its zero-delay
+  // fire.
   struct Envelope {
     int rank = 0, src = 0, tag = 0;  // rank: the receiving side
-    SharedPayload data;
+    std::uint64_t bytes = 0;
+    Witness witness;
     RecvHandler handler;
     std::uint32_t next = kNone;  // FIFO link within its match queue
   };
@@ -94,7 +110,7 @@ class MiniMpi {
 
   std::uint32_t new_envelope();
   void free_envelope(std::uint32_t slot);
-  // Runs the handler of envelope `slot` on its payload, then frees it.
+  // Runs the handler of envelope `slot` on its message, then frees it.
   void fire(std::uint32_t slot);
   void deliver(std::uint32_t slot);
 

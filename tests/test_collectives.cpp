@@ -1,9 +1,11 @@
 // Collectives: Hamiltonian-cycle properties (parameterized over all valid
-// torus shapes), numerical correctness of every allreduce algorithm on the
-// packet simulator, and sanity of the alpha-beta models.
+// torus shapes), the contribution witnesses of every allreduce algorithm
+// and the alltoall on the packet simulator (forged messages must fail
+// them), and sanity of the alpha-beta models.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <functional>
 #include <numeric>
 #include <set>
 
@@ -139,145 +141,228 @@ TEST(DisjointRings, RankRingsUsedByTwoRingsAllreduceAreEdgeDisjoint) {
 }
 
 // ------------------------------------------------ runtime collectives ----
-std::vector<std::vector<float>> make_data(int ranks, int elems) {
-  std::vector<std::vector<float>> data(ranks);
-  for (int r = 0; r < ranks; ++r) {
-    data[r].resize(elems);
-    for (int e = 0; e < elems; ++e)
-      data[r][e] = static_cast<float>(r + 1) * 0.5f + e;
-  }
-  return data;
-}
-
-std::vector<float> expected_sum(const std::vector<std::vector<float>>& data,
-                                const std::vector<int>& ranks) {
-  std::vector<float> sum(data[ranks[0]].size(), 0.0f);
-  for (int r : ranks)
-    for (std::size_t e = 0; e < sum.size(); ++e) sum[e] += data[r][e];
-  return sum;
-}
-
-void expect_allreduce_result(const std::vector<std::vector<float>>& data,
-                             const std::vector<int>& ranks,
-                             const std::vector<float>& want) {
-  for (int r : ranks)
-    for (std::size_t e = 0; e < want.size(); ++e)
-      ASSERT_NEAR(data[r][e], want[e], 1e-3) << "rank " << r << " elem " << e;
+// A forged message sent (and delivered) before a collective starts is
+// matched by the collective's first receive of its (rank, src, tag) in
+// place of the real message, which then waits unmatched.
+void forge(sim::MiniMpi& mpi, int src, int dst, int tag, std::uint64_t bytes,
+           sim::Witness witness) {
+  mpi.send(src, dst, tag, bytes, witness);
+  mpi.run();
 }
 
 TEST(RuntimeCollectives, RingAllreduceCorrectOnFatTree) {
   topo::FatTree ft({.num_endpoints = 64});
   sim::MiniMpi mpi(ft);
-  auto data = make_data(64, 40);
   std::vector<int> ring(16);
   std::iota(ring.begin(), ring.end(), 0);
-  auto want = expected_sum(data, ring);
-  picoseconds t = run_allreduce_ring(mpi, ring, data);
+  bool ok = false;
+  picoseconds t = run_allreduce_ring(mpi, ring, 40, &ok);
   EXPECT_GT(t, 0u);
-  expect_allreduce_result(data, ring, want);
+  EXPECT_TRUE(ok);
 }
 
 TEST(RuntimeCollectives, RingAllreduceTwoRanks) {
   topo::FatTree ft({.num_endpoints = 64});
   sim::MiniMpi mpi(ft);
-  auto data = make_data(64, 7);
-  std::vector<int> ring{4, 9};
-  auto want = expected_sum(data, ring);
-  run_allreduce_ring(mpi, ring, data);
-  expect_allreduce_result(data, ring, want);
+  bool ok = false;
+  run_allreduce_ring(mpi, {4, 9}, 7, &ok);
+  EXPECT_TRUE(ok);
 }
 
 TEST(RuntimeCollectives, BidirAllreduceCorrectOnHxMesh) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 4, .y = 4});
   sim::MiniMpi mpi(hx);
-  auto data = make_data(hx.num_endpoints(), 64);
   auto coords = ring_order_grid(hx.accel_y(), hx.accel_x());
   std::vector<int> ring;
   for (auto [row, col] : coords) ring.push_back(hx.rank_at(col, row));
-  auto want = expected_sum(data, ring);
-  run_allreduce_bidir(mpi, ring, data);
-  expect_allreduce_result(data, ring, want);
+  bool ok = false;
+  run_allreduce_bidir(mpi, ring, 64, &ok);
+  EXPECT_TRUE(ok);
 }
 
 TEST(RuntimeCollectives, TwoRingsAllreduceCorrectAndFasterThanSingle) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
-  const int elems = 16 * 1024;
+  const int words = 16 * 1024;
   auto rings = disjoint_hamiltonian_rings(hx.accel_y(), hx.accel_x());
   std::vector<int> red, green;
   for (auto [row, col] : rings.red) red.push_back(hx.rank_at(col, row));
   for (auto [row, col] : rings.green) green.push_back(hx.rank_at(col, row));
 
-  auto data = make_data(hx.num_endpoints(), elems);
-  auto want = expected_sum(data, red);
   sim::MiniMpi mpi_two(hx);
-  picoseconds t_two = run_allreduce_two_rings(mpi_two, red, green, data);
-  expect_allreduce_result(data, red, want);
+  bool ok_two = false;
+  picoseconds t_two = run_allreduce_two_rings(mpi_two, red, green, words,
+                                              &ok_two);
+  EXPECT_TRUE(ok_two);
 
-  auto data2 = make_data(hx.num_endpoints(), elems);
   sim::MiniMpi mpi_one(hx);
-  picoseconds t_one = run_allreduce_ring(mpi_one, red, data2);
+  bool ok_one = false;
+  picoseconds t_one = run_allreduce_ring(mpi_one, red, words, &ok_one);
+  EXPECT_TRUE(ok_one);
   EXPECT_LT(t_two, t_one) << "two disjoint rings should beat one ring";
+}
+
+std::vector<std::vector<int>> torus_grid(const topo::Torus& t, int rows,
+                                         int cols) {
+  std::vector<std::vector<int>> grid(rows, std::vector<int>(cols));
+  for (int r = 0; r < rows; ++r)
+    for (int c = 0; c < cols; ++c) grid[r][c] = t.rank_at(c, r);
+  return grid;
 }
 
 TEST(RuntimeCollectives, Torus2dAllreduceCorrect) {
   topo::Torus t({.width = 4, .height = 4});
   sim::MiniMpi mpi(t);
-  auto data = make_data(t.num_endpoints(), 48);
-  std::vector<std::vector<int>> grid(4, std::vector<int>(4));
-  std::vector<int> all;
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 4; ++c) {
-      grid[r][c] = t.rank_at(c, r);
-      all.push_back(grid[r][c]);
-    }
-  auto want = expected_sum(data, all);
-  run_allreduce_torus2d(mpi, grid, data);
-  expect_allreduce_result(data, all, want);
+  bool ok = false;
+  run_allreduce_torus2d(mpi, torus_grid(t, 4, 4), 48, &ok);
+  EXPECT_TRUE(ok);
 }
 
 TEST(RuntimeCollectives, Torus2dAllreduceCorrectOnRectangle) {
   topo::Torus t({.width = 6, .height = 3});
   sim::MiniMpi mpi(t);
-  auto data = make_data(t.num_endpoints(), 36);
-  std::vector<std::vector<int>> grid(3, std::vector<int>(6));
-  std::vector<int> all;
-  for (int r = 0; r < 3; ++r)
-    for (int c = 0; c < 6; ++c) {
-      grid[r][c] = t.rank_at(c, r);
-      all.push_back(grid[r][c]);
+  bool ok = false;
+  run_allreduce_torus2d(mpi, torus_grid(t, 3, 6), 36, &ok);
+  EXPECT_TRUE(ok);
+}
+
+// The packet engine's allreduce on hx2mesh:XxY (the two disjoint rings of
+// build_ring_mapping) at 4p words, so every chunk of every quarter is one
+// word, after `forgery` has run against its red ring. Returns the verdict.
+bool two_rings_verdict(int boards,
+                       const std::function<void(sim::MiniMpi&,
+                                                const std::vector<int>& red)>&
+                           forgery) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = boards, .y = boards});
+  const RingMapping mapping = build_ring_mapping(hx);
+  const std::vector<int>& red = mapping.rings.at(0);
+  sim::MiniMpi mpi(hx);
+  if (forgery) forgery(mpi, red);
+  bool ok = false;
+  run_allreduce_two_rings(mpi, red, mapping.rings.at(1),
+                          4 * hx.num_endpoints(), &ok);
+  EXPECT_EQ(mpi.sim().unfinished_messages(), 0);
+  return ok;
+}
+
+int position(const std::vector<int>& ring, int rank) {
+  return static_cast<int>(std::find(ring.begin(), ring.end(), rank) -
+                          ring.begin());
+}
+
+// Drops `rank`'s contribution to one chunk: its first reduce-scatter
+// message on the red ring arrives empty at its successor.
+auto drop_contribution(int rank) {
+  return [rank](sim::MiniMpi& mpi, const std::vector<int>& red) {
+    const int p = static_cast<int>(red.size());
+    forge(mpi, rank, red[(position(red, rank) + 1) % p], /*tag=*/0, 4,
+          sim::Witness{});
+  };
+}
+
+// A single lost contribution fails the verdict at any scale: rank 0's and
+// one in mid-ring, on 256 and 1,024 ranks (the 1,024-rank runs take
+// seconds each, so only the 256-rank run has an unforged control).
+TEST(RuntimeCollectives, DroppedContributionFailsAllreduceVerdict) {
+  EXPECT_TRUE(two_rings_verdict(8, nullptr));
+  for (const int boards : {8, 16}) {
+    SCOPED_TRACE(testing::Message() << "hx2mesh:" << boards << "x" << boards);
+    for (const int rank : {0, 98}) {
+      SCOPED_TRACE(testing::Message() << "rank " << rank << " dropped");
+      EXPECT_FALSE(two_rings_verdict(boards, drop_contribution(rank)));
     }
-  auto want = expected_sum(data, all);
-  run_allreduce_torus2d(mpi, grid, data);
-  expect_allreduce_result(data, all, want);
+  }
+}
+
+// A non-zero rank whose last allgather round matches a stale chunk keeps
+// it: the last round is never forwarded, so no other rank sees it.
+TEST(RuntimeCollectives, StaleChunkAtOneRankFailsAllreduceVerdict) {
+  EXPECT_FALSE(two_rings_verdict(8, [](sim::MiniMpi& mpi,
+                                       const std::vector<int>& red) {
+    const int p = static_cast<int>(red.size());
+    const int pos = position(red, 98);
+    const int last_gather_tag = (p - 1) + (p - 2);
+    const int prev = red[(pos + p - 1) % p];
+    forge(mpi, prev, red[pos], last_gather_tag, 4, sim::Witness::of(prev));
+  }));
+}
+
+// The 2D torus allreduce, whose row phases carry several segments per
+// message, catches a contribution dropped in the row reduce-scatter and a
+// stale chunk left by the last row-allgather round.
+TEST(RuntimeCollectives, Torus2dDroppedOrStaleChunkFailsVerdict) {
+  topo::Torus t({.width = 4, .height = 4});
+  const auto grid = torus_grid(t, 4, 4);
+  const int row_allgather_base = 4 + 1 + 2 * 4 + 2;
+  struct Case {
+    const char* name;
+    int src, dst, tag;
+    sim::Witness witness;
+  };
+  const Case cases[] = {
+      {"rank 0 dropped", grid[0][0], grid[0][1], 0, sim::Witness{}},
+      {"stale chunk", grid[1][1], grid[1][2], row_allgather_base + 2,
+       sim::Witness::of(grid[1][1])},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sim::MiniMpi mpi(t);
+    forge(mpi, c.src, c.dst, c.tag, 48, c.witness);
+    bool ok = true;
+    run_allreduce_torus2d(mpi, grid, 48, &ok);
+    EXPECT_EQ(mpi.sim().unfinished_messages(), 0);
+    EXPECT_FALSE(ok);
+  }
+}
+
+std::vector<int> all_ranks(const topo::Topology& t) {
+  std::vector<int> ranks(t.num_endpoints());
+  std::iota(ranks.begin(), ranks.end(), 0);
+  return ranks;
 }
 
 TEST(RuntimeCollectives, AlltoallCompletes) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
   sim::MiniMpi mpi(hx);
-  std::vector<int> ranks(hx.num_endpoints());
-  std::iota(ranks.begin(), ranks.end(), 0);
   bool blocks_ok = false;
-  picoseconds t = run_alltoall(mpi, ranks, 512, &blocks_ok);
+  picoseconds t = run_alltoall(mpi, all_ranks(hx), 512, &blocks_ok);
   EXPECT_GT(t, 0u);
   EXPECT_EQ(mpi.sim().unfinished_messages(), 0);
   EXPECT_TRUE(blocks_ok);
 }
 
-// A block that does not hold its sender's value fails the verdict even
-// though every message is delivered: rank 1's first receive from rank 0
-// matches a corrupted message that arrived before the alltoall started.
+// A block that does not carry its sender's witness, or is short, fails the
+// verdict even though every message is delivered: rank 1's first receive
+// from rank 0 matches a forged message that arrived before the alltoall
+// started.
 TEST(RuntimeCollectives, AlltoallCorruptedBlockFailsVerdict) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
+  const std::pair<std::uint64_t, sim::Witness> forgeries[] = {
+      {2048, sim::Witness::of(2)},  // another sender's block
+      {2044, sim::Witness::of(0)},  // one word short
+  };
+  for (const auto& [bytes, witness] : forgeries) {
+    sim::MiniMpi mpi(hx);
+    forge(mpi, 0, 1, /*tag=*/1, bytes, witness);
+    bool blocks_ok = true;
+    run_alltoall(mpi, all_ranks(hx), 512, &blocks_ok);
+    EXPECT_EQ(mpi.sim().unfinished_messages(), 0);
+    EXPECT_FALSE(blocks_ok) << bytes << " bytes";
+  }
+}
+
+// A receive posted before the alltoall takes rank 0's real block to rank
+// 1, so the alltoall's own receive never fires: the verdict counts the
+// blocks it verified, and one is missing.
+TEST(RuntimeCollectives, AlltoallStolenBlockFailsVerdict) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
   sim::MiniMpi mpi(hx);
-  std::vector<int> ranks(hx.num_endpoints());
-  std::iota(ranks.begin(), ranks.end(), 0);
-  std::vector<float> corrupt(512, 1.0f);  // rank 0 sends 1.0f ...
-  corrupt[100] = 7.0f;                     // ... except here
-  mpi.send(0, 1, /*tag=*/1,
-           std::make_shared<const std::vector<float>>(std::move(corrupt)));
-  mpi.run();
+  bool stolen = false;
+  mpi.recv(1, 0, /*tag=*/1, [&stolen](std::uint64_t, sim::Witness) {
+    stolen = true;
+  });
   bool blocks_ok = true;
-  run_alltoall(mpi, ranks, 512, &blocks_ok);
+  run_alltoall(mpi, all_ranks(hx), 512, &blocks_ok);
+  EXPECT_TRUE(stolen);
   EXPECT_EQ(mpi.sim().unfinished_messages(), 0);
   EXPECT_FALSE(blocks_ok);
 }

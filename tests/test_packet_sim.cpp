@@ -17,10 +17,6 @@
 namespace hxmesh::sim {
 namespace {
 
-MiniMpi::SharedPayload payload(std::vector<float> values) {
-  return std::make_shared<const std::vector<float>>(std::move(values));
-}
-
 TEST(PacketSim, SinglePacketLatencyMatchesAnalytic) {
   topo::FatTree ft({.num_endpoints = 64, .radix = 64, .taper = 1.0});
   PacketSim sim(ft);
@@ -199,52 +195,56 @@ TEST(PacketSim, IncastExaminesBlockedHeadsOncePerLinkFree) {
 }
 
 // --------------------------------------------------------------- MiniMpi --
+// A received message: its byte count and witness.
+struct Got {
+  std::uint64_t bytes = 0;
+  Witness witness;
+  bool operator==(const Got&) const = default;
+};
+
 TEST(MiniMpi, SendRecvMatchesByTagAndSource) {
   topo::FatTree ft({.num_endpoints = 64});
   MiniMpi mpi(ft);
-  std::vector<float> got_a, got_b;
-  mpi.recv(5, 1, 7, [&](const std::vector<float>& v) { got_a = v; });
-  mpi.recv(5, 2, 7, [&](const std::vector<float>& v) { got_b = v; });
-  mpi.send(1, 5, 7, payload({1.0f, 2.0f}));
-  mpi.send(2, 5, 7, payload({3.0f}));
+  Got got_a, got_b;
+  mpi.recv(5, 1, 7, [&](std::uint64_t b, Witness w) { got_a = {b, w}; });
+  mpi.recv(5, 2, 7, [&](std::uint64_t b, Witness w) { got_b = {b, w}; });
+  mpi.send(1, 5, 7, 8, Witness::of(1));
+  mpi.send(2, 5, 7, 4, Witness::of(2));
   mpi.run();
-  EXPECT_EQ(got_a, (std::vector<float>{1.0f, 2.0f}));
-  EXPECT_EQ(got_b, (std::vector<float>{3.0f}));
+  EXPECT_EQ(got_a, (Got{8, Witness::of(1)}));
+  EXPECT_EQ(got_b, (Got{4, Witness::of(2)}));
 }
 
 TEST(MiniMpi, UnexpectedMessageBuffered) {
   topo::FatTree ft({.num_endpoints = 64});
   MiniMpi mpi(ft);
-  mpi.send(0, 1, 42, payload({9.0f}));
+  mpi.send(0, 1, 42, 4, Witness{3, 9});
   mpi.run();  // message arrives with no receiver posted
-  std::vector<float> got;
-  mpi.recv(1, 0, 42, [&](const std::vector<float>& v) { got = v; });
+  Got got;
+  mpi.recv(1, 0, 42, [&](std::uint64_t b, Witness w) { got = {b, w}; });
   mpi.run();
-  EXPECT_EQ(got, std::vector<float>{9.0f});
+  EXPECT_EQ(got, (Got{4, Witness{3, 9}}));
 }
 
-// One payload sent to every other rank arrives intact at each of them,
-// whether its receive was posted before arrival or after, and the sender
-// keeps the only reference once every message has been consumed.
-TEST(MiniMpi, SharedPayloadReachesManyRanksIntact) {
+// One witness sent to every other rank arrives intact at each of them,
+// whether its receive was posted before arrival or after.
+TEST(MiniMpi, OnePayloadReachesManyRanksIntact) {
   topo::FatTree ft({.num_endpoints = 64});
   MiniMpi mpi(ft);
-  std::vector<float> values(3000);
-  for (std::size_t i = 0; i < values.size(); ++i)
-    values[i] = static_cast<float>(i) * 0.5f;
-  const MiniMpi::SharedPayload block = payload(values);
-  std::vector<std::vector<float>> got(64);
+  const Got block{12000, Witness::of(0)};
+  std::vector<Got> got(64);
+  auto post = [&](int r) {
+    mpi.recv(r, 0, 3,
+             [&got, r](std::uint64_t b, Witness w) { got[r] = {b, w}; });
+  };
   for (int r = 1; r < 64; ++r) {
-    mpi.send(0, r, 3, block);
-    if (r % 2 == 0)
-      mpi.recv(r, 0, 3, [&got, r](const std::vector<float>& v) { got[r] = v; });
+    mpi.send(0, r, 3, block.bytes, block.witness);
+    if (r % 2 == 0) post(r);
   }
   mpi.run();  // odd ranks' copies wait as unexpected messages
-  for (int r = 1; r < 64; r += 2)
-    mpi.recv(r, 0, 3, [&got, r](const std::vector<float>& v) { got[r] = v; });
+  for (int r = 1; r < 64; r += 2) post(r);
   mpi.run();
-  for (int r = 1; r < 64; ++r) EXPECT_EQ(got[r], values) << "rank " << r;
-  EXPECT_EQ(block.use_count(), 1);
+  for (int r = 1; r < 64; ++r) EXPECT_EQ(got[r], block) << "rank " << r;
 }
 
 // Two messages and two receives per (src, tag) over 700 keys at one rank,
@@ -257,27 +257,27 @@ TEST(MiniMpi, EqualKeysMatchInFifoOrderAcrossManyKeys) {
   constexpr int kDst = 3, kTags = 100;
   const int srcs[] = {0, 1, 2, 4, 5, 6, 7};
   auto value = [](int src, int tag, int k) {
-    return static_cast<float>((src * kTags + tag) * 2 + k);
+    return static_cast<std::uint64_t>((src * kTags + tag) * 2 + k);
   };
   for (const bool receives_first : {true, false}) {
     SCOPED_TRACE(receives_first ? "receives first" : "messages first");
     MiniMpi mpi(ft);
-    std::vector<std::vector<float>> got(8 * kTags);
+    std::vector<std::vector<std::uint64_t>> got(8 * kTags);
     auto post = [&] {
       for (int src : srcs)
         for (int tag = 0; tag < kTags; ++tag)
           for (int k = 0; k < 2; ++k)
             mpi.recv(kDst, src, tag,
-                     [&got, key = src * kTags + tag](
-                         const std::vector<float>& v) {
-                       got[key].push_back(v.at(0));
+                     [&got, key = src * kTags + tag](std::uint64_t,
+                                                     Witness w) {
+                       got[key].push_back(w.sum);
                      });
     };
     if (receives_first) post();
     for (int k = 0; k < 2; ++k)
       for (int src : srcs)
         for (int tag = 0; tag < kTags; ++tag)
-          mpi.send(src, kDst, tag, payload({value(src, tag, k)}));
+          mpi.send(src, kDst, tag, 4, Witness{1, value(src, tag, k)});
     mpi.run();
     if (!receives_first) {
       post();
@@ -286,9 +286,29 @@ TEST(MiniMpi, EqualKeysMatchInFifoOrderAcrossManyKeys) {
     for (int src : srcs)
       for (int tag = 0; tag < kTags; ++tag)
         EXPECT_EQ(got[src * kTags + tag],
-                  (std::vector<float>{value(src, tag, 0), value(src, tag, 1)}))
+                  (std::vector<std::uint64_t>{value(src, tag, 0),
+                                              value(src, tag, 1)}))
             << src << " -> " << kDst << " tag " << tag;
   }
+}
+
+// Witnesses add like the data they stand for: contributions commute, and
+// a rank counted twice or left out differs from each rank once. A
+// poisoned witness equals no contribution.
+TEST(MiniMpi, WitnessesAddLikeContributions) {
+  Witness ab = Witness::of(0);
+  ab += Witness::of(1);
+  Witness ba = Witness::of(1);
+  ba += Witness::of(0);
+  EXPECT_EQ(ab, ba);
+  EXPECT_EQ(ab.count, 2u);
+  Witness aa = Witness::of(0);
+  aa += Witness::of(0);
+  EXPECT_NE(aa, ab);
+  EXPECT_NE(Witness::of(0), ab);
+  EXPECT_NE(Witness::of(0), Witness::of(1));
+  EXPECT_NE(Witness::poisoned(), ab);
+  EXPECT_NE(Witness::poisoned(), Witness{});
 }
 
 TEST(MiniMpi, ComputeDelaysCallback) {
