@@ -230,7 +230,8 @@ BENCHMARK(BM_DiameterHx64);
 static void BM_TopologyBuildHx128(benchmark::State& state) {
   // One hx2mesh:128x128 build (65,536 accelerators, 655k directed links)
   // from its spec string, destruction included: node and link arrays, the
-  // graph's adjacency index and the routing oracle.
+  // graph's out- and in-rows and the routing oracle (HammingMesh never
+  // looks a bundle up, so no bundle rows are built).
   for (auto _ : state) {
     auto topology = engine::make_topology("hx2mesh:128x128");
     benchmark::DoNotOptimize(topology->graph().num_links());

@@ -337,7 +337,7 @@ bool FlowSolver::solve(std::vector<Flow>& flows,
         weight += surplus[b * num_links + l];
       }
       active_count[l] = off - link_off[l] + weight;
-      residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
+      residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth();
       if (active_count[l] > 0)
         lowest = std::min(lowest, key(static_cast<std::uint32_t>(l)));
     }

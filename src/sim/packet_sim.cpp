@@ -315,12 +315,12 @@ void PacketSim::start_transmission(std::uint32_t packet_id, LinkId link) {
   credits(link, p.vc) -= p.bytes;
   link_bytes_[link] += p.bytes;
 
-  picoseconds ser = serialization_ps(p.bytes, l.bandwidth_bps);
+  picoseconds ser = serialization_ps(p.bytes, l.bandwidth());
   picoseconds free_at = events_.now() + ser;
   link_busy_until_[link] = free_at;
   events_.schedule(free_at, EventKind::kLinkFree, l.src);
 
-  picoseconds arrive_at = free_at + l.latency_ps + config_.switch_latency_ps;
+  picoseconds arrive_at = free_at + l.latency() + config_.switch_latency_ps;
   events_.schedule(arrive_at, EventKind::kPacketArrive, packet_id, link);
 }
 
@@ -368,7 +368,7 @@ void PacketSim::on_packet_arrive(std::uint32_t packet_id, LinkId link) {
     stats_.packet_hops += pkt.hops;
     stats_.sum_packet_latency_s += ps_to_s(events_.now() - pkt.injected_at);
     free_packets_.push_back(packet_id);
-    events_.schedule_in(lnk.latency_ps, EventKind::kCreditReturn, link,
+    events_.schedule_in(lnk.latency(), EventKind::kCreditReturn, link,
                         static_cast<std::uint32_t>(pkt.vc), pkt.bytes);
     if (m.bytes_delivered >= m.bytes) {
       ++stats_.messages_delivered;
@@ -467,7 +467,7 @@ void PacketSim::try_forward(NodeId node) {
     // Return the input-buffer credit to the upstream sender.
     const LinkId in_link = ins[slot / total_vcs_];
     const topo::Link& in = topology_.graph().link(in_link);
-    events_.schedule_in(in.latency_ps, EventKind::kCreditReturn, in_link,
+    events_.schedule_in(in.latency(), EventKind::kCreditReturn, in_link,
                         slot % total_vcs_, p.bytes);
     p.vc = static_cast<std::uint8_t>(hop.vc);
     start_transmission(pid, hop.link);

@@ -49,13 +49,11 @@ Dragonfly::Dragonfly(DragonflyParams params) : params_(params) {
   for (int r = 0; r < g * a; ++r)
     for (int t = 0; t < p; ++t) {
       int rank = add_endpoint();
-      graph_.add_duplex(endpoint_node(rank), routers_[r], kLinkBandwidthBps,
-                        kCableLatencyPs, CableKind::kDac);
+      graph_.add_duplex(endpoint_node(rank), routers_[r], CableKind::kDac);
     }
 
   auto connect_routers = [&](int r1, int r2, CableKind cable) {
-    LinkId l = graph_.add_duplex(routers_[r1], routers_[r2], kLinkBandwidthBps,
-                                 kCableLatencyPs, cable);
+    LinkId l = graph_.add_duplex(routers_[r1], routers_[r2], cable);
     radj_[r1].push_back({r2, l});
     radj_[r2].push_back({r1, l + 1});  // reverse direction of the duplex
   };

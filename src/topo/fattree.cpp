@@ -99,13 +99,12 @@ void FatTree::build_two_level() {
   for (int i = 0; i < num_spines; ++i) spines_.push_back(add_switch());
   for (int r = 0; r < n; ++r) {
     int rank = add_endpoint();
-    graph_.add_duplex(endpoint_node(rank), leaves_[r / down_],
-                      kLinkBandwidthBps, kCableLatencyPs, CableKind::kDac);
+    graph_.add_duplex(endpoint_node(rank), leaves_[r / down_], CableKind::kDac);
   }
   for (int i = 0; i < num_leaves; ++i)
     for (int k = 0; k < up_; ++k)
       graph_.add_duplex(leaves_[i], spines_[(i * up_ + k) % num_spines],
-                        kLinkBandwidthBps, kCableLatencyPs, CableKind::kAoc);
+                        CableKind::kAoc);
 }
 
 void FatTree::build_three_level() {
@@ -126,16 +125,14 @@ void FatTree::build_three_level() {
 
   for (int r = 0; r < n; ++r) {
     int rank = add_endpoint();
-    graph_.add_duplex(endpoint_node(rank), leaves_[r / down_],
-                      kLinkBandwidthBps, kCableLatencyPs, CableKind::kDac);
+    graph_.add_duplex(endpoint_node(rank), leaves_[r / down_], CableKind::kDac);
   }
   // Leaf -> pod aggregation: leaf i in pod g connects once to every L2 j.
   for (int g = 0; g < pods_; ++g)
     for (int i = 0; i < leaves_per_pod_; ++i)
       for (int j = 0; j < l2_per_pod_; ++j)
         graph_.add_duplex(leaves_[g * leaves_per_pod_ + i],
-                          l2_[g * l2_per_pod_ + j], kLinkBandwidthBps,
-                          kCableLatencyPs, CableKind::kAoc);
+                          l2_[g * l2_per_pod_ + j], CableKind::kAoc);
   // Aggregation -> core: L2 (g, j) spreads its radix/2 up-links over core
   // group j (size l3_group_size_), giving parallel links when pods are few.
   for (int g = 0; g < pods_; ++g)
@@ -143,7 +140,7 @@ void FatTree::build_three_level() {
       for (int k = 0; k < l2_up; ++k)
         graph_.add_duplex(l2_[g * l2_per_pod_ + j],
                           spines_[j * l3_group_size_ + k % l3_group_size_],
-                          kLinkBandwidthBps, kCableLatencyPs, CableKind::kAoc);
+                          CableKind::kAoc);
 }
 
 int FatTree::num_switches() const {

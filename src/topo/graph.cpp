@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/counters.hpp"
+
 namespace hxmesh::topo {
 
 namespace {
+
+Counter g_bundle_indexes("routing.bundle_indexes");
 
 void check_open(bool finalized) {
   if (finalized) throw std::logic_error("Graph: add after finalize()");
@@ -29,18 +33,16 @@ NodeId Graph::add_node(NodeKind kind) {
   return static_cast<NodeId>(kinds_.size() - 1);
 }
 
-LinkId Graph::add_link(NodeId src, NodeId dst, double bandwidth_bps,
-                       picoseconds latency_ps, CableKind cable) {
+LinkId Graph::add_link(NodeId src, NodeId dst, CableKind cable) {
   check_open(finalized_);
   assert(src < num_nodes() && dst < num_nodes());
-  links_.push_back(Link{src, dst, bandwidth_bps, latency_ps, cable});
+  links_.push_back(Link{src, dst, cable});
   return static_cast<LinkId>(links_.size() - 1);
 }
 
-LinkId Graph::add_duplex(NodeId a, NodeId b, double bandwidth_bps,
-                         picoseconds latency_ps, CableKind cable) {
-  LinkId first = add_link(a, b, bandwidth_bps, latency_ps, cable);
-  add_link(b, a, bandwidth_bps, latency_ps, cable);
+LinkId Graph::add_duplex(NodeId a, NodeId b, CableKind cable) {
+  LinkId first = add_link(a, b, cable);
+  add_link(b, a, cable);
   return first;
 }
 
@@ -61,36 +63,39 @@ void Graph::finalize() {
   prefix_sum(in_off_);
   out_ids_.resize(m);
   in_ids_.resize(m);
-  std::vector<NodeId> in_src(m);  // src of in_ids_[i], so the bundle pass
-                                  // never reads links_ at random
-  {
-    std::vector<std::uint32_t> out_at(out_off_.begin(), out_off_.end() - 1);
-    std::vector<std::uint32_t> in_at(in_off_.begin(), in_off_.end() - 1);
-    for (LinkId id = 0; id < m; ++id) {
-      const Link& l = links_[id];
-      out_ids_[out_at[l.src]++] = id;
-      const std::uint32_t i = in_at[l.dst]++;
-      in_ids_[i] = id;
-      in_src[i] = l.src;
-    }
+  std::vector<std::uint32_t> out_at(out_off_.begin(), out_off_.end() - 1);
+  std::vector<std::uint32_t> in_at(in_off_.begin(), in_off_.end() - 1);
+  for (LinkId id = 0; id < m; ++id) {
+    const Link& l = links_[id];
+    out_ids_[out_at[l.src]++] = id;
+    in_ids_[in_at[l.dst]++] = id;
   }
+}
 
-  // Bundle rows: the in-CSR is ordered by (dst, id); scattering it by src
-  // (a stable second counting-sort pass) orders each out-row by (dst, id),
-  // so parallel links stay in out-link order.
-  bundle_ids_.resize(m);
-  bundle_dst_.resize(m);
-  std::vector<std::uint32_t> at(out_off_.begin(), out_off_.end() - 1);
-  for (NodeId d = 0; d < n; ++d)
-    for (std::uint32_t i = in_off_[d]; i < in_off_[d + 1]; ++i) {
-      const std::uint32_t j = at[in_src[i]]++;
-      bundle_ids_[j] = in_ids_[i];
-      bundle_dst_[j] = d;
-    }
+void Graph::build_bundles() const {
+  std::call_once(bundles_once_, [this] {
+    // The in-CSR is ordered by (dst, id); scattering it by src (a stable
+    // second counting-sort pass) orders each out-row by (dst, id), so
+    // parallel links stay in out-link order.
+    const std::size_t n = num_nodes(), m = num_links();
+    bundle_ids_.resize(m);
+    bundle_dst_.resize(m);
+    std::vector<std::uint32_t> at(out_off_.begin(), out_off_.end() - 1);
+    for (NodeId d = 0; d < n; ++d)
+      for (std::uint32_t i = in_off_[d]; i < in_off_[d + 1]; ++i) {
+        const LinkId id = in_ids_[i];
+        const std::uint32_t j = at[links_[id].src]++;
+        bundle_ids_[j] = id;
+        bundle_dst_[j] = d;
+      }
+    g_bundle_indexes.add();
+    bundles_ready_.store(true, std::memory_order_release);
+  });
 }
 
 std::span<const LinkId> Graph::bundle(NodeId a, NodeId b) const {
   assert(finalized_ && "Graph queried before finalize()");
+  if (!bundles_ready_.load(std::memory_order_acquire)) build_bundles();
   const NodeId* keys = bundle_dst_.data();
   const auto [first, last] =
       std::equal_range(keys + out_off_[a], keys + out_off_[a + 1], b);

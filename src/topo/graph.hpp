@@ -2,20 +2,32 @@
 //
 // Nodes are either accelerators ("endpoints", which in HammingMesh also
 // forward packets like small switches) or switches. Links are directed and
-// carry bandwidth, latency, and the cable technology used (PCB trace, DAC
-// copper, AoC optical) so the cost model and the simulators share one
-// description of the machine. Physical duplex cables are represented as two
-// directed links created together by add_duplex().
+// carry the cable technology used (PCB trace, DAC copper, AoC optical), so
+// the cost model and the simulators share one description of the machine.
+// Physical duplex cables are represented as two directed links created
+// together by add_duplex().
+//
+// Link layout. A link is {src, dst, cable}: 12 bytes, 2.6 M of them on
+// hx2mesh:256x256. In the paper's model every link runs at one bandwidth
+// and differs only in its cable, so bandwidth and latency are functions of
+// the cable (Link::bandwidth(), Link::latency()), not per-link fields. A
+// family that needs another speed adds a cable kind.
 //
 // A graph is built, then finalized. While it is built, add_node, add_link
 // and add_duplex only append to flat node and link arrays. finalize()
-// builds one immutable adjacency index from the link array in O(nodes +
-// links) counting-sort passes: an out-CSR, an in-CSR, and bundle rows (each
-// out-row re-sorted by neighbor, so the parallel links to one neighbor are
-// a contiguous run). Adjacency queries need the index, and adding after
-// finalize() throws. The index never changes afterwards, so the spans it
-// hands out stay valid for the graph's lifetime and concurrent readers
-// need no lock.
+// builds the out-CSR and the in-CSR from the link array in O(nodes +
+// links) counting-sort passes. Adjacency queries need the index, and
+// adding after finalize() throws. The index never changes afterwards, so
+// the spans it hands out stay valid for the graph's lifetime and
+// concurrent readers need no lock.
+//
+// Bundle rows (each out-row re-sorted by neighbor, so the parallel links
+// to one neighbor are a contiguous run) are built on the first bundle() or
+// find_link() call, once, under std::call_once: the first callers, on any
+// threads, wait for one build, and later calls read the rows lock-free.
+// Families that route by arithmetic (HammingMesh) never look a bundle up
+// and never pay for the rows; the routing.bundle_indexes counter counts
+// the builds.
 //
 // Order contracts (sampled paths, BFS fields and the packet engine's
 // candidate and arbitration orders all depend on them):
@@ -25,8 +37,10 @@
 //   - bundle(a, b) lists the parallel links a -> b in out-link order.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -42,23 +56,31 @@ inline constexpr LinkId kInvalidLink = 0xffffffffu;
 
 enum class NodeKind : std::uint8_t { kEndpoint, kSwitch };
 
-/// Physical cable technology; drives both latency defaults and pricing.
+/// Physical cable technology; drives both latency and pricing.
 enum class CableKind : std::uint8_t {
   kPcb,  // on-board metal trace (free in the cost model)
   kDac,  // direct-attach copper, 5 m
   kAoc,  // active optical, 20 m
 };
 
-/// One directed link.
+/// One directed link. Its bandwidth and latency follow its cable.
 struct Link {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
-  double bandwidth_bps = kLinkBandwidthBps;  // bytes per second
-  picoseconds latency_ps = kCableLatencyPs;
   CableKind cable = CableKind::kDac;
-};
 
-/// Directed multigraph with a CSR adjacency index built at finalize().
+  /// Bytes per second: every cable runs at the paper's link rate.
+  double bandwidth() const { return kLinkBandwidthBps; }
+
+  /// A board trace's latency, or a box-to-box cable's.
+  picoseconds latency() const {
+    return cable == CableKind::kPcb ? kBoardLatencyPs : kCableLatencyPs;
+  }
+};
+static_assert(sizeof(Link) <= 12, "a link is {src, dst, cable}");
+
+/// Directed multigraph with a CSR adjacency index built at finalize() and
+/// bundle rows built on the first lookup.
 class Graph {
  public:
   /// Sizes the node and link arrays up front (an optimization only).
@@ -70,15 +92,13 @@ class Graph {
 
   /// Adds a directed link; returns its id (dense, starting at 0).
   /// \throws std::logic_error after finalize().
-  LinkId add_link(NodeId src, NodeId dst, double bandwidth_bps,
-                  picoseconds latency_ps, CableKind cable);
+  LinkId add_link(NodeId src, NodeId dst, CableKind cable);
 
   /// Adds the two directed links of a duplex cable; returns the first id
   /// (the reverse direction is always `id + 1`).
-  LinkId add_duplex(NodeId a, NodeId b, double bandwidth_bps,
-                    picoseconds latency_ps, CableKind cable);
+  LinkId add_duplex(NodeId a, NodeId b, CableKind cable);
 
-  /// Builds the adjacency index; the graph is immutable afterwards.
+  /// Builds the out- and in-CSR; the graph is immutable afterwards.
   /// \throws std::logic_error when called twice.
   void finalize();
 
@@ -102,7 +122,8 @@ class Graph {
 
   /// The parallel links a -> b in out-link order (possibly empty): an
   /// O(log out-degree) lookup, so routing hot paths pick among parallel
-  /// cables without a heap allocation per decision.
+  /// cables without a heap allocation per decision. The first call builds
+  /// the bundle rows (thread-safe).
   std::span<const LinkId> bundle(NodeId a, NodeId b) const;
 
   /// First link from `a` to `b` in out-link order, or kInvalidLink.
@@ -145,6 +166,7 @@ class Graph {
     return {ids.data() + off[n], off[n + 1] - off[n]};
   }
   std::vector<std::int32_t> bfs(NodeId start, bool reverse) const;
+  void build_bundles() const;
 
   std::vector<NodeKind> kinds_;
   std::vector<Link> links_;
@@ -153,11 +175,17 @@ class Graph {
   // Out- and in-CSR: row n is ids[off[n] .. off[n + 1]).
   std::vector<std::uint32_t> out_off_, in_off_;
   std::vector<LinkId> out_ids_, in_ids_;
-  // Bundle rows: each out-row reordered by (dst, id), with the dst of every
-  // entry alongside, so row n of bundle_ids_/bundle_dst_ shares out_off_
-  // and bundle(a, b) is an equal_range over bundle_dst_'s row a.
-  std::vector<LinkId> bundle_ids_;
-  std::vector<NodeId> bundle_dst_;
+  // Bundle rows, built on the first lookup: each out-row reordered by
+  // (dst, id), with the dst of every entry alongside, so row n of
+  // bundle_ids_/bundle_dst_ shares out_off_ and bundle(a, b) is an
+  // equal_range over bundle_dst_'s row a. The build runs under
+  // bundles_once_; bundles_ready_ is the lookup's fast path, because
+  // libstdc++'s call_once enters pthread_once on every call (about 2 ns
+  // more per fat-tree lookup, a quarter of its cost).
+  mutable std::once_flag bundles_once_;
+  mutable std::atomic<bool> bundles_ready_{false};
+  mutable std::vector<LinkId> bundle_ids_;
+  mutable std::vector<NodeId> bundle_dst_;
 
   // Lazily sized on the first set_link_failed; empty (and has_failed_
   // false) on healthy graphs.

@@ -24,10 +24,9 @@ int dim_cost(int i, int j, int bi, int bj, int n, int rail) {
 }
 
 // Adds the duplex cable u <-> v, which the id layout numbers `duplex`.
-void add_cable(Graph& g, NodeId u, NodeId v, picoseconds latency_ps,
-               CableKind kind, [[maybe_unused]] LinkId duplex) {
-  [[maybe_unused]] const LinkId id =
-      g.add_duplex(u, v, kLinkBandwidthBps, latency_ps, kind);
+void add_cable(Graph& g, NodeId u, NodeId v, CableKind kind,
+               [[maybe_unused]] LinkId duplex) {
+  [[maybe_unused]] const LinkId id = g.add_duplex(u, v, kind);
   assert(id == 2 * duplex && "HammingMesh: link id off its closed form");
 }
 }  // namespace
@@ -236,14 +235,12 @@ HammingMesh::HammingMesh(HxMeshParams params) : params_(params) {
         for (int i = 0; i + 1 < a; ++i)
           add_cable(graph_, endpoint_node(rank_at(gx + i, gy + j)),
                     endpoint_node(rank_at(gx + i + 1, gy + j)),
-                    kBoardLatencyPs, CableKind::kPcb,
-                    mesh_base(0, gx, gy + j) + i);
+                    CableKind::kPcb, mesh_base(0, gx, gy + j) + i);
       for (int i = 0; i < a; ++i)
         for (int j = 0; j + 1 < b; ++j)
           add_cable(graph_, endpoint_node(rank_at(gx + i, gy + j)),
                     endpoint_node(rank_at(gx + i, gy + j + 1)),
-                    kBoardLatencyPs, CableKind::kPcb,
-                    mesh_base(1, gx + i, gy) + j);
+                    CableKind::kPcb, mesh_base(1, gx + i, gy) + j);
     }
 
   add_rails(0);
@@ -268,8 +265,8 @@ void HammingMesh::add_rails(int dim) {
     for (int i = 0; i < r.leaves; ++i)
       for (int k = 0; k < r.up; ++k)
         add_cable(graph_, r.leaf(line, i),
-                  r.spine(line, (i * r.up + k) % r.spines), kCableLatencyPs,
-                  CableKind::kAoc, r.trunk(line, i, k));
+                  r.spine(line, (i * r.up + k) % r.spines), CableKind::kAoc,
+                  r.trunk(line, i, k));
 
   // Attach the board edge ports: side 0 is W (S), side 1 is E (N).
   const CableKind port_cable = dim == 0 ? CableKind::kDac : CableKind::kAoc;
@@ -279,8 +276,8 @@ void HammingMesh::add_rails(int dim) {
         const int coord = board * r.n + side * (r.n - 1);
         const int rank = dim == 0 ? rank_at(coord, line) : rank_at(line, coord);
         add_cable(graph_, endpoint_node(rank),
-                  r.leaf(line, r.leaf_of_board[board]), kCableLatencyPs,
-                  port_cable, r.port(line, board, side));
+                  r.leaf(line, r.leaf_of_board[board]), port_cable,
+                  r.port(line, board, side));
       }
 }
 

@@ -40,22 +40,19 @@ HyperX::HyperX(HyperXParams params) : params_(params) {
   for (int s = 0; s < x * y; ++s)
     for (int t = 0; t < params_.endpoints_per_switch; ++t) {
       int rank = add_endpoint();
-      graph_.add_duplex(endpoint_node(rank), switches_[s], kLinkBandwidthBps,
-                        kCableLatencyPs, CableKind::kDac);
+      graph_.add_duplex(endpoint_node(rank), switches_[s], CableKind::kDac);
     }
   // Rows fully connected (DAC in-row), columns fully connected (AoC).
   for (int r = 0; r < y; ++r)
     for (int c1 = 0; c1 < x; ++c1)
       for (int c2 = c1 + 1; c2 < x; ++c2)
         graph_.add_duplex(switches_[switch_at(c1, r)],
-                          switches_[switch_at(c2, r)], kLinkBandwidthBps,
-                          kCableLatencyPs, CableKind::kDac);
+                          switches_[switch_at(c2, r)], CableKind::kDac);
   for (int c = 0; c < x; ++c)
     for (int r1 = 0; r1 < y; ++r1)
       for (int r2 = r1 + 1; r2 < y; ++r2)
         graph_.add_duplex(switches_[switch_at(c, r1)],
-                          switches_[switch_at(c, r2)], kLinkBandwidthBps,
-                          kCableLatencyPs, CableKind::kAoc);
+                          switches_[switch_at(c, r2)], CableKind::kAoc);
   finalize();
   set_routing_oracle(std::make_unique<Oracle>(*this));
 }

@@ -31,11 +31,9 @@ Torus::Torus(TorusParams params) : params_(params) {
   auto board_of_y = [&](int gy) { return gy / params_.board_b; };
   auto connect = [&](int r1, int r2, bool same_board) {
     if (same_board)
-      graph_.add_duplex(endpoint_node(r1), endpoint_node(r2),
-                        kLinkBandwidthBps, kBoardLatencyPs, CableKind::kPcb);
+      graph_.add_duplex(endpoint_node(r1), endpoint_node(r2), CableKind::kPcb);
     else
-      graph_.add_duplex(endpoint_node(r1), endpoint_node(r2),
-                        kLinkBandwidthBps, kCableLatencyPs, CableKind::kAoc);
+      graph_.add_duplex(endpoint_node(r1), endpoint_node(r2), CableKind::kAoc);
   };
 
   for (int gy = 0; gy < Y; ++gy)

@@ -382,6 +382,20 @@ TEST(Cli, RunReportsFlowSolverCounters) {
   EXPECT_EQ(counter(r.err, "flow.unconverged"), 0) << r.err;
 }
 
+// Bundle rows are built on a graph's first bundle lookup. HammingMesh
+// routes by arithmetic and never looks one up; the fat tree does on its
+// first route, once.
+TEST(Cli, OnlyFamiliesThatLookUpBundlesBuildBundleRows) {
+  auto hx = run({"run", "--topo", "hx2mesh:16x16", "--pattern",
+                 "perm:msg=1MiB", "--threads", "1", "--no-cache"});
+  ASSERT_EQ(hx.code, 0) << hx.err;
+  EXPECT_EQ(counter(hx.err, "routing.bundle_indexes"), 0) << hx.err;
+  auto ft = run({"run", "--topo", "fattree:256", "--pattern",
+                 "perm:msg=1MiB", "--threads", "1", "--no-cache"});
+  ASSERT_EQ(ft.code, 0) << ft.err;
+  EXPECT_EQ(counter(ft.err, "routing.bundle_indexes"), 1) << ft.err;
+}
+
 // UGAL-L decides at the injecting accelerator. HammingMesh accelerators
 // have four ports, so under a shift some packets see their detour port
 // emptier than the minimal one and take it; minimal routing takes none.

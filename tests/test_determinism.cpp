@@ -204,7 +204,7 @@ int solve_reference(const topo::Topology& topology,
 
   std::vector<double> residual(g.num_links());
   for (std::size_t l = 0; l < g.num_links(); ++l)
-    residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
+    residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth();
   std::vector<std::uint32_t> active_count(g.num_links(), 0);
   for (const Subflow& s : subflows)
     for (std::uint32_t i = 0; i < s.count; ++i)
@@ -395,7 +395,7 @@ bool first_batch_repeats_a_link(const topo::Topology& topology,
       paths.push_back(path);
     }
   }
-  auto bandwidth = [&](topo::LinkId l) { return g.link(l).bandwidth_bps; };
+  auto bandwidth = [&](topo::LinkId l) { return g.link(l).bandwidth(); };
   double level = std::numeric_limits<double>::infinity();
   for (topo::LinkId l = 0; l < g.num_links(); ++l)
     if (count[l] > 0) level = std::min(level, bandwidth(l) / count[l]);

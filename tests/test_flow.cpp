@@ -151,7 +151,7 @@ void certify_max_min(const topo::Topology& topology, std::vector<Flow> flows) {
   }
   std::vector<bool> saturated(g.num_links());
   for (std::size_t l = 0; l < g.num_links(); ++l) {
-    const double cap = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
+    const double cap = g.link(static_cast<topo::LinkId>(l)).bandwidth();
     EXPECT_LE(load[l], cap * (1 + 1e-9)) << "link " << l << " oversubscribed";
     saturated[l] = load[l] >= cap - 1e-6 * kLink - 1e-9 * cap;
   }

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,8 +32,7 @@ TEST(Graph, DuplexCreatesBothDirections) {
   Graph g;
   NodeId a = g.add_node(NodeKind::kEndpoint);
   NodeId b = g.add_node(NodeKind::kSwitch);
-  LinkId l = g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs,
-                          CableKind::kDac);
+  LinkId l = g.add_duplex(a, b, CableKind::kDac);
   g.finalize();
   ASSERT_EQ(g.num_links(), 2u);
   EXPECT_EQ(g.link(l).src, a);
@@ -43,11 +45,26 @@ TEST(Graph, MultiEdgesAreKept) {
   Graph g;
   NodeId a = g.add_node(NodeKind::kEndpoint);
   NodeId b = g.add_node(NodeKind::kSwitch);
-  g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs, CableKind::kDac);
-  g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs, CableKind::kDac);
+  g.add_duplex(a, b, CableKind::kDac);
+  g.add_duplex(a, b, CableKind::kDac);
   g.finalize();
   EXPECT_EQ(g.bundle(a, b).size(), 2u);
   EXPECT_EQ(g.bundle(b, a).size(), 2u);
+}
+
+TEST(Graph, LinkSpeedFollowsItsCable) {
+  Graph g;
+  NodeId a = g.add_node(NodeKind::kEndpoint);
+  NodeId b = g.add_node(NodeKind::kEndpoint);
+  const LinkId pcb = g.add_link(a, b, CableKind::kPcb);
+  const LinkId dac = g.add_link(a, b, CableKind::kDac);
+  const LinkId aoc = g.add_link(b, a, CableKind::kAoc);
+  g.finalize();
+  EXPECT_EQ(g.link(pcb).latency(), kBoardLatencyPs);
+  EXPECT_EQ(g.link(dac).latency(), kCableLatencyPs);
+  EXPECT_EQ(g.link(aoc).latency(), kCableLatencyPs);
+  for (LinkId l : {pcb, dac, aoc})
+    EXPECT_EQ(g.link(l).bandwidth(), kLinkBandwidthBps);
 }
 
 TEST(Graph, BfsDistancesOnPath) {
@@ -55,8 +72,7 @@ TEST(Graph, BfsDistancesOnPath) {
   std::vector<NodeId> n;
   for (int i = 0; i < 5; ++i) n.push_back(g.add_node(NodeKind::kSwitch));
   for (int i = 0; i + 1 < 5; ++i)
-    g.add_duplex(n[i], n[i + 1], kLinkBandwidthBps, kCableLatencyPs,
-                 CableKind::kDac);
+    g.add_duplex(n[i], n[i + 1], CableKind::kDac);
   g.finalize();
   auto dist = g.dist_to(n[4]);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(dist[n[i]], 4 - i);
@@ -75,10 +91,11 @@ TEST(Graph, UnreachableIsMinusOne) {
 }
 
 // ----------------------------------------------------------- GraphIndex --
-// The adjacency index built at finalize(), checked against definitions read
-// straight off the link array: the small instance of every family, a
-// faulted one, and HammingMeshes with two-level rails, plain and tapered
-// (their leaf-spine bundles hold many parallel cables).
+// The adjacency index (out- and in-rows from finalize(), bundle rows from
+// the first lookup), checked against definitions read straight off the
+// link array: the small instance of every family, a faulted one, and
+// HammingMeshes with two-level rails, plain and tapered (their leaf-spine
+// bundles hold many parallel cables).
 const std::vector<std::string>& index_specs() {
   static const std::vector<std::string> specs = {
       "hx2mesh:4x4",
@@ -171,6 +188,52 @@ TEST(GraphIndex, BundlesAndFindLinkFollowOutLinkOrder) {
   }
 }
 
+// Bundle rows are built on the first lookup. Four threads make their
+// first bundle()/find_link() calls on a fresh graph at once; every answer
+// must still be the out-row scan.
+TEST(GraphIndex, FirstBundleLookupIsThreadSafe) {
+  for (const char* spec : {"fattree:4096:taper=0.5", "torus:8x6:board=2x2"}) {
+    SCOPED_TRACE(spec);
+    auto t = engine::make_topology(spec);
+    const Graph& g = t->graph();
+    // (a, b, the links a -> b in out-link order) for every out-neighbor.
+    struct Query {
+      NodeId a, b;
+      std::vector<LinkId> links;
+    };
+    std::vector<Query> queries;
+    for (NodeId a = 0; a < g.num_nodes(); ++a) {
+      std::map<NodeId, std::vector<LinkId>> by_dst;
+      for (LinkId l : g.out_links(a)) by_dst[g.link(l).dst].push_back(l);
+      for (auto& [b, links] : by_dst) queries.push_back({a, b, links});
+    }
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<std::size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i)
+      threads.emplace_back([&, i] {
+        start.arrive_and_wait();
+        // Odd threads open with find_link, even ones with bundle; threads
+        // 0 and 1 walk the queries forward, 2 and 3 backward.
+        for (std::size_t k = 0; k < queries.size(); ++k) {
+          const Query& q = queries[i < 2 ? k : queries.size() - 1 - k];
+          if (i % 2 == 1 && g.find_link(q.a, q.b) != q.links.front())
+            ++mismatches[i];
+          const auto got = g.bundle(q.a, q.b);
+          if (!std::equal(got.begin(), got.end(), q.links.begin(),
+                          q.links.end()))
+            ++mismatches[i];
+          if (i % 2 == 0 && g.find_link(q.a, q.b) != q.links.front())
+            ++mismatches[i];
+        }
+      });
+    for (std::thread& th : threads) th.join();
+    for (int i = 0; i < kThreads; ++i)
+      EXPECT_EQ(mismatches[i], 0u) << "thread " << i;
+  }
+}
+
 TEST(GraphIndex, DistToMatchesIndependentSearchOnFaultedFabric) {
   auto t = engine::make_topology("hx2mesh:4x4:faults=links:0.05:seed=7");
   const Graph& g = t->graph();
@@ -202,14 +265,10 @@ TEST(GraphIndex, AddingAfterFinalizeThrows) {
   Graph g;
   NodeId a = g.add_node(NodeKind::kEndpoint);
   NodeId b = g.add_node(NodeKind::kSwitch);
-  g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs, CableKind::kDac);
+  g.add_duplex(a, b, CableKind::kDac);
   g.finalize();
-  EXPECT_THROW(g.add_link(a, b, kLinkBandwidthBps, kCableLatencyPs,
-                          CableKind::kDac),
-               std::logic_error);
-  EXPECT_THROW(g.add_duplex(a, b, kLinkBandwidthBps, kCableLatencyPs,
-                            CableKind::kDac),
-               std::logic_error);
+  EXPECT_THROW(g.add_link(a, b, CableKind::kDac), std::logic_error);
+  EXPECT_THROW(g.add_duplex(a, b, CableKind::kDac), std::logic_error);
   EXPECT_THROW(g.add_node(NodeKind::kSwitch), std::logic_error);
   EXPECT_THROW(g.finalize(), std::logic_error);
   EXPECT_EQ(g.num_links(), 2u);
